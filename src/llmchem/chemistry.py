@@ -7,8 +7,12 @@ disjoint contexts X, in a's marginal benefit caused by b's presence:
                  divided by cost(X | {a, b})
 
 Two scorers are provided: an exact enumerator over every context subset, and
-a graph-based scorer that answers subset queries through memoized covering
-nodes.  On a fully materialised graph the two agree exactly, term for term.
+a graph-based scorer.  On the graph of a profile source (a
+:class:`~llmchem.mig.LatticeMIG`) the graph scorer reads the four costs of
+each context straight from the graph's bitmask cost table; on an explicit
+cost table or an explicitly given graph it answers subset queries through
+memoized covering nodes.  On a fully materialised graph either way agrees
+with the exact enumerator, term for term.
 """
 
 from __future__ import annotations
@@ -32,10 +36,11 @@ from .errors import (
     InvalidConfigurationError,
     InvalidPairError,
     MissingPairError,
+    ParseError,
     SizeLimitError,
     UndefinedCorrelationError,
 )
-from .mig import MIG, CostBackend, CoverLookup, as_backend, subset_key
+from .mig import MIG, CostBackend, CoverLookup, LatticeMIG, as_backend, subset_key
 
 #: Ceiling on |S| for exhaustive enumeration (2^(|S|-2) contexts per pair).
 BRUTE_FORCE_GUARD = 16
@@ -114,14 +119,21 @@ class ChemistryTable:
                 raise InvalidConfigurationError(
                     f"unexpected chemistry CSV header: {reader.fieldnames}"
                 )
-            for row in reader:
+            for number, row in enumerate(reader, start=2):
                 a, b = row["model_a"], row["model_b"]
                 key = pair_key(a, b)
                 if key in scores:
                     raise InvalidConfigurationError(
                         f"duplicate pair {subset_key(key)!r} in {path}"
                     )
-                scores[key] = float(row["chemistry"])
+                try:
+                    scores[key] = float(row["chemistry"])
+                except (TypeError, ValueError):
+                    raise ParseError(
+                        f"chemistry is not a number in {path}: {row['chemistry'] or ''!r}",
+                        row=number,
+                        field="chemistry",
+                    ) from None
                 seen |= {a, b}
         table_members = frozenset(members) if members is not None else frozenset(seen)
         return cls(scores=scores, members=table_members, method=method)
@@ -224,17 +236,55 @@ def chem_table_bruteforce(
     return ChemistryTable(scores=scores, members=members, method="brute-force")
 
 
-def cheme(source: ModelSet | CostBackend, graph: MIG) -> ChemistryTable:
-    """Chemistry for all pairs via memoized covering-node lookups.
+def _lattice_pair_scores(graph: LatticeMIG) -> dict[PairKey, float]:
+    """Chemistry of every pair of usable members, from the graph's cost table.
 
-    Iterates context subsets X by increasing size; each X, and each of
-    X|{a}, X|{b}, X|{a,b} per candidate pair, is answered by its smallest
-    covering node in the graph.  A context is skipped for a pair when any
-    cover is missing, when the context's own cover already contains a or b
-    (it would violate the disjoint-context premise), or when the combined
-    cover has zero cost.  Benefits are evaluated on the cover subsets, so on
-    a fully materialised graph the result equals the exhaustive enumerator
-    exactly; on sparser graphs it is the graph's best available approximation.
+    Contexts are every submask of the other usable members: unusable members
+    change no cost, so contexts that differ only in them give equal ratios.
+    Each pair is scored from its lexicographically smaller member, as the
+    exhaustive enumerator does, so every ratio is computed from the same
+    operands in the same order.
+    """
+    costs = graph.costs
+    bits = {name: 1 << j for j, name in enumerate(graph.ranked)}
+    everyone = len(costs) - 1
+    scores: dict[PairKey, float] = {}
+    for a, b in combinations(sorted(graph.ranked), 2):
+        bit_a, bit_b = bits[a], bits[b]
+        both = bit_a | bit_b
+        rest = everyone ^ both
+        best = 0.0
+        context = rest
+        while True:
+            denom = costs[context | both]
+            if denom != 0.0:
+                gain_alone = costs[context] - costs[context | bit_a]
+                gain_with_partner = costs[context | bit_b] - denom
+                d = abs(gain_alone - gain_with_partner) / denom
+                if d > best:
+                    best = d
+            if not context:
+                break
+            context = (context - 1) & rest
+        scores[pair_key(a, b)] = best
+    return scores
+
+
+def cheme(source: ModelSet | CostBackend, graph: MIG) -> ChemistryTable:
+    """Chemistry for all pairs from the graph's node costs.
+
+    On a :class:`~llmchem.mig.LatticeMIG` (the graph of a profile source)
+    every context's costs are read from the graph's cost table, and a pair
+    with an unusable member scores 0: it lies in every node, so no context
+    is admissible for it.  On any other graph, context subsets X are
+    iterated by increasing size; each X, and each of X|{a}, X|{b}, X|{a,b}
+    per candidate pair, is answered by its smallest covering node in the
+    graph.  A context is skipped for a pair when any cover is missing, when
+    the context's own cover already contains a or b (it would violate the
+    disjoint-context premise), or when the combined cover has zero cost.
+    Benefits are evaluated on the cover subsets, so on a fully materialised
+    graph the result equals the exhaustive enumerator exactly; on sparser
+    graphs it is the graph's best available approximation.
     """
     backend = as_backend(source)
     if backend.members != graph.members:
@@ -242,12 +292,15 @@ def cheme(source: ModelSet | CostBackend, graph: MIG) -> ChemistryTable:
             "model set does not match the graph's member set"
         )
     members = sorted(graph.members)
-    lookup = CoverLookup(graph)
     scores: dict[PairKey, float] = {
         pair_key(a, b): 0.0 for a, b in combinations(members, 2)
     }
     if not scores:
         raise InvalidConfigurationError("chemistry needs at least two models")
+    if isinstance(graph, LatticeMIG):
+        scores.update(_lattice_pair_scores(graph))
+        return ChemistryTable(scores=scores, members=graph.members, method="mig-cheme")
+    lookup = CoverLookup(graph)
     for size in range(len(members) + 1):
         for combo in combinations(members, size):
             context = frozenset(combo)

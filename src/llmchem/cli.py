@@ -37,6 +37,7 @@ from .consensus import (
     vancouver_consensus,
 )
 from .core import (
+    AUDIT_SIZE_GUARD,
     ModelProfile,
     ModelSet,
     audit_cost_properties,
@@ -434,13 +435,13 @@ def cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
 
     audited = model_set
     names = sorted(model_set.members)
-    if len(names) > 12:
+    if len(names) > AUDIT_SIZE_GUARD:
         audited = ModelSet(
-            profiles=tuple(model_set.profile(n) for n in names[:12]),
+            profiles=tuple(model_set.profile(n) for n in names[:AUDIT_SIZE_GUARD]),
             empty_cost=model_set.empty_cost,
             used_threshold=model_set.used_threshold,
         )
-        print(f"check: auditing the first 12 of {len(names)} models")
+        print(f"check: auditing the first {AUDIT_SIZE_GUARD} of {len(names)} models")
     report = audit_cost_properties(audited, trials=1000, seed=config.seed)
     for section in (report.monotonicity, report.linearity):
         status = "PASS" if section.clean else "FAIL"

@@ -196,7 +196,12 @@ def cost(model_set: ModelSet, config: Iterable[ModelId]) -> float:
     ranked = rank_outputs(model_set, config)
     if not ranked:
         return model_set.empty_cost
-    return sum(r.weight * penalty(r.quality_norm, r.accuracy) for r in ranked)
+    # Plain left-to-right accumulation, which mig.profile_cost_table repeats
+    # bit for bit; the built-in sum() compensates rounding from Python 3.12 on.
+    total = 0.0
+    for r in ranked:
+        total += r.weight * penalty(r.quality_norm, r.accuracy)
+    return total
 
 
 def benefit(model_set: ModelSet, x: Iterable[ModelId], y: Iterable[ModelId]) -> float:

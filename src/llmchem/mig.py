@@ -9,7 +9,12 @@ materialising the whole powerset.
 
 Costs and used sets come from a pluggable backend: either derived from model
 profiles, or an explicit per-subset table (replaying recorded or hypothetical
-runs).
+runs).  From profile costs the construction always yields the full lattice
+over the usable members, so :func:`build_mig` returns it as a
+:class:`LatticeMIG`: a view of one cost table indexed by bitmask
+(:func:`profile_cost_table`), from which chemistry is scored directly.
+Explicit tables and explicitly given graphs keep materialised nodes and
+answer through covering nodes (:class:`CoverLookup`).
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol, runtime_checkable
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, Protocol, runtime_checkable
 
 from . import core
 from .core import Configuration, ModelSet
@@ -189,12 +195,15 @@ class MIG:
         self.root = frozenset(root)
         self._members = frozenset(backend.members)
         self._validate()
+
+    @cached_property
+    def _nodes_by_size(self) -> dict[int, list[MIGNode]]:
         by_size: dict[int, list[MIGNode]] = {}
         for node in self.nodes.values():
             by_size.setdefault(len(node.subset), []).append(node)
         for bucket in by_size.values():
             bucket.sort(key=lambda n: n.key)
-        self._nodes_by_size = by_size
+        return by_size
 
     def _validate(self) -> None:
         if self.root not in self.nodes:
@@ -282,6 +291,101 @@ class MIG:
         return "\n".join(lines) + "\n"
 
 
+def profile_cost_table(model_set: ModelSet) -> tuple[tuple[str, ...], list[float]]:
+    """Cost of every configuration of a profile set, indexed by bitmask.
+
+    Returns the usable members best-first by the rank key of
+    :func:`llmchem.core.rank_outputs`, and a list whose entry ``mask`` is the
+    cost of the members whose bits are set (bit j for the j-th ranked
+    member).  Unusable members never change a cost, so they get no bit.  The
+    highest set bit of a mask is its lowest-ranked member, whose term extends
+    the entry without it; this repeats the left-to-right sum of
+    :func:`llmchem.core.cost`, so every entry equals it bit for bit.
+    """
+    ranked = core.rank_outputs(model_set, model_set.members)
+    penalties = [core.penalty(r.quality_norm, r.accuracy) for r in ranked]
+    costs = [model_set.empty_cost] * (1 << len(ranked))
+    for mask in range(1, len(costs)):
+        last = mask.bit_length() - 1
+        term = (1.0 / mask.bit_count()) * penalties[last]
+        rest = mask ^ (1 << last)
+        costs[mask] = costs[rest] + term if rest else term
+    return tuple(r.model for r in ranked), costs
+
+
+def _top_down(
+    root: Configuration,
+    used: Callable[[Configuration], Configuration],
+    cost: Callable[[Configuration], float],
+) -> tuple[dict, dict]:
+    """Nodes and edges reached from ``root`` by removing one used member at a time.
+
+    Children follow model-name order and nodes breadth-first insertion
+    order, so identical inputs give identical graphs.
+    """
+    nodes: dict[Configuration, MIGNode] = {root: MIGNode(root, used(root), cost(root))}
+    edges: dict[Configuration, tuple[Configuration, ...]] = {}
+    queue: deque[Configuration] = deque([root])
+    while queue:
+        subset = queue.popleft()
+        children: list[Configuration] = []
+        for member in sorted(nodes[subset].used):
+            child = subset - {member}
+            children.append(child)
+            if child not in nodes:
+                nodes[child] = MIGNode(child, used(child), cost(child))
+                queue.append(child)
+        edges[subset] = tuple(children)
+    return nodes, edges
+
+
+class LatticeMIG(MIG):
+    """The graph of a profile backend, as a view of its bitmask cost table.
+
+    Top-down construction from profile costs reaches every subset X of the
+    usable members U, each node holding X plus every unusable member, whose
+    cost is ``costs[mask(X)]``.  ``ranked`` and ``costs`` are the table of
+    :func:`profile_cost_table`.  Node and edge counts are closed form;
+    ``nodes`` and ``edges`` are materialised on first access, identical to
+    the eager construction.
+    """
+
+    def __init__(self, backend: ProfileBackend):
+        self.backend = backend
+        self.root = frozenset(backend.members)
+        self._members = self.root
+        self.ranked, self.costs = profile_cost_table(backend.model_set)
+
+    @property
+    def node_count(self) -> int:
+        return len(self.costs)
+
+    @property
+    def edge_count(self) -> int:
+        # Each of the k usable members is removable from half of the 2^k nodes.
+        return len(self.ranked) * len(self.costs) // 2
+
+    @cached_property
+    def _materialised(self) -> tuple[dict, dict]:
+        bits = {name: 1 << j for j, name in enumerate(self.ranked)}
+
+        def used(subset: Configuration) -> Configuration:
+            return frozenset(m for m in subset if m in bits)
+
+        def cost(subset: Configuration) -> float:
+            return self.costs[sum(bits[m] for m in used(subset))]
+
+        return _top_down(self.root, used, cost)
+
+    @property
+    def nodes(self) -> dict[Configuration, MIGNode]:
+        return self._materialised[0]
+
+    @property
+    def edges(self) -> dict[Configuration, tuple[Configuration, ...]]:
+        return self._materialised[1]
+
+
 def build_mig(
     source: ModelSet | CostBackend, *, size_guard: int = BUILD_SIZE_GUARD
 ) -> MIG:
@@ -291,7 +395,9 @@ def build_mig(
     X minus {m} for every usable member m of X (children in model-name
     order), until no node has usable members left.  Node costs and used sets
     come from the backend, so rebuilding from identical inputs yields an
-    identical graph.
+    identical graph.  A profile source gives a :class:`LatticeMIG`, which
+    holds the same graph as a cost table and materialises nodes only on
+    demand.
     """
     backend = as_backend(source)
     members = backend.members
@@ -299,24 +405,10 @@ def build_mig(
         raise SizeLimitError(
             f"graph construction supports 1..{size_guard} models, got {len(members)}"
         )
-    nodes: dict[Configuration, MIGNode] = {}
-    edges: dict[Configuration, tuple[Configuration, ...]] = {}
+    if isinstance(backend, ProfileBackend):
+        return LatticeMIG(backend)
     root = frozenset(members)
-    queue: deque[Configuration] = deque([root])
-    nodes[root] = MIGNode(subset=root, used=backend.used(root), cost=backend.cost(root))
-    while queue:
-        subset = queue.popleft()
-        node = nodes[subset]
-        children: list[Configuration] = []
-        for member in sorted(node.used):
-            child = subset - {member}
-            children.append(child)
-            if child not in nodes:
-                nodes[child] = MIGNode(
-                    subset=child, used=backend.used(child), cost=backend.cost(child)
-                )
-                queue.append(child)
-        edges[subset] = tuple(children)
+    nodes, edges = _top_down(root, backend.used, backend.cost)
     return MIG(backend, nodes, edges, root)
 
 

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llmchem import (
     ChemistryTable,
@@ -18,6 +21,7 @@ from llmchem import (
     cost,
     heterogeneity_diagnostic,
     llmcp_filter,
+    used_subset,
 )
 from llmchem.errors import (
     DomainError,
@@ -26,6 +30,7 @@ from llmchem.errors import (
     MissingPairError,
     SizeLimitError,
 )
+from llmchem.mig import LatticeMIG, TableBackend
 
 from helpers import (
     drawn_example_graph,
@@ -184,6 +189,68 @@ class TestChemePartialGraph:
         exact = chem_pair_bruteforce(backend, "a", "b")
         assert exact == pytest.approx(3.225, abs=1e-9)
         assert table.score("a", "b") != exact
+
+
+@st.composite
+def kernel_model_sets(draw) -> ModelSet:
+    """Profile sets that stress the cost table's rank order and skip rules.
+
+    Names are shuffled against the rank order, qualities and accuracies tie
+    often (ties fall to accuracy, then to the name), and accuracies sit on
+    the usage threshold and on the float just below it.
+    """
+    size = draw(st.integers(2, 8))
+    names = draw(st.permutations(list("abcdefgh")))[:size]
+    threshold = draw(st.sampled_from([0.5, 0.75]))
+    qualities = st.one_of(st.sampled_from([10.0, 8.0, 5.0]), st.floats(0.0, 10.0))
+    accuracies = st.one_of(
+        st.sampled_from([1.0, 0.9, threshold, math.nextafter(threshold, 0.0)]),
+        st.floats(0.0, 1.0),
+    )
+    profiles = tuple(
+        ModelProfile(name, quality=draw(qualities), accuracy=draw(accuracies))
+        for name in names
+    )
+    empty_cost = draw(st.sampled_from([1.0, 0.0, 0.25]))
+    return ModelSet(profiles=profiles, empty_cost=empty_cost, used_threshold=threshold)
+
+
+class TestCostTableKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(ms=kernel_model_sets())
+    def test_table_and_scores_equal_the_oracles_bit_for_bit(self, ms):
+        graph = build_mig(ms)
+        assert isinstance(graph, LatticeMIG)
+        unusable = ms.members - used_subset(ms, ms.members)
+        for mask, value in enumerate(graph.costs):
+            subset = {name for j, name in enumerate(graph.ranked) if mask >> j & 1}
+            assert value == cost(ms, subset)
+            assert value == cost(ms, subset | unusable)
+        assert cheme(ms, graph).scores == chem_table_bruteforce(ms).scores
+
+    def test_cover_path_on_recorded_tables_equals_bruteforce(self):
+        # A table of every subset's profile cost and used set takes the
+        # eager graph and the covering-node scan, not the cost table.
+        rng = random.Random(89)
+        with_unusable = 0
+        for _ in range(40):
+            ms = random_model_set(rng, rng.randint(2, 6))
+            names = sorted(ms.members)
+            subsets = [
+                frozenset(combo)
+                for size in range(len(names) + 1)
+                for combo in combinations(names, size)
+            ]
+            backend = TableBackend(
+                costs={s: cost(ms, s) for s in subsets},
+                used={s: used_subset(ms, s) for s in subsets},
+                members=names,
+            )
+            graph = build_mig(backend)
+            assert not isinstance(graph, LatticeMIG)
+            assert cheme(backend, graph).scores == chem_table_bruteforce(ms).scores
+            with_unusable += used_subset(ms, ms.members) != ms.members
+        assert with_unusable > 0
 
 
 class TestLlmcpFilter:

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -317,3 +320,27 @@ class TestConfigAndErrors:
              "--pool", str(tmp_path / "unused.json"), "--out", str(tmp_path / "r.json")]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize("row", ["a,b,x", "a,b"])
+    def test_bad_chemistry_value_is_validation_error(self, store_path, tmp_path, capsys, row):
+        chem_path = tmp_path / "bad.csv"
+        chem_path.write_text(f"model_a,model_b,chemistry\n{row}\n")
+        rc = main(
+            ["recommend", "--store", str(store_path), "--chem", str(chem_path),
+             "--pool", str(tmp_path / "unused.json"), "--out", str(tmp_path / "r.json")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(chem_path) in err
+        assert "row 2, field 'chemistry'" in err
+
+
+def test_cli_import_loads_no_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", "import llmchem.cli, sys; assert 'numpy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+        timeout=60,
+    )
