@@ -17,7 +17,6 @@ with the exact enumerator, term for term.
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from dataclasses import dataclass, replace
@@ -40,6 +39,7 @@ from .errors import (
     SizeLimitError,
     UndefinedCorrelationError,
 )
+from .files import read_csv, write_csv
 from .mig import MIG, CostBackend, CoverLookup, LatticeMIG, as_backend, subset_key
 
 #: Ceiling on |S| for exhaustive enumeration (2^(|S|-2) contexts per pair).
@@ -97,11 +97,8 @@ class ChemistryTable:
         return max(self.scores.values(), default=0.0)
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["model_a", "model_b", "chemistry"])
-            for a, b, value in self.pairs():
-                writer.writerow([a, b, repr(value)])
+        rows = ([a, b, repr(value)] for a, b, value in self.pairs())
+        write_csv(path, ("model_a", "model_b", "chemistry"), rows)
 
     @classmethod
     def from_csv(
@@ -111,31 +108,37 @@ class ChemistryTable:
         members: Iterable[str] | None = None,
         method: str = "loaded",
     ) -> "ChemistryTable":
+        known = frozenset(members) if members is not None else None
         scores: dict[PairKey, float] = {}
         seen: set[str] = set()
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames != ["model_a", "model_b", "chemistry"]:
-                raise InvalidConfigurationError(
-                    f"unexpected chemistry CSV header: {reader.fieldnames}"
+        for number, row in read_csv(path, ("model_a", "model_b", "chemistry")):
+            try:
+                value = float(row["chemistry"])
+            except ValueError:
+                raise ParseError(
+                    f"chemistry is not a number: {row['chemistry']!r}",
+                    path=path, row=number, field="chemistry",
+                ) from None
+            if not math.isfinite(value) or value < 0.0:
+                raise ParseError(
+                    f"chemistry must be finite and >= 0, got {value!r}",
+                    path=path, row=number, field="chemistry",
                 )
-            for number, row in enumerate(reader, start=2):
-                a, b = row["model_a"], row["model_b"]
-                key = pair_key(a, b)
-                if key in scores:
-                    raise InvalidConfigurationError(
-                        f"duplicate pair {subset_key(key)!r} in {path}"
-                    )
-                try:
-                    scores[key] = float(row["chemistry"])
-                except (TypeError, ValueError):
-                    raise ParseError(
-                        f"chemistry is not a number in {path}: {row['chemistry'] or ''!r}",
-                        row=number,
-                        field="chemistry",
-                    ) from None
-                seen |= {a, b}
-        table_members = frozenset(members) if members is not None else frozenset(seen)
+            a, b = row["model_a"], row["model_b"]
+            for field, name in (("model_a", a), ("model_b", b)):
+                if not name or (known is not None and name not in known):
+                    raise ParseError(f"unknown model {name!r}", path=path, row=number, field=field)
+            if a == b:
+                raise ParseError(
+                    f"a pair needs two distinct models, got {a!r} twice",
+                    path=path, row=number, field="model_b",
+                )
+            key = pair_key(a, b)
+            if key in scores:
+                raise ParseError(f"duplicate pair {subset_key(key)!r}", path=path, row=number)
+            scores[key] = value
+            seen |= {a, b}
+        table_members = known if known is not None else frozenset(seen)
         return cls(scores=scores, members=table_members, method=method)
 
     def to_json_obj(self, model_set: ModelSet | None = None) -> dict:

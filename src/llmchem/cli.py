@@ -11,12 +11,12 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
+import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -34,6 +34,7 @@ from .consensus import (
     generation_accuracy,
     load_grades_csv,
     load_ground_truth_csv,
+    load_results_csv,
     vancouver_consensus,
 )
 from .core import (
@@ -43,25 +44,13 @@ from .core import (
     audit_cost_properties,
     model_set_fingerprint,
 )
-from .errors import LLMChemError, UndefinedCorrelationError
+from .errors import LLMChemError, ParseError, UndefinedCorrelationError
+from .files import read_json, write_csv, write_json
 from .history import build_profiles, parse_history_csv, read_profiles, write_profiles
 from .mig import build_mig
 from .recommend import CandidatePool, LossParams, recommend
 
 logger = logging.getLogger(__name__)
-
-_CONFIG_KEYS = (
-    "alpha",
-    "beta",
-    "lambda",
-    "tau",
-    "used_threshold",
-    "empty_cost",
-    "max_iters",
-    "grid_size",
-    "seed",
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -80,7 +69,7 @@ class RunConfig:
     def as_dict(self) -> dict:
         out = asdict(self)
         out["lambda"] = out.pop("lam")
-        return {key: out[key] for key in _CONFIG_KEYS}
+        return out
 
 
 class _UsageError(Exception):
@@ -109,25 +98,31 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
+    """Defaults, then the ``--config`` file, then flags; every value type-checked."""
+    keys = {("lambda" if f.name == "lam" else f.name): f for f in fields(RunConfig)}
+    given: list[tuple[str, object, str]] = []  # (key, value, where it came from)
     path = getattr(args, "config", None)
     if path is not None:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        stray = sorted(set(payload) - set(_CONFIG_KEYS))
+        payload = read_json(path)
+        if not isinstance(payload, dict):
+            raise ParseError("a config file must hold a JSON object", path=path)
+        stray = sorted(set(payload) - set(keys))
         if stray:
             raise _UsageError(f"unknown config keys in {path}: {stray}")
-        renamed = {("lam" if key == "lambda" else key): value for key, value in payload.items()}
-        config = replace(config, **renamed)
-    overrides = {}
-    for field in ("alpha", "beta", "lam", "tau", "used_threshold", "empty_cost",
-                  "max_iters", "grid_size", "seed"):
-        value = getattr(args, field, None)
+        given += [(key, value, f"in {path}") for key, value in payload.items()]
+    for key, field in keys.items():
+        value = getattr(args, field.name, None)
         if value is not None:
-            overrides[field] = value
-    if overrides:
-        config = replace(config, **overrides)
-    return config
+            given.append((key, value, "on the command line"))
+    values = {}
+    for key, value, where in given:
+        whole = isinstance(keys[key].default, int)
+        number = isinstance(value, int if whole else (int, float)) and not isinstance(value, bool)
+        if not number or not -math.inf < value < math.inf:
+            kind = "an integer" if whole else "a finite number"
+            raise _UsageError(f"config key {key!r} {where} must be {kind}, got {value!r}")
+        values[keys[key].name] = value
+    return RunConfig(**values)
 
 
 def _echo_config(config: RunConfig) -> None:
@@ -150,12 +145,7 @@ def _write_meta(out: Path, config: RunConfig, inputs: dict[str, Path], extra: di
     }
     if extra:
         meta.update(extra)
-    sidecar = out.with_name(out.name + ".meta.json")
-    sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _write_json(out: Path, payload: dict) -> None:
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(out.with_name(out.name + ".meta.json"), meta)
 
 
 def _select_store(path: Path, context: str | None):
@@ -214,18 +204,7 @@ def cmd_score(args: argparse.Namespace, config: RunConfig) -> int:
         inputs["ground_truth"] = args.ground_truth
     if args.results is not None:
         inputs["results"] = args.results
-        outputs_by_model: dict[str, list[tuple[str, str]]] = {}
-        with open(args.results, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames != ["model", "output_id", "result"]:
-                raise LLMChemError(
-                    f"expected header model,output_id,result in {args.results}, "
-                    f"got {reader.fieldnames}"
-                )
-            for row in reader:
-                outputs_by_model.setdefault(row["model"], []).append(
-                    (row["output_id"], row["result"])
-                )
+        outputs_by_model = load_results_csv(args.results)
         models: dict[str, dict] = {}
         for model in sorted(outputs_by_model):
             scores = []
@@ -243,7 +222,7 @@ def cmd_score(args: argparse.Namespace, config: RunConfig) -> int:
                 "accuracy": combined_accuracy(gen, review, has_gt),
             }
         payload["models"] = models
-    _write_json(args.out, payload)
+    write_json(args.out, payload)
     _write_meta(args.out, config, inputs)
     print(
         f"consensus over {len(matrix.outputs)} outputs / {len(matrix.graders)} graders: "
@@ -262,7 +241,7 @@ def cmd_chem(args: argparse.Namespace, config: RunConfig) -> int:
         table = cheme(model_set, graph)
     table.to_csv(args.out)
     if args.json_out is not None:
-        _write_json(args.json_out, table.to_json_obj(model_set))
+        write_json(args.json_out, table.to_json_obj(model_set))
     reported = llmcp_filter(table, config.tau)
     _write_meta(
         args.out,
@@ -286,6 +265,9 @@ def cmd_recommend(args: argparse.Namespace, config: RunConfig) -> int:
     model_set = _model_set(store, config)
     table = ChemistryTable.from_csv(args.chem, members=model_set.members)
     pool = CandidatePool.from_json(args.pool)
+    unknown = sorted(frozenset().union(*pool.subsets) - table.members)
+    if unknown:
+        raise ParseError(f"models not in the store: {unknown}", path=args.pool)
     params = LossParams(
         alpha=config.alpha,
         beta=config.beta,
@@ -293,7 +275,7 @@ def cmd_recommend(args: argparse.Namespace, config: RunConfig) -> int:
         size_cap=args.size_cap,
     )
     result = recommend(pool, table, params)
-    _write_json(args.out, result.to_json_obj())
+    write_json(args.out, result.to_json_obj())
     _write_meta(
         args.out,
         config,
@@ -319,7 +301,7 @@ def cmd_map(args: argparse.Namespace, config: RunConfig) -> int:
     grid = delta_ci_map(points, CIParams(lam=config.lam), grid_size=config.grid_size)
     grid.to_csv(args.out)
     summary_path = args.out.with_name(args.out.name + ".summary.json")
-    _write_json(summary_path, grid.summary())
+    write_json(summary_path, grid.summary())
     _write_meta(args.out, config, {"store": args.store})
     print(
         f"map {grid.grid_size}x{grid.grid_size} for {names}: "
@@ -329,12 +311,16 @@ def cmd_map(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _load_ensembles(path: Path) -> list[list[str]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+    payload = read_json(path)
     ensembles = payload.get("ensembles") if isinstance(payload, dict) else None
-    if not isinstance(ensembles, list) or not ensembles:
-        raise LLMChemError(f"{path} must hold a non-empty 'ensembles' list")
-    return [[str(name) for name in group] for group in ensembles]
+    if not isinstance(ensembles, list) or not ensembles or not all(
+        isinstance(group, list) and group and all(isinstance(name, str) for name in group)
+        for group in ensembles
+    ):
+        raise ParseError(
+            "'ensembles' must be a non-empty list of non-empty lists of model names", path=path
+        )
+    return ensembles
 
 
 def _task_matrix(records, members: list[str]) -> list[list[float]]:
@@ -365,7 +351,7 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     for group in ensembles:
         for name in group:
             if name not in store.profiles:
-                raise LLMChemError(f"model {name!r} is not in the store")
+                raise ParseError(f"model {name!r} is not in the store", path=args.ensembles)
     inputs = {"store": args.store, "ensembles": args.ensembles}
     extra: dict = {"metric": args.metric}
     rows: list[list[str]] = []
@@ -416,10 +402,7 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
             extra["pearson_r"] = None
             extra["pearson_note"] = str(exc)
 
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    write_csv(args.out, header, rows)
     _write_meta(args.out, config, inputs, extra=extra)
     if "pearson_r" in extra:
         print(f"eval {args.metric}: {len(rows)} ensemble(s), pearson_r={extra['pearson_r']!r}")
@@ -592,10 +575,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except LLMChemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (LLMChemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal invariant failure

@@ -10,7 +10,6 @@ Pearson correlation support downstream comparisons.
 
 from __future__ import annotations
 
-import csv
 import math
 import statistics
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from typing import Iterable, Sequence
 
 from .core import ModelProfile
 from .errors import DomainError, UndefinedCorrelationError
+from .files import write_csv
 
 SQRT2 = math.sqrt(2.0)
 
@@ -143,12 +143,10 @@ class ChemistryMap:
         return self.max_abs_delta < SATURATION_THRESHOLD
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["accuracy_bin", "quality_bin", "delta_ci"])
-            for i, row in enumerate(self.cells):
-                for j, value in enumerate(row):
-                    writer.writerow([i, j, repr(value)])
+        rows = (
+            [i, j, repr(value)] for i, row in enumerate(self.cells) for j, value in enumerate(row)
+        )
+        write_csv(path, ("accuracy_bin", "quality_bin", "delta_ci"), rows)
 
     def summary(self) -> dict:
         return {

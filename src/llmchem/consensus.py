@@ -12,7 +12,6 @@ against references) with review accuracy, 75/25 when ground truth exists and
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +23,7 @@ from .errors import (
     MalformedMatrixError,
     ParseError,
 )
+from .files import read_csv
 
 VARIANCE_FLOOR = 1e-10
 PRIOR_VARIANCE = 1.0
@@ -274,38 +274,32 @@ def combined_accuracy(
 def load_grades_csv(path: str | Path) -> GradeMatrix:
     """Read a ``grader,output_id,grade`` CSV into a grade matrix."""
     rows: list[tuple[str, str, float]] = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != ["grader", "output_id", "grade"]:
-            raise ParseError(
-                f"expected header grader,output_id,grade, got {reader.fieldnames}"
-            )
-        for number, row in enumerate(reader, start=2):
-            try:
-                grade = float(row["grade"])
-            except (TypeError, ValueError):
-                raise ParseError("grade is not a number", row=number, field="grade") from None
-            rows.append((row["grader"], row["output_id"], grade))
+    for number, row in read_csv(path, ("grader", "output_id", "grade")):
+        try:
+            grade = float(row["grade"])
+        except ValueError:
+            raise ParseError("grade is not a number", path=path, row=number, field="grade") from None
+        rows.append((row["grader"], row["output_id"], grade))
     try:
         return GradeMatrix.from_rows(rows)
     except MalformedMatrixError as exc:
-        raise ParseError(f"invalid grade matrix in {path}: {exc}") from exc
+        raise ParseError(f"invalid grade matrix: {exc}", path=path) from exc
 
 
 def load_ground_truth_csv(path: str | Path) -> dict[str, str]:
     """Read an ``output_id,reference`` CSV into a reference map."""
     references: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != ["output_id", "reference"]:
-            raise ParseError(
-                f"expected header output_id,reference, got {reader.fieldnames}"
-            )
-        for number, row in enumerate(reader, start=2):
-            output = row["output_id"]
-            if output in references:
-                raise ParseError(
-                    "duplicate output id", row=number, field="output_id"
-                )
-            references[output] = row["reference"]
+    for number, row in read_csv(path, ("output_id", "reference")):
+        output = row["output_id"]
+        if output in references:
+            raise ParseError("duplicate output id", path=path, row=number, field="output_id")
+        references[output] = row["reference"]
     return references
+
+
+def load_results_csv(path: str | Path) -> dict[str, list[tuple[str, str]]]:
+    """Read a ``model,output_id,result`` CSV into each model's (output id, result) rows."""
+    outputs_by_model: dict[str, list[tuple[str, str]]] = {}
+    for _, row in read_csv(path, ("model", "output_id", "result")):
+        outputs_by_model.setdefault(row["model"], []).append((row["output_id"], row["result"]))
+    return outputs_by_model

@@ -54,10 +54,12 @@ class StoreVersionError(LLMChemError):
 class ParseError(LLMChemError):
     """A file failed validation; carries the location of the first problem."""
 
-    def __init__(self, message: str, *, row: int | None = None, field: str | None = None):
+    def __init__(self, message: str, *, path: object = None,
+                 row: int | None = None, field: str | None = None):
+        self.path = path
         self.row = row
         self.field = field
-        where = []
+        where = [] if path is None else [f"in {path}"]
         if row is not None:
             where.append(f"row {row}")
         if field is not None:

@@ -1,0 +1,86 @@
+"""The one module that opens files: CSV and JSON in, CSV and JSON out.
+
+Inputs are UTF-8.  A CSV header must hold exactly the expected columns, in any
+order, and each data row one field per column.  Undecodable bytes, malformed
+CSV or JSON, a bad header and a short or long row raise ``ParseError`` naming
+the file (and the row and field), so callers only check values.  Each output is
+written to a temporary file beside its target and moved over it with
+``os.replace``, so a failed write leaves the previous file and no partial one.
+JSON output is indented, key-sorted, strict (no NaN or infinity) and ends in a
+newline, so equal payloads give equal bytes.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import os
+from collections import Counter
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Any, Iterable, Iterator, Sequence
+
+from .errors import ParseError
+
+
+def read_csv(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, dict[str, str]]]:
+    """Yield ``(row_number, row)`` per data record, counting the header as row 1."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.DictReader(handle)
+            header = reader.fieldnames or []  # an empty file has no columns
+            missing = sorted((Counter(columns) - Counter(header)).elements())
+            stray = sorted((Counter(header) - Counter(columns)).elements())
+            if missing or stray:
+                raise ParseError(
+                    f"unexpected header: missing columns {missing}, stray columns {stray}",
+                    path=path,
+                )
+            for number, row in enumerate(reader, start=2):
+                if None in row:
+                    raise ParseError("row has more fields than the header", path=path, row=number)
+                if None in row.values():
+                    first = next(column for column, value in row.items() if value is None)
+                    raise ParseError(
+                        "row has fewer fields than the header", path=path, row=number, field=first
+                    )
+                yield number, row
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"unreadable CSV: {exc}", path=path) from None
+
+
+def read_json(path: str | Path) -> Any:
+    """The decoded JSON value of a UTF-8 file."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ParseError(f"invalid JSON: {exc}", path=path) from None
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Replace ``path`` with the header and rows as LF-terminated CSV."""
+    with _replacing(path, newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: str | Path, payload: Any) -> None:
+    """Replace ``path`` with ``payload`` as indented, key-sorted JSON plus a newline."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    with _replacing(path) as handle:
+        handle.write(text + "\n")
+
+
+@contextmanager
+def _replacing(path: str | Path, newline: str | None = None) -> Iterator:
+    target = Path(path)
+    temp = target.with_name(target.name + ".tmp")
+    try:
+        with open(temp, "w", encoding="utf-8", newline=newline) as handle:
+            yield handle
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise

@@ -9,7 +9,6 @@ result.  Validated records collapse into per-context profile stores (one
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import statistics
@@ -19,6 +18,7 @@ from typing import Iterable, Literal
 
 from .core import ModelProfile, ModelSet
 from .errors import DomainError, ParseError, StoreVersionError
+from .files import read_csv, read_json, write_csv, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -77,91 +77,75 @@ _NUMERIC_RANGES: dict[str, tuple[float, float]] = {
 }
 
 
-def _parse_numeric(raw: str, column: str, row_number: int) -> float:
+def _parse_numeric(raw: str, column: str, path: str | Path, row_number: int) -> float:
     try:
         value = float(raw)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ParseError(
-            f"{column} is not a number: {raw!r}", row=row_number, field=column
+            f"{column} is not a number: {raw!r}", path=path, row=row_number, field=column
         ) from None
     lo, hi = _NUMERIC_RANGES[column]
     if not math.isfinite(value) or not lo <= value <= hi:
         raise ParseError(
-            f"{column} out of range: {value!r}", row=row_number, field=column
+            f"{column} out of range: {value!r}", path=path, row=row_number, field=column
         )
     return value
 
 
 def parse_history_csv(path: str | Path) -> list[HistoryRecord]:
     """Parse and validate one history CSV; reject the whole file on any error."""
-    import csv
-
     records: list[HistoryRecord] = []
     seen_keys: set[tuple[str, str, str]] = set()
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise ParseError(f"{path} is empty (no header)")
-        if set(reader.fieldnames) != set(HISTORY_COLUMNS):
-            missing = sorted(set(HISTORY_COLUMNS) - set(reader.fieldnames))
-            stray = sorted(set(reader.fieldnames) - set(HISTORY_COLUMNS))
+    for number, row in read_csv(path, HISTORY_COLUMNS):
+        if not row["model"]:
+            raise ParseError("model name is empty", path=path, row=number, field="model")
+        numeric = {
+            column: _parse_numeric(row[column], column, path, number)
+            for column in _NUMERIC_RANGES
+        }
+        key = (row["trial"], row["model"], row["id"])
+        if key in seen_keys:
             raise ParseError(
-                f"unexpected header in {path}: missing columns {missing}, stray columns {stray}"
+                f"duplicate (trial, model, id) key {key!r}", path=path, row=number, field="id"
             )
-        for number, row in enumerate(reader, start=2):
-            if any(value is None for value in row.values()) or None in row:
-                raise ParseError("row has the wrong number of fields", row=number)
-            numeric = {
-                column: _parse_numeric(row[column], column, number)
-                for column in _NUMERIC_RANGES
-            }
-            key = (row["trial"], row["model"], row["id"])
-            if key in seen_keys:
-                raise ParseError(
-                    f"duplicate (trial, model, id) key {key!r}", row=number, field="id"
-                )
-            seen_keys.add(key)
-            records.append(
-                HistoryRecord(
-                    trial=row["trial"],
-                    model=row["model"],
-                    task=row["task"],
-                    id=row["id"],
-                    result=row["result"],
-                    elapsed=row["elapsed"],
-                    created=row["created"],
-                    **numeric,
-                )
+        seen_keys.add(key)
+        records.append(
+            HistoryRecord(
+                trial=row["trial"],
+                model=row["model"],
+                task=row["task"],
+                id=row["id"],
+                result=row["result"],
+                elapsed=row["elapsed"],
+                created=row["created"],
+                **numeric,
             )
+        )
     return records
 
 
 def write_history_csv(records: Iterable[HistoryRecord], path: str | Path) -> None:
     """Write records in canonical form: fixed column order, shortest float reprs."""
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(HISTORY_COLUMNS)
-        for record in records:
-            writer.writerow(
-                [
-                    record.trial,
-                    record.model,
-                    record.task,
-                    repr(record.latency),
-                    repr(record.temperature),
-                    record.id,
-                    record.result,
-                    repr(record.quality),
-                    repr(record.gen_accuracy),
-                    repr(record.variance),
-                    repr(record.review_accuracy),
-                    repr(record.accuracy),
-                    record.elapsed,
-                    record.created,
-                ]
-            )
+    rows = (
+        [
+            record.trial,
+            record.model,
+            record.task,
+            repr(record.latency),
+            repr(record.temperature),
+            record.id,
+            record.result,
+            repr(record.quality),
+            repr(record.gen_accuracy),
+            repr(record.variance),
+            repr(record.review_accuracy),
+            repr(record.accuracy),
+            record.elapsed,
+            record.created,
+        ]
+        for record in records
+    )
+    write_csv(path, HISTORY_COLUMNS, rows)
 
 
 @dataclass(frozen=True)
@@ -251,27 +235,32 @@ def _store_to_obj(store: ProfileStore) -> dict:
     }
 
 
-def _store_from_obj(obj: dict) -> ProfileStore:
-    known = {"context_key", "profiles", "provenance"}
-    stray = sorted(set(obj) - known)
-    if stray:
-        logger.warning("ignoring unknown profile-store keys: %s", stray)
+def _store_from_obj(obj: dict, path: str | Path) -> ProfileStore:
     try:
-        profiles = {
-            entry["model"]: ModelProfile(
-                model=entry["model"],
+        stray = sorted(set(obj) - {"context_key", "profiles", "provenance"})
+        entries = obj["profiles"]
+        if not isinstance(entries, list) or not entries:
+            raise TypeError("'profiles' must be a non-empty list")
+        profiles: dict[str, ModelProfile] = {}
+        for entry in entries:
+            model = entry["model"]
+            if not isinstance(model, str):
+                raise TypeError(f"model name {model!r} is not a string")
+            profiles[model] = ModelProfile(
+                model=model,
                 quality=float(entry["quality"]),
                 accuracy=float(entry["accuracy"]),
             )
-            for entry in obj["profiles"]
-        }
-        return ProfileStore(
+        store = ProfileStore(
             context_key=str(obj["context_key"]),
             profiles=profiles,
             provenance=dict(obj.get("provenance", {})),
         )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"invalid profile-store payload: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError includes DomainError
+        raise ParseError(f"invalid profile-store payload: {exc}", path=path) from None
+    if stray:
+        logger.warning("ignoring unknown profile-store keys: %s", stray)
+    return store
 
 
 def write_profiles(stores: Iterable[ProfileStore], path: str | Path) -> None:
@@ -280,29 +269,22 @@ def write_profiles(stores: Iterable[ProfileStore], path: str | Path) -> None:
         "version": STORE_VERSION,
         "stores": [_store_to_obj(store) for store in stores],
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, payload)
 
 
 def read_profiles(path: str | Path) -> list[ProfileStore]:
     """Load stores from JSON; unknown keys warn, truncated files fail whole."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    payload = read_json(path)
     if not isinstance(payload, dict) or "version" not in payload:
-        raise ParseError(f"{path} is not a profile-store file")
+        raise ParseError("not a profile-store file", path=path)
     if payload["version"] != STORE_VERSION:
         raise StoreVersionError(
-            f"unsupported store version {payload['version']!r} (expected {STORE_VERSION})"
+            f"unsupported store version {payload['version']!r} in {path} (expected {STORE_VERSION})"
         )
     stray = sorted(set(payload) - {"version", "stores"})
     if stray:
         logger.warning("ignoring unknown top-level keys: %s", stray)
-    try:
-        stores_obj = payload["stores"]
-    except KeyError:
-        raise ParseError(f"{path} lacks a 'stores' list") from None
-    return [_store_from_obj(obj) for obj in stores_obj]
+    stores_obj = payload.get("stores")
+    if not isinstance(stores_obj, list):
+        raise ParseError("lacks a 'stores' list", path=path)
+    return [_store_from_obj(obj, path) for obj in stores_obj]

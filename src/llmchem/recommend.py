@@ -15,7 +15,6 @@ and swaps descends this loss and returns the best subset found.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -30,6 +29,7 @@ from .errors import (
     NoCandidatesError,
     ParseError,
 )
+from .files import read_json
 from .mig import subset_key
 
 
@@ -70,22 +70,17 @@ class CandidatePool:
         object.__setattr__(self, "subsets", tuple(deduped))
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "CandidatePool":
-        try:
-            subsets = tuple(frozenset(s) for s in obj["subsets"])
-            context = str(obj.get("query_context", ""))
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"invalid candidate pool payload: {exc}") from exc
-        return cls(subsets=subsets, query_context=context)
-
-    @classmethod
     def from_json(cls, path: str | Path) -> "CandidatePool":
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                obj = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-        return cls.from_json_obj(obj)
+        obj = read_json(path)
+        subsets = obj.get("subsets") if isinstance(obj, dict) else None
+        if not isinstance(subsets, list) or not subsets or not all(
+            isinstance(s, list) and s and all(isinstance(m, str) for m in s) for s in subsets
+        ):
+            raise ParseError(
+                "'subsets' must be a non-empty list of non-empty lists of model names", path=path
+            )
+        context = str(obj.get("query_context", ""))
+        return cls(subsets=tuple(frozenset(s) for s in subsets), query_context=context)
 
 
 @dataclass(frozen=True)

@@ -344,3 +344,113 @@ def test_cli_import_loads_no_numpy():
         check=True,
         timeout=60,
     )
+
+
+GRADES = "grader,output_id,grade\ng1,o1,5.0\ng2,o1,6.0\n"
+
+#: Fault -> (CLI arguments, bad file name, its bytes (None: a directory),
+#: fragments the message must hold besides the file's path).  ``{bad}`` is the
+#: bad file, ``{tmp}`` the test's directory; the store, history, grades and
+#: ground truth there are valid.
+BAD_INPUTS = {
+    "config-json": ("ingest {history} --out {tmp}/s.json --config {bad}", "c.json",
+                    b'{"alpha": ', ["invalid JSON"]),
+    "config-not-object": ("ingest {history} --out {tmp}/s.json --config {bad}", "c.json",
+                          b"[1]", ["JSON object"]),
+    "config-type": ("ingest {history} --out {tmp}/s.json --config {bad}", "c.json",
+                    b'{"alpha": "x"}', ["'alpha'", "finite number"]),
+    "config-int": ("ingest {history} --out {tmp}/s.json --config {bad}", "c.json",
+                   b'{"seed": true}', ["'seed'", "integer"]),
+    "ensembles-json": ("eval --store {store} --ensembles {bad} --metric ci --out {tmp}/e.csv",
+                       "e.json", b'{"ensembles": ', ["invalid JSON"]),
+    "ensembles-schema": ("eval --store {store} --ensembles {bad} --metric ci --out {tmp}/e.csv",
+                         "e.json", b'{"ensembles": [5]}', ["'ensembles'"]),
+    "ensembles-unknown-model": (
+        "eval --store {store} --ensembles {bad} --metric ci --out {tmp}/e.csv",
+        "e.json", b'{"ensembles": [["nope"]]}', ["'nope'"]),
+    "results-short-row": (
+        "score --grades {grades} --ground-truth {gt} --results {bad} --out {tmp}/s.json",
+        "r.csv", b"model,output_id,result\ng1,o1\n", ["row 2, field 'result'"]),
+    "history-encoding": ("ingest {bad} --out {tmp}/s.json", "h.csv", b"\xff", ["utf-8"]),
+    "store-encoding": ("chem --store {bad} --out {tmp}/c.csv", "s.json", b"\xff", ["utf-8"]),
+    "history-directory": ("ingest {bad} --out {tmp}/s.json", "h.csv", None, ["directory"]),
+    "store-directory": ("chem --store {bad} --out {tmp}/c.csv", "s.json", None, ["directory"]),
+    "grades-extra-field": ("score --grades {bad} --out {tmp}/s.json", "g.csv",
+                           b"grader,output_id,grade\ng1,o1,5,extra\n", ["row 2)"]),
+    "chem-extra-field": ("recommend --store {store} --chem {bad} --pool {tmp}/p.json --out {tmp}/r.json",
+                         "c.csv", b"model_a,model_b,chemistry\ngpt-4o,o3-mini,0.5,9\n", ["row 2)"]),
+    "chem-empty-name": ("recommend --store {store} --chem {bad} --pool {tmp}/p.json --out {tmp}/r.json",
+                        "c.csv", b"model_a,model_b,chemistry\ngemini-2.0-flash,,1.0\n",
+                        ["row 2, field 'model_b'"]),
+    "chem-unknown-name": ("recommend --store {store} --chem {bad} --pool {tmp}/p.json --out {tmp}/r.json",
+                          "c.csv", b"model_a,model_b,chemistry\nzz,gpt-4o,1.0\n",
+                          ["'zz'", "row 2, field 'model_a'"]),
+    "chem-self-pair": ("recommend --store {store} --chem {bad} --pool {tmp}/p.json --out {tmp}/r.json",
+                       "c.csv", b"model_a,model_b,chemistry\ngpt-4o,gpt-4o,1.0\n",
+                       ["row 2, field 'model_b'"]),
+    "chem-nan": ("recommend --store {store} --chem {bad} --pool {tmp}/p.json --out {tmp}/r.json",
+                 "c.csv", b"model_a,model_b,chemistry\ngpt-4o,o3-mini,nan\n",
+                 ["row 2, field 'chemistry'"]),
+    "chem-negative": ("recommend --store {store} --chem {bad} --pool {tmp}/p.json --out {tmp}/r.json",
+                      "c.csv", b"model_a,model_b,chemistry\ngpt-4o,o3-mini,-0.5\n",
+                      ["row 2, field 'chemistry'"]),
+    "store-quality-type": ("chem --store {bad} --out {tmp}/c.csv", "s.json",
+                           b'{"version": 1, "stores": [{"context_key": "all", "profiles": '
+                           b'[{"model": "m", "quality": "abc", "accuracy": 0.5}]}]}', ["'abc'"]),
+    "store-stores-type": ("chem --store {bad} --out {tmp}/c.csv", "s.json",
+                          b'{"version": 1, "stores": 3}', ["'stores'"]),
+    "store-model-type": ("chem --store {bad} --out {tmp}/c.csv", "s.json",
+                         b'{"version": 1, "stores": [{"context_key": "all", "profiles": '
+                         b'[{"model": 7, "quality": 5, "accuracy": 0.5}]}]}', ["model name 7"]),
+    "pool-unknown-model": (
+        "recommend --store {store} --chem {chem} --pool {bad} --out {tmp}/r.json",
+        "p.json", b'{"subsets": [["zz"]]}', ["'zz'"]),
+    "pool-schema": (
+        "recommend --store {store} --chem {chem} --pool {bad} --out {tmp}/r.json",
+        "p.json", b'{"subsets": [5]}', ["'subsets'"]),
+    "pool-empty": (
+        "recommend --store {store} --chem {chem} --pool {bad} --out {tmp}/r.json",
+        "p.json", b'{"subsets": []}', ["'subsets'"]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BAD_INPUTS))
+def test_bad_input_exits_1_naming_the_file(fault, store_path, history_fixture, tmp_path, capsys):
+    argv, name, data, fragments = BAD_INPUTS[fault]
+    bad = tmp_path / "bad" / name
+    bad.parent.mkdir()
+    if data is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(data)
+    (tmp_path / "grades.csv").write_text(GRADES)
+    (tmp_path / "gt.csv").write_text("output_id,reference\no1,true\n")
+    chem = tmp_path / "chem.csv"
+    assert main(["chem", "--store", str(store_path), "--out", str(chem)]) == 0
+    capsys.readouterr()
+    paths = dict(bad=bad, tmp=tmp_path, store=store_path, history=history_fixture, chem=chem,
+                 grades=tmp_path / "grades.csv", gt=tmp_path / "gt.csv")
+    assert main(argv.format(**paths).split()) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    for fragment in fragments:
+        assert fragment in err
+
+
+@pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--empty-cost", "inf")])
+def test_non_finite_flag_exits_1_naming_the_key(history_fixture, tmp_path, capsys, flag, value):
+    rc = main(["ingest", str(history_fixture), "--out", str(tmp_path / "s.json"), flag, value])
+    assert rc == 1
+    key = flag.removeprefix("--").replace("-", "_")
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_integral_config_values_echo_unchanged(history_fixture, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"alpha": 1, "lambda": 0.25}))
+    out = tmp_path / "store.json"
+    assert main(["ingest", str(history_fixture), "--out", str(out), "--config", str(config)]) == 0
+    echoed = capsys.readouterr().out.splitlines()[0]
+    assert '"alpha": 1,' in echoed and '"lambda": 0.25,' in echoed
+    meta = json.loads((tmp_path / "store.json.meta.json").read_text())
+    assert meta["config"]["alpha"] == 1 and meta["config"]["lambda"] == 0.25
