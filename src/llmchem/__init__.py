@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .chemistry import (
     ChemistryTable,
     DiversityFamily,
-    HeterogeneityReport,
     chem_pair_bruteforce,
     chem_table_bruteforce,
     cheme,
@@ -18,7 +17,6 @@ from .chemistry import (
     llmcp_filter,
 )
 from .complementarity import (
-    ChemistryMap,
     CIParams,
     EnsemblePoint,
     complementarity_index,
@@ -29,8 +27,6 @@ from .complementarity import (
     rao_entropy,
 )
 from .consensus import (
-    AccuracyBlend,
-    ConsensusResult,
     GradeMatrix,
     combined_accuracy,
     generation_accuracy,
@@ -38,12 +34,8 @@ from .consensus import (
     vancouver_consensus,
 )
 from .core import (
-    Configuration,
-    ModelId,
     ModelProfile,
     ModelSet,
-    PropertyAuditReport,
-    RankedOutput,
     audit_cost_properties,
     benefit,
     cost,
@@ -54,27 +46,16 @@ from .core import (
 )
 from .history import (
     HistoryRecord,
-    ProfileStore,
     build_profiles,
     parse_history_csv,
     read_profiles,
     write_history_csv,
     write_profiles,
 )
-from .mig import (
-    MIG,
-    CoverLookup,
-    MIGNode,
-    ProfileBackend,
-    TableBackend,
-    backend_benefit,
-    build_mig,
-    subset_key,
-)
+from .mig import CoverLookup, build_mig, subset_key
 from .recommend import (
     CandidatePool,
     LossParams,
-    Recommendation,
     chem_totals,
     exhaustive_best,
     neighbors,
@@ -83,33 +64,18 @@ from .recommend import (
 )
 
 __all__ = [
-    "AccuracyBlend",
     "CandidatePool",
-    "ChemistryMap",
     "ChemistryTable",
     "CIParams",
-    "Configuration",
-    "ConsensusResult",
     "CoverLookup",
     "DiversityFamily",
     "EnsemblePoint",
     "GradeMatrix",
-    "HeterogeneityReport",
     "HistoryRecord",
     "LossParams",
-    "MIG",
-    "MIGNode",
-    "ModelId",
     "ModelProfile",
     "ModelSet",
-    "ProfileBackend",
-    "ProfileStore",
-    "PropertyAuditReport",
-    "RankedOutput",
-    "Recommendation",
-    "TableBackend",
     "audit_cost_properties",
-    "backend_benefit",
     "benefit",
     "build_mig",
     "build_profiles",

@@ -106,7 +106,6 @@ class ChemistryTable:
         path: str | Path,
         *,
         members: Iterable[str] | None = None,
-        method: str = "loaded",
     ) -> "ChemistryTable":
         known = frozenset(members) if members is not None else None
         scores: dict[PairKey, float] = {}
@@ -139,7 +138,7 @@ class ChemistryTable:
             scores[key] = value
             seen |= {a, b}
         table_members = known if known is not None else frozenset(seen)
-        return cls(scores=scores, members=table_members, method=method)
+        return cls(scores=scores, members=table_members, method="loaded")
 
     def to_json_obj(self, model_set: ModelSet | None = None) -> dict:
         obj: dict = {
@@ -187,13 +186,14 @@ def _pair_score_bruteforce(
     return best
 
 
-def chem_pair_bruteforce(
-    source: ModelSet | CostBackend,
-    a: str,
-    b: str,
-    *,
-    size_guard: int = BRUTE_FORCE_GUARD,
-) -> float:
+def _check_brute_force_size(members: Configuration) -> None:
+    if len(members) > BRUTE_FORCE_GUARD:
+        raise SizeLimitError(
+            f"exhaustive scoring supports at most {BRUTE_FORCE_GUARD} models, got {len(members)}"
+        )
+
+
+def chem_pair_bruteforce(source: ModelSet | CostBackend, a: str, b: str) -> float:
     """Exact chemistry of one pair by enumerating every context subset.
 
     Context subsets are drawn from the members minus {a, b}, visited by size
@@ -208,16 +208,11 @@ def chem_pair_bruteforce(
     for name in (a, b):
         if name not in members:
             raise InvalidConfigurationError(f"unknown model {name!r}")
-    if len(members) > size_guard:
-        raise SizeLimitError(
-            f"exhaustive scoring supports at most {size_guard} models, got {len(members)}"
-        )
+    _check_brute_force_size(members)
     return _pair_score_bruteforce(backend, a, b, cache={})
 
 
-def chem_table_bruteforce(
-    source: ModelSet | CostBackend, *, size_guard: int = BRUTE_FORCE_GUARD
-) -> ChemistryTable:
+def chem_table_bruteforce(source: ModelSet | CostBackend) -> ChemistryTable:
     """Exact chemistry table over all pairs, sharing one cost cache.
 
     Each pair is scored from the perspective of its lexicographically smaller
@@ -226,10 +221,7 @@ def chem_table_bruteforce(
     """
     backend = as_backend(source)
     members = backend.members
-    if len(members) > size_guard:
-        raise SizeLimitError(
-            f"exhaustive scoring supports at most {size_guard} models, got {len(members)}"
-        )
+    _check_brute_force_size(members)
     if len(members) < 2:
         raise InvalidConfigurationError("chemistry needs at least two models")
     cache: dict[Configuration, float] = {}
@@ -331,6 +323,12 @@ def cheme(source: ModelSet | CostBackend, graph: MIG) -> ChemistryTable:
     return ChemistryTable(scores=scores, members=graph.members, method="mig-cheme")
 
 
+def check_tau(tau: float) -> None:
+    """Reject a report threshold that is negative or not finite."""
+    if not math.isfinite(tau) or tau < 0.0:
+        raise DomainError(f"tau must be finite and >= 0, got {tau!r}")
+
+
 def llmcp_filter(
     table: ChemistryTable, tau: float
 ) -> list[tuple[tuple[str, str], float]]:
@@ -339,8 +337,7 @@ def llmcp_filter(
     Sorted by score descending, then pair name ascending.  ``tau = 0``
     retains every pair with any positive chemistry.
     """
-    if not math.isfinite(tau) or tau < 0.0:
-        raise DomainError(f"tau must be finite and >= 0, got {tau!r}")
+    check_tau(tau)
     hits = [
         ((a, b), value) for a, b, value in table.pairs() if value > tau
     ]

@@ -16,25 +16,31 @@ import json
 import logging
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__
-from .chemistry import ChemistryTable, chem_table_bruteforce, cheme, llmcp_filter
+from .chemistry import ChemistryTable, check_tau, chem_table_bruteforce, cheme, llmcp_filter
 from .complementarity import (
+    DEFAULT_GRID_SIZE,
     CIParams,
     EnsemblePoint,
+    check_grid_size,
     complementarity_index,
     delta_ci_map,
     effectiveness_soft_vote,
     pearson_r,
 )
 from .consensus import (
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOL,
+    PRIOR_VARIANCE,
     combined_accuracy,
     generation_accuracy,
     load_grades_csv,
     load_ground_truth_csv,
     load_results_csv,
+    review_accuracy_from_variance,
     vancouver_consensus,
 )
 from .core import (
@@ -42,9 +48,11 @@ from .core import (
     ModelProfile,
     ModelSet,
     audit_cost_properties,
+    check_cost_knobs,
     model_set_fingerprint,
+    used_subset,
 )
-from .errors import LLMChemError, ParseError, UndefinedCorrelationError
+from .errors import DomainError, LLMChemError, ParseError, UndefinedCorrelationError
 from .files import read_json, write_csv, write_json
 from .history import build_profiles, parse_history_csv, read_profiles, write_profiles
 from .mig import build_mig
@@ -54,16 +62,20 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Tunables shared across subcommands, echoed on every run."""
+    """Tunables shared across subcommands, echoed on every run.
 
-    alpha: float = 0.5
-    beta: float = 0.5
-    lam: float = 0.5
+    Values the library uses take their defaults from the domain type or
+    function that uses them; ``tau`` and ``seed`` are used by the CLI alone.
+    """
+
+    alpha: float = LossParams.alpha
+    beta: float = LossParams.beta
+    lam: float = CIParams.lam
     tau: float = 0.0
-    used_threshold: float = 0.5
-    empty_cost: float = 1.0
-    max_iters: int = 50
-    grid_size: int = 50
+    used_threshold: float = ModelSet.used_threshold
+    empty_cost: float = ModelSet.empty_cost
+    max_iters: int = LossParams.max_iters
+    grid_size: int = DEFAULT_GRID_SIZE
     seed: int = 0
 
     def as_dict(self) -> dict:
@@ -81,47 +93,70 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+#: Config keys (as in a config file and the ``config:`` echo) -> RunConfig fields.
+_CONFIG_FIELDS = {("lambda" if f.name == "lam" else f.name): f for f in fields(RunConfig)}
+
+_FLAG_HELP = {
+    "alpha": "inter/intra loss balance",
+    "beta": "subset size penalty",
+    "lambda": "coverage/diversity trade-off",
+    "tau": "chemistry report threshold",
+    "used_threshold": "accuracy cut-off for usable outputs",
+    "empty_cost": "cost of a configuration with no usable output",
+    "max_iters": "hill-climb budget per seed",
+    "grid_size": "chemistry map resolution",
+    "seed": "seed for audits and diagnostics",
+}
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON file of config defaults")
-    parser.add_argument("--alpha", type=float, help="inter/intra loss balance (default 0.5)")
-    parser.add_argument("--beta", type=float, help="subset size penalty (default 0.5)")
-    parser.add_argument("--lambda", dest="lam", type=float,
-                        help="coverage/diversity trade-off (default 0.5)")
-    parser.add_argument("--tau", type=float, help="chemistry report threshold (default 0.0)")
-    parser.add_argument("--used-threshold", type=float,
-                        help="accuracy cut-off for usable outputs (default 0.5)")
-    parser.add_argument("--empty-cost", type=float,
-                        help="cost of a configuration with no usable output (default 1.0)")
-    parser.add_argument("--max-iters", type=int, help="hill-climb budget per seed (default 50)")
-    parser.add_argument("--grid-size", type=int, help="chemistry map resolution (default 50)")
-    parser.add_argument("--seed", type=int, help="seed for audits and diagnostics (default 0)")
+    for key, field in _CONFIG_FIELDS.items():
+        parser.add_argument(
+            "--" + key.replace("_", "-"), dest=field.name, type=type(field.default),
+            help=f"{_FLAG_HELP[key]} (default {field.default})",
+        )
+
+
+def _check_ranges(config: RunConfig) -> None:
+    """Raise ``DomainError`` for a value outside the domain of the type that uses it."""
+    LossParams(alpha=config.alpha, beta=config.beta, max_iters=config.max_iters)
+    CIParams(lam=config.lam)
+    check_tau(config.tau)
+    check_cost_knobs(config.empty_cost, config.used_threshold)
+    check_grid_size(config.grid_size)
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the ``--config`` file, then flags; every value type-checked."""
-    keys = {("lambda" if f.name == "lam" else f.name): f for f in fields(RunConfig)}
+    """Defaults, then the ``--config`` file, then flags; every value type- and range-checked."""
     given: list[tuple[str, object, str]] = []  # (key, value, where it came from)
     path = getattr(args, "config", None)
     if path is not None:
         payload = read_json(path)
         if not isinstance(payload, dict):
             raise ParseError("a config file must hold a JSON object", path=path)
-        stray = sorted(set(payload) - set(keys))
+        stray = sorted(set(payload) - set(_CONFIG_FIELDS))
         if stray:
             raise _UsageError(f"unknown config keys in {path}: {stray}")
         given += [(key, value, f"in {path}") for key, value in payload.items()]
-    for key, field in keys.items():
+    for key, field in _CONFIG_FIELDS.items():
         value = getattr(args, field.name, None)
         if value is not None:
             given.append((key, value, "on the command line"))
     values = {}
     for key, value, where in given:
-        whole = isinstance(keys[key].default, int)
+        field = _CONFIG_FIELDS[key]
+        whole = isinstance(field.default, int)
         number = isinstance(value, int if whole else (int, float)) and not isinstance(value, bool)
         if not number or not -math.inf < value < math.inf:
             kind = "an integer" if whole else "a finite number"
             raise _UsageError(f"config key {key!r} {where} must be {kind}, got {value!r}")
-        values[keys[key].name] = value
+        try:
+            # Defaults are in range, so only this value can fail the check.
+            _check_ranges(RunConfig(**{field.name: value}))
+        except DomainError as exc:
+            raise _UsageError(f"config key {key!r} {where} is out of range: {exc}") from None
+        values[field.name] = value
     return RunConfig(**values)
 
 
@@ -212,8 +247,10 @@ def cmd_score(args: argparse.Namespace, config: RunConfig) -> int:
                 reference = references.get(output_id) if references else None
                 scores.append(generation_accuracy(text, reference))
             gen = sum(scores) / len(scores)
-            # Generators that never graded keep the neutral prior (variance 1).
-            review = result.review_accuracy.get(model, 0.5)
+            # Generators that never graded keep the review accuracy of the prior variance.
+            review = result.review_accuracy.get(
+                model, review_accuracy_from_variance(PRIOR_VARIANCE)
+            )
             has_gt = references is not None
             models[model] = {
                 "generation_accuracy": gen,
@@ -416,14 +453,13 @@ def cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
     model_set = _model_set(store, config)
     failures = 0
 
+    def restricted(profiles) -> ModelSet:
+        return replace(model_set, profiles=tuple(profiles))
+
     audited = model_set
     names = sorted(model_set.members)
     if len(names) > AUDIT_SIZE_GUARD:
-        audited = ModelSet(
-            profiles=tuple(model_set.profile(n) for n in names[:AUDIT_SIZE_GUARD]),
-            empty_cost=model_set.empty_cost,
-            used_threshold=model_set.used_threshold,
-        )
+        audited = restricted(model_set.profile(n) for n in names[:AUDIT_SIZE_GUARD])
         print(f"check: auditing the first {AUDIT_SIZE_GUARD} of {len(names)} models")
     report = audit_cost_properties(audited, trials=1000, seed=config.seed)
     for section in (report.monotonicity, report.linearity):
@@ -440,12 +476,8 @@ def cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
     # no chemistry (every context cost vanishes, so no ratio is defined).
     probe_names = names[: min(len(names), 6)]
     if len(probe_names) >= 2:
-        homogeneous = ModelSet(
-            profiles=tuple(
-                ModelProfile(n, quality=10.0, accuracy=0.9) for n in probe_names
-            ),
-            empty_cost=model_set.empty_cost,
-            used_threshold=model_set.used_threshold,
+        homogeneous = restricted(
+            ModelProfile(n, quality=10.0, accuracy=0.9) for n in probe_names
         )
         table = chem_table_bruteforce(homogeneous)
         ok = table.max_score() == 0.0
@@ -455,14 +487,10 @@ def cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
     else:
         print("SKIP homogeneity probe: needs at least 2 models")
 
-    usable = [n for n in names if model_set.profile(n).accuracy >= model_set.used_threshold]
+    usable = sorted(used_subset(model_set, names))
     sample = usable[: min(len(usable), 6)]
     if len(sample) >= 2:
-        subset = ModelSet(
-            profiles=tuple(model_set.profile(n) for n in sample),
-            empty_cost=model_set.empty_cost,
-            used_threshold=model_set.used_threshold,
-        )
+        subset = restricted(model_set.profile(n) for n in sample)
         graph = build_mig(subset)
         fast = cheme(subset, graph)
         exact = chem_table_bruteforce(subset)
@@ -504,8 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--results", type=Path,
                    help="optional model,output_id,result CSV enabling generation accuracy")
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--consensus-max-iters", type=int, default=20)
-    p.add_argument("--consensus-tol", type=float, default=1e-6)
+    p.add_argument("--consensus-max-iters", type=int, default=DEFAULT_MAX_ITERS)
+    p.add_argument("--consensus-tol", type=float, default=DEFAULT_TOL)
     _add_config_flags(p)
     p.set_defaults(func=cmd_score)
 
@@ -525,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chem", type=Path, required=True)
     p.add_argument("--pool", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--size-cap", type=int, default=10)
+    p.add_argument("--size-cap", type=int, default=LossParams.size_cap)
     _add_config_flags(p)
     p.set_defaults(func=cmd_recommend)
 

@@ -22,6 +22,9 @@ from .files import write_csv
 
 SQRT2 = math.sqrt(2.0)
 
+#: Cells per axis of a marginal-complementarity grid.
+DEFAULT_GRID_SIZE = 50
+
 
 @dataclass(frozen=True)
 class EnsemblePoint:
@@ -43,38 +46,33 @@ class EnsemblePoint:
 
 @dataclass(frozen=True)
 class CIParams:
-    """Trade-off weight and geometry for the complementarity index."""
+    """Trade-off weight of the complementarity index."""
 
     lam: float = 0.5  # weight on coverage; 1 - lam goes to diversity
-    reference_point: tuple[float, float] = (0.0, 0.0)
-    distance_norm: float = SQRT2  # max distance in the unit square
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.lam) or not 0.0 <= self.lam <= 1.0:
             raise DomainError(f"lam must be in [0, 1], got {self.lam!r}")
 
 
-def hypervolume2d(
-    points: Iterable[EnsemblePoint], ref: tuple[float, float] = (0.0, 0.0)
-) -> float:
-    """Area of the region dominated by ``points`` above ``ref``.
+def hypervolume2d(points: Iterable[EnsemblePoint]) -> float:
+    """Area of the region dominated by ``points``, measured from the origin.
 
     Computed by a staircase sweep: sort by accuracy descending and accumulate
-    each strictly-new quality level's rectangle.  Points that do not dominate
-    the reference point contribute nothing; the empty set has volume 0.
+    each strictly-new quality level's rectangle.  Points on an axis dominate
+    nothing; the empty set has volume 0.
     """
-    rx, ry = ref
     dominating = [
         (p.accuracy, p.quality_norm)
         for p in points
-        if p.accuracy > rx and p.quality_norm > ry
+        if p.accuracy > 0.0 and p.quality_norm > 0.0
     ]
     dominating.sort(key=lambda xy: (-xy[0], -xy[1]))
     area = 0.0
-    best_quality = ry
+    best_quality = 0.0
     for accuracy, quality in dominating:
         if quality > best_quality:
-            area += (accuracy - rx) * (quality - best_quality)
+            area += accuracy * (quality - best_quality)
             best_quality = quality
     return area
 
@@ -102,7 +100,7 @@ def complementarity_index(
     points: Sequence[EnsemblePoint], params: CIParams = CIParams()
 ) -> float:
     """Convex blend of coverage and diversity: lam * HV + (1 - lam) * Rao."""
-    coverage = hypervolume2d(points, params.reference_point)
+    coverage = hypervolume2d(points)
     diversity = rao_entropy(points)
     return params.lam * coverage + (1.0 - params.lam) * diversity
 
@@ -159,18 +157,23 @@ class ChemistryMap:
         }
 
 
+def check_grid_size(grid_size: int) -> None:
+    """Reject a grid with fewer than two cells per axis."""
+    if grid_size < 2:
+        raise DomainError(f"grid_size must be >= 2, got {grid_size}")
+
+
 def delta_ci_map(
     ensemble: Sequence[EnsemblePoint],
     params: CIParams = CIParams(),
-    grid_size: int = 50,
+    grid_size: int = DEFAULT_GRID_SIZE,
 ) -> ChemistryMap:
     """Index change from adding a hypothetical member at each grid cell centre.
 
     Cell centres sample the open unit square (never exactly 0 or 1), so the
     grid stays clear of degenerate boundary candidates.
     """
-    if grid_size < 2:
-        raise DomainError(f"grid_size must be >= 2, got {grid_size}")
+    check_grid_size(grid_size)
     base = complementarity_index(ensemble, params)
     members = list(ensemble)
     cells: list[tuple[float, ...]] = []

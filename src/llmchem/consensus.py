@@ -15,14 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
-from .errors import (
-    ContractViolationError,
-    DomainError,
-    MalformedMatrixError,
-    ParseError,
-)
+from .errors import DomainError, MalformedMatrixError, ParseError
 from .files import read_csv
 
 VARIANCE_FLOOR = 1e-10
@@ -30,7 +25,9 @@ PRIOR_VARIANCE = 1.0
 DEFAULT_MAX_ITERS = 20
 DEFAULT_TOL = 1e-6
 
-Comparator = Callable[[str, str], float]
+#: Weight of generation accuracy in the final accuracy; review gets the rest.
+GEN_WEIGHT_WITH_GT = 0.75
+GEN_WEIGHT_WITHOUT_GT = 0.25
 
 
 @dataclass(frozen=True)
@@ -82,10 +79,6 @@ class GradeMatrix:
             grades[key] = float(grade)
         return cls(outputs=tuple(outputs), graders=tuple(graders), grades=grades)
 
-    def graders_of(self, output: str) -> list[str]:
-        # Sorted so that accumulation order never depends on declaration order.
-        return sorted(g for g in self.graders if (g, output) in self.grades)
-
     def outputs_of(self, grader: str) -> list[str]:
         return sorted(o for o in self.outputs if (grader, o) in self.grades)
 
@@ -99,24 +92,6 @@ class ConsensusResult:
     review_accuracy: dict[str, float]  # grader -> 1 / (1 + variance)
     iterations: int
     converged: bool
-
-
-@dataclass(frozen=True)
-class AccuracyBlend:
-    """Weights for combining generation and review accuracy."""
-
-    gen_weight_with_gt: float = 0.75
-    review_weight_with_gt: float = 0.25
-    gen_weight_without_gt: float = 0.25
-    review_weight_without_gt: float = 0.75
-
-    def __post_init__(self) -> None:
-        for gen, review, label in (
-            (self.gen_weight_with_gt, self.review_weight_with_gt, "with ground truth"),
-            (self.gen_weight_without_gt, self.review_weight_without_gt, "without ground truth"),
-        ):
-            if abs((gen + review) - 1.0) > 1e-12:
-                raise DomainError(f"blend weights {label} must sum to 1.0")
 
 
 def _weighted_consensus(
@@ -225,38 +200,19 @@ def review_accuracy_from_variance(v: float) -> float:
     return 1.0 / (1.0 + v)
 
 
-def _normalized_exact_match(result: str, reference: str) -> float:
-    canon = lambda text: " ".join(text.split()).casefold()  # noqa: E731
-    return 1.0 if canon(result) == canon(reference) else 0.0
+def generation_accuracy(result: str, ground_truth: str | None) -> float:
+    """1.0 when an output matches its reference answer, else 0.0.
 
-
-def generation_accuracy(
-    result: str,
-    ground_truth: str | None,
-    comparator: Comparator = _normalized_exact_match,
-) -> float:
-    """How well one output matches its reference answer.
-
-    Without a reference the score is 0.0.  The default comparator is exact
-    match after whitespace and case normalisation; task-specific comparators
-    may return any value in [0, 1].
+    The match is exact after whitespace and case normalisation; without a
+    reference the score is 0.0.
     """
     if ground_truth is None:
         return 0.0
-    score = comparator(result, ground_truth)
-    if not math.isfinite(score) or not 0.0 <= score <= 1.0:
-        raise ContractViolationError(
-            f"comparator must return a value in [0, 1], got {score!r}"
-        )
-    return score
+    result, reference = (" ".join(text.split()).casefold() for text in (result, ground_truth))
+    return 1.0 if result == reference else 0.0
 
 
-def combined_accuracy(
-    gen: float,
-    review: float,
-    has_ground_truth: bool,
-    blend: AccuracyBlend = AccuracyBlend(),
-) -> float:
+def combined_accuracy(gen: float, review: float, has_ground_truth: bool) -> float:
     """Blend generation and review accuracy into the final accuracy.
 
     75% generation / 25% review when ground truth exists; the emphasis flips
@@ -266,9 +222,8 @@ def combined_accuracy(
         raise DomainError(f"generation accuracy must be in [0, 1], got {gen!r}")
     if not math.isfinite(review) or not 0.0 <= review <= 1.0:
         raise DomainError(f"review accuracy must be in [0, 1], got {review!r}")
-    if has_ground_truth:
-        return blend.gen_weight_with_gt * gen + blend.review_weight_with_gt * review
-    return blend.gen_weight_without_gt * gen + blend.review_weight_without_gt * review
+    weight = GEN_WEIGHT_WITH_GT if has_ground_truth else GEN_WEIGHT_WITHOUT_GT
+    return weight * gen + (1.0 - weight) * review
 
 
 def load_grades_csv(path: str | Path) -> GradeMatrix:

@@ -62,10 +62,13 @@ class ModelProfile:
         """Quality rescaled to [0, 1]."""
         return self.quality / 10.0
 
-    @property
-    def penalty(self) -> float:
-        """Joint quality/accuracy error of this profile's output."""
-        return (1.0 - self.quality_norm) * (1.0 - self.accuracy)
+
+def check_cost_knobs(empty_cost: float, used_threshold: float) -> None:
+    """Reject the cost knobs of a :class:`ModelSet` outside their domains."""
+    _require_range("used_threshold", used_threshold, 0.0, 1.0)
+    empty_cost = _require_finite("empty_cost", empty_cost)
+    if empty_cost < 0.0:
+        raise DomainError(f"empty_cost must be >= 0, got {empty_cost!r}")
 
 
 @dataclass(frozen=True)
@@ -91,10 +94,7 @@ class ModelSet:
             if profile.model in by_name:
                 raise DomainError(f"duplicate model name {profile.model!r}")
             by_name[profile.model] = profile
-        _require_range("used_threshold", self.used_threshold, 0.0, 1.0)
-        empty_cost = _require_finite("empty_cost", self.empty_cost)
-        if empty_cost < 0.0:
-            raise DomainError(f"empty_cost must be >= 0, got {empty_cost!r}")
+        check_cost_knobs(self.empty_cost, self.used_threshold)
         object.__setattr__(self, "_by_name", by_name)
 
     @property
@@ -132,7 +132,7 @@ class RankedOutput:
 
     @property
     def penalty(self) -> float:
-        return (1.0 - self.quality_norm) * (1.0 - self.accuracy)
+        return penalty(self.quality_norm, self.accuracy)
 
 
 def validate_configuration(model_set: ModelSet, config: Iterable[ModelId]) -> Configuration:
@@ -351,7 +351,7 @@ def _submodularity_gap(rng: random.Random, model_set: ModelSet, names: list[str]
     extra = rng.choice(names)
     rest = [m for m in names if m != extra]
     y = frozenset(rng.sample(rest, rng.randint(0, len(rest))))
-    x = frozenset(m for m in y if rng.random() < 0.5)
+    x = frozenset(m for m in sorted(y) if rng.random() < 0.5)
     lhs = cost(model_set, x) - cost(model_set, x | {extra})
     rhs = cost(model_set, y) - cost(model_set, y | {extra})
     return rhs - lhs

@@ -31,10 +31,6 @@ class MalformedMatrixError(LLMChemError):
     """A grade matrix violates its structural invariants."""
 
 
-class ContractViolationError(LLMChemError):
-    """A caller-supplied callable returned a value outside its contract."""
-
-
 class MissingPairError(LLMChemError):
     """A chemistry table lacks an entry for a requested model pair."""
 

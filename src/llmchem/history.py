@@ -156,7 +156,11 @@ class ProfileStore:
     profiles: dict[str, ModelProfile]  # model name -> profile
     provenance: dict  # sources, per-model record counts, aggregation
 
-    def to_model_set(self, empty_cost: float = 1.0, used_threshold: float = 0.5) -> ModelSet:
+    def to_model_set(
+        self,
+        empty_cost: float = ModelSet.empty_cost,
+        used_threshold: float = ModelSet.used_threshold,
+    ) -> ModelSet:
         ordered = tuple(self.profiles[name] for name in sorted(self.profiles))
         return ModelSet(
             profiles=ordered, empty_cost=empty_cost, used_threshold=used_threshold

@@ -29,7 +29,7 @@ from . import core
 from .core import Configuration, ModelSet
 from .errors import DomainError, InvalidConfigurationError, SizeLimitError
 
-#: Default ceiling on |S| for graph construction (worst case is the full lattice).
+#: Ceiling on |S| for graph construction (worst case is the full lattice).
 BUILD_SIZE_GUARD = 20
 
 
@@ -271,25 +271,6 @@ class MIG:
                     gaps.append((subset, member))
         return gaps
 
-    def to_dot(self) -> str:
-        """DOT dump for visual inspection; used members carry a ``*`` mark."""
-        lines = ["digraph mig {"]
-        ordered = sorted(
-            self.nodes.values(), key=lambda n: (-len(n.subset), n.key)
-        )
-        for node in ordered:
-            marked = ",".join(
-                name + ("*" if name in node.used else "")
-                for name in sorted(node.subset)
-            )
-            label = f"{marked or 'empty'}:{node.cost!r}"
-            lines.append(f'  "{node.key}" [label="{label}"];')
-        for parent in sorted(self.edges, key=subset_key):
-            for child in self.edges[parent]:
-                lines.append(f'  "{subset_key(parent)}" -> "{subset_key(child)}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
 
 def profile_cost_table(model_set: ModelSet) -> tuple[tuple[str, ...], list[float]]:
     """Cost of every configuration of a profile set, indexed by bitmask.
@@ -386,9 +367,7 @@ class LatticeMIG(MIG):
         return self._materialised[1]
 
 
-def build_mig(
-    source: ModelSet | CostBackend, *, size_guard: int = BUILD_SIZE_GUARD
-) -> MIG:
+def build_mig(source: ModelSet | CostBackend) -> MIG:
     """Construct the graph top-down from the full member set.
 
     Starting at the root S, each materialised node X spawns one child
@@ -401,9 +380,9 @@ def build_mig(
     """
     backend = as_backend(source)
     members = backend.members
-    if not 1 <= len(members) <= size_guard:
+    if not 1 <= len(members) <= BUILD_SIZE_GUARD:
         raise SizeLimitError(
-            f"graph construction supports 1..{size_guard} models, got {len(members)}"
+            f"graph construction supports 1..{BUILD_SIZE_GUARD} models, got {len(members)}"
         )
     if isinstance(backend, ProfileBackend):
         return LatticeMIG(backend)

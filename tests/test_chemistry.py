@@ -21,6 +21,7 @@ from llmchem import (
     cost,
     heterogeneity_diagnostic,
     llmcp_filter,
+    penalty,
     used_subset,
 )
 from llmchem.errors import (
@@ -74,7 +75,7 @@ class TestBruteForce:
         # NOT cancel: for two models the only context is empty and the score
         # is (empty_cost - p/2) / (1.5 p).  Pinned to document the regime.
         ms = homogeneous_model_set(2, quality=8.0, accuracy=0.8)
-        p = ModelProfile("x", 8.0, 0.8).penalty
+        p = penalty(0.8, 0.8)
         expected = (ms.empty_cost - p / 2.0) / (1.5 * p)
         assert chem_pair_bruteforce(ms, "m00", "m01") == pytest.approx(expected, rel=1e-12)
 

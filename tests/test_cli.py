@@ -335,15 +335,31 @@ class TestConfigAndErrors:
         assert "row 2, field 'chemistry'" in err
 
 
-def test_cli_import_loads_no_numpy():
+def _run_python(*args: str, hash_seed: str | None = None) -> str:
+    """Run this interpreter on the package sources in a subprocess; return stdout."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    subprocess.run(
-        [sys.executable, "-c", "import llmchem.cli, sys; assert 'numpy' not in sys.modules"],
-        env={**os.environ, "PYTHONPATH": path},
-        check=True,
-        timeout=60,
+    env = {**os.environ, "PYTHONPATH": path}
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
+    done = subprocess.run(
+        [sys.executable, *args], env=env, check=True, timeout=120,
+        stdout=subprocess.PIPE, text=True,
     )
+    return done.stdout
+
+
+def test_cli_import_loads_no_numpy():
+    _run_python("-c", "import llmchem.cli, sys; assert 'numpy' not in sys.modules")
+
+
+def test_check_output_does_not_depend_on_the_hash_seed(store_path):
+    runs = [
+        _run_python("-m", "llmchem.cli", "check", "--store", str(store_path), hash_seed=seed)
+        for seed in ("0", "1")
+    ]
+    assert "INFO submodularity" in runs[0]
+    assert runs[0] == runs[1]
 
 
 GRADES = "grader,output_id,grade\ng1,o1,5.0\ng2,o1,6.0\n"
@@ -454,3 +470,73 @@ def test_integral_config_values_echo_unchanged(history_fixture, tmp_path, capsys
     assert '"alpha": 1,' in echoed and '"lambda": 0.25,' in echoed
     meta = json.loads((tmp_path / "store.json.meta.json").read_text())
     assert meta["config"]["alpha"] == 1 and meta["config"]["lambda"] == 0.25
+
+
+#: Case -> (flags, config file payload or None, key, where the message says it came from).
+OUT_OF_RANGE = {
+    "used-threshold-flag": (["--used-threshold", "7"], None, "used_threshold",
+                            "on the command line"),
+    "used-threshold-file": ([], {"used_threshold": 7}, "used_threshold", "in {config}"),
+    "grid-size": (["--grid-size", "1"], None, "grid_size", "on the command line"),
+    "tau": (["--tau", "-1"], None, "tau", "on the command line"),
+    "beta": (["--beta", "0"], None, "beta", "on the command line"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_config_exits_1_naming_key_and_source(
+    case, history_fixture, tmp_path, capsys
+):
+    flags, payload, key, where = OUT_OF_RANGE[case]
+    config = tmp_path / "config.json"
+    if payload is not None:
+        config.write_text(json.dumps(payload))
+        flags = flags + ["--config", str(config)]
+    out = tmp_path / "s.json"
+    assert main(["ingest", str(history_fixture), "--out", str(out), *flags]) == 1
+    captured = capsys.readouterr()
+    assert f"config key '{key}' {where.format(config=config)} is out of range" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == ([config] if payload is not None else [])
+
+
+@pytest.mark.parametrize("argv", [
+    "ingest {tmp}/h.csv --out {tmp}/s.json",
+    "score --grades {tmp}/g.csv --out {tmp}/s.json",
+    "chem --store {tmp}/s.json --out {tmp}/c.csv",
+    "recommend --store {tmp}/s.json --chem {tmp}/c.csv --pool {tmp}/p.json --out {tmp}/r.json",
+    "map --store {tmp}/s.json --ensemble a,b --out {tmp}/m.csv",
+    "eval --store {tmp}/s.json --ensembles {tmp}/e.json --metric ci --out {tmp}/e.csv",
+    "check --store {tmp}/s.json",
+])
+def test_every_subcommand_checks_config_ranges_first(argv, tmp_path, capsys):
+    # The inputs do not exist: the range check must fail before any is read.
+    assert main(argv.format(tmp=tmp_path).split() + ["--used-threshold", "7"]) == 1
+    assert "config key 'used_threshold' on the command line is out of range" in (
+        capsys.readouterr().err
+    )
+
+
+def test_default_config_line_is_pinned(history_fixture, tmp_path, capsys):
+    assert main(["ingest", str(history_fixture), "--out", str(tmp_path / "s.json")]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        'config: {"alpha": 0.5, "beta": 0.5, "empty_cost": 1.0, "grid_size": 50, '
+        '"lambda": 0.5, "max_iters": 50, "seed": 0, "tau": 0.0, "used_threshold": 0.5}'
+    )
+
+
+def test_shared_flag_defaults_in_help_are_pinned(capsys):
+    assert main(["chem", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for entry in (
+        "--alpha ALPHA inter/intra loss balance (default 0.5)",
+        "--beta BETA subset size penalty (default 0.5)",
+        "--lambda LAM coverage/diversity trade-off (default 0.5)",
+        "--tau TAU chemistry report threshold (default 0.0)",
+        "--used-threshold USED_THRESHOLD accuracy cut-off for usable outputs (default 0.5)",
+        "--empty-cost EMPTY_COST cost of a configuration with no usable output (default 1.0)",
+        "--max-iters MAX_ITERS hill-climb budget per seed (default 50)",
+        "--grid-size GRID_SIZE chemistry map resolution (default 50)",
+        "--seed SEED seed for audits and diagnostics (default 0)",
+    ):
+        assert entry in text

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from llmchem import (
-    AccuracyBlend,
     GradeMatrix,
     combined_accuracy,
     generation_accuracy,
@@ -15,12 +14,7 @@ from llmchem import (
     vancouver_consensus,
 )
 from llmchem.consensus import VARIANCE_FLOOR, load_grades_csv, load_ground_truth_csv
-from llmchem.errors import (
-    ContractViolationError,
-    DomainError,
-    MalformedMatrixError,
-    ParseError,
-)
+from llmchem.errors import DomainError, MalformedMatrixError, ParseError
 
 from helpers import reference_consensus_iteration as reference_iteration
 
@@ -153,10 +147,6 @@ class TestGenerationAccuracy:
     def test_no_ground_truth_scores_zero(self):
         assert generation_accuracy("anything", None) == 0.0
 
-    def test_comparator_contract_enforced(self):
-        with pytest.raises(ContractViolationError):
-            generation_accuracy("a", "b", comparator=lambda r, g: 1.5)
-
 
 class TestCombinedAccuracy:
     def test_with_ground_truth_sample(self):
@@ -168,10 +158,6 @@ class TestCombinedAccuracy:
     def test_symmetric_point(self):
         assert combined_accuracy(0.5, 0.5, True) == pytest.approx(0.5, abs=ABS)
         assert combined_accuracy(0.5, 0.5, False) == pytest.approx(0.5, abs=ABS)
-
-    def test_blend_weights_validated(self):
-        with pytest.raises(DomainError):
-            AccuracyBlend(gen_weight_with_gt=0.8, review_weight_with_gt=0.25)
 
     def test_out_of_range_inputs(self):
         with pytest.raises(DomainError):

@@ -134,7 +134,7 @@ class TestCost:
 
     def test_homogeneous_closed_form(self):
         ms = homogeneous_model_set(5, quality=8.0, accuracy=0.8)
-        shared = ModelProfile("x", 8.0, 0.8).penalty
+        shared = penalty(0.8, 0.8)
         for k in range(1, 6):
             config = {f"m{i:02d}" for i in range(k)}
             harmonic = sum(1.0 / i for i in range(1, k + 1))

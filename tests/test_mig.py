@@ -59,9 +59,9 @@ class TestBuild:
 
     def test_size_guard(self):
         rng = random.Random(1)
-        ms = random_model_set(rng, 5)
+        ms = random_model_set(rng, 21)
         with pytest.raises(SizeLimitError):
-            build_mig(ms, size_guard=4)
+            build_mig(ms)
 
     def test_node_count_bound_and_edge_bound(self):
         rng = random.Random(3)
@@ -206,17 +206,6 @@ class TestGraphValidation:
         # The drawn example omits {c} although c is removable from {b,c}.
         gaps = drawn_example_graph().removal_closure_gaps()
         assert (frozenset("bc"), "b") in gaps
-
-
-class TestDotExport:
-    def test_marks_used_members_and_costs(self):
-        dot = drawn_example_graph().to_dot()
-        assert '"a,b,c" [label="a*,b,c*:0.05"];' in dot
-        assert '"a,b,c" -> "b,c";' in dot
-        assert dot.startswith("digraph mig {")
-
-    def test_deterministic(self):
-        assert drawn_example_graph().to_dot() == drawn_example_graph().to_dot()
 
 
 def test_subset_key_is_sorted_join():
