@@ -30,11 +30,14 @@ from .complementarity import (
     delta_ci_map,
     effectiveness_soft_vote,
     pearson_r,
+    task_accuracies,
+    task_matrix,
 )
 from .consensus import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     PRIOR_VARIANCE,
+    check_consensus_knobs,
     combined_accuracy,
     generation_accuracy,
     load_grades_csv,
@@ -49,6 +52,7 @@ from .core import (
     ModelSet,
     audit_cost_properties,
     check_cost_knobs,
+    left_sum,
     model_set_fingerprint,
     used_subset,
 )
@@ -127,8 +131,30 @@ def _check_ranges(config: RunConfig) -> None:
     check_grid_size(config.grid_size)
 
 
+#: Subcommand flags outside RunConfig: argparse dest -> range check.
+_FLAG_CHECKS = {
+    "consensus_max_iters": lambda value: check_consensus_knobs(max_iters=value),
+    "consensus_tol": lambda value: check_consensus_knobs(tol=value),
+    "size_cap": lambda value: LossParams(size_cap=value),
+}
+
+
+def _check_flags(args: argparse.Namespace) -> None:
+    """Range-check the subcommand's own numeric flags, naming the flag on failure."""
+    for dest, check in _FLAG_CHECKS.items():
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        try:
+            check(value)
+        except DomainError as exc:
+            flag = "--" + dest.replace("_", "-")
+            raise _UsageError(f"{flag} is out of range: {exc}") from None
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then the ``--config`` file, then flags; every value type- and range-checked."""
+    _check_flags(args)
     given: list[tuple[str, object, str]] = []  # (key, value, where it came from)
     path = getattr(args, "config", None)
     if path is not None:
@@ -246,7 +272,7 @@ def cmd_score(args: argparse.Namespace, config: RunConfig) -> int:
             for output_id, text in outputs_by_model[model]:
                 reference = references.get(output_id) if references else None
                 scores.append(generation_accuracy(text, reference))
-            gen = sum(scores) / len(scores)
+            gen = left_sum(scores) / len(scores)
             # Generators that never graded keep the review accuracy of the prior variance.
             review = result.review_accuracy.get(
                 model, review_accuracy_from_variance(PRIOR_VARIANCE)
@@ -360,28 +386,6 @@ def _load_ensembles(path: Path) -> list[list[str]]:
     return ensembles
 
 
-def _task_matrix(records, members: list[str]) -> list[list[float]]:
-    """Per-task mean accuracy rows for the given members; skips partial tasks."""
-    by_task: dict[str, dict[str, list[float]]] = {}
-    for record in records:
-        by_task.setdefault(record.task, {}).setdefault(record.model, []).append(
-            record.accuracy
-        )
-    rows = []
-    skipped = 0
-    for task in sorted(by_task):
-        per_model = by_task[task]
-        if any(m not in per_model for m in members):
-            skipped += 1
-            continue
-        rows.append([sum(per_model[m]) / len(per_model[m]) for m in members])
-    if skipped:
-        logger.warning("skipped %d task(s) lacking records for some members", skipped)
-    if not rows:
-        raise LLMChemError("no task has records for every ensemble member")
-    return rows
-
-
 def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     store = _select_store(args.store, args.context)
     ensembles = _load_ensembles(args.ensembles)
@@ -394,14 +398,18 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     rows: list[list[str]] = []
 
     if args.metric == "effectiveness":
-        records = None
+        accuracies = None
         if args.history is not None:
-            records = parse_history_csv(args.history)
+            accuracies = task_accuracies(parse_history_csv(args.history))
             inputs["history"] = args.history
         header = ["ensemble", "effectiveness"]
         for group in ensembles:
-            if records is not None:
-                matrix = _task_matrix(records, group)
+            if accuracies is not None:
+                matrix, skipped = task_matrix(accuracies, group)
+                if skipped:
+                    logger.warning("skipped %d task(s) lacking records for some members", skipped)
+                if not matrix:
+                    raise LLMChemError("no task has records for every ensemble member")
             else:
                 # Single pseudo-task over the stored profile accuracies.
                 matrix = [[store.profiles[m].accuracy for m in group]]
@@ -428,7 +436,7 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
                 for i, a in enumerate(group)
                 for b in group[i + 1 :]
             ]
-            chem = sum(pair_scores) / len(pair_scores) if pair_scores else 0.0
+            chem = left_sum(pair_scores) / len(pair_scores) if pair_scores else 0.0
             ci = complementarity_index(points, params)
             chems.append(chem)
             cis.append(ci)

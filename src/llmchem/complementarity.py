@@ -11,14 +11,15 @@ Pearson correlation support downstream comparisons.
 from __future__ import annotations
 
 import math
-import statistics
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .core import ModelProfile
+from .core import ModelProfile, left_sum
 from .errors import DomainError, UndefinedCorrelationError
 from .files import write_csv
+from .history import HistoryRecord
 
 SQRT2 = math.sqrt(2.0)
 
@@ -62,12 +63,24 @@ def hypervolume2d(points: Iterable[EnsemblePoint]) -> float:
     each strictly-new quality level's rectangle.  Points on an axis dominate
     nothing; the empty set has volume 0.
     """
-    dominating = [
+    return _staircase_area(sorted(_dominating(points), key=_staircase_key))
+
+
+def _dominating(points: Iterable[EnsemblePoint]) -> list[tuple[float, float]]:
+    """(accuracy, quality) of the points off both axes, in input order."""
+    return [
         (p.accuracy, p.quality_norm)
         for p in points
         if p.accuracy > 0.0 and p.quality_norm > 0.0
     ]
-    dominating.sort(key=lambda xy: (-xy[0], -xy[1]))
+
+
+def _staircase_key(xy: tuple[float, float]) -> tuple[float, float]:
+    return (-xy[0], -xy[1])
+
+
+def _staircase_area(dominating: Iterable[tuple[float, float]]) -> float:
+    """Area under the staircase of points sorted by accuracy, then quality, descending."""
     area = 0.0
     best_quality = 0.0
     for accuracy, quality in dominating:
@@ -107,9 +120,6 @@ def complementarity_index(
 
 #: Grid verdicts below this max |delta| are reported as saturated.
 SATURATION_THRESHOLD = 0.01
-
-#: Placeholder member name for hypothetical grid points.
-_HYPOTHETICAL = "+candidate"
 
 
 @dataclass(frozen=True)
@@ -175,15 +185,33 @@ def delta_ci_map(
     """
     check_grid_size(grid_size)
     base = complementarity_index(ensemble, params)
-    members = list(ensemble)
+    members = [(p.accuracy, p.quality_norm) for p in ensemble]
+    n = len(members) + 1
+    # The members are sorted once; a candidate joins the staircase where a
+    # stable sort would put it when appended last, i.e. after its equal keys.
+    staircase = sorted(_dominating(ensemble), key=_staircase_key)
+    keys = [_staircase_key(xy) for xy in staircase]
+    # Rao terms of each member row, then the candidate's term, which comes last
+    # in every row of the i < j loop of rao_entropy.
+    rows = [
+        (xy, [2.0 * math.dist(xy, other) for other in members[i + 1 :]])
+        for i, xy in enumerate(members)
+    ]
     cells: list[tuple[float, ...]] = []
     for i in range(grid_size):
         accuracy = (i + 0.5) / grid_size
         row: list[float] = []
         for j in range(grid_size):
-            quality = (j + 0.5) / grid_size
-            candidate = EnsemblePoint(_HYPOTHETICAL, accuracy=accuracy, quality_norm=quality)
-            row.append(complementarity_index(members + [candidate], params) - base)
+            candidate = (accuracy, (j + 0.5) / grid_size)
+            at = bisect_right(keys, _staircase_key(candidate))
+            coverage = _staircase_area(staircase[:at] + [candidate] + staircase[at:])
+            total = 0.0
+            for xy, terms in rows:
+                for term in terms:
+                    total += term
+                total += 2.0 * math.dist(xy, candidate)
+            diversity = total / (n * n) / SQRT2
+            row.append(params.lam * coverage + (1.0 - params.lam) * diversity - base)
         cells.append(tuple(row))
     return ChemistryMap(
         grid_size=grid_size,
@@ -207,20 +235,61 @@ def effectiveness_soft_vote(member_accuracies_per_task: Sequence[Sequence[float]
         for value in row:
             if not math.isfinite(value) or not 0.0 <= value <= 1.0:
                 raise DomainError(f"accuracy must be in [0, 1], got {value!r}")
-    correct = sum(1 for row in tasks if (sum(row) / len(row)) > 0.5)
+    correct = sum(1 for row in tasks if (left_sum(row) / len(row)) > 0.5)
     return correct / len(tasks)
 
 
-def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Pearson product-moment correlation, defined for non-constant series."""
-    if len(xs) != len(ys):
-        raise UndefinedCorrelationError(
-            f"series lengths differ: {len(xs)} vs {len(ys)}"
+def task_accuracies(records: Iterable[HistoryRecord]) -> dict[str, dict[str, float]]:
+    """Mean accuracy of each model on each task, tasks in sorted order.
+
+    Each mean adds the task's records of that model in the order given.
+    """
+    by_task: dict[str, dict[str, list[float]]] = {}
+    for record in records:
+        by_task.setdefault(record.task, {}).setdefault(record.model, []).append(
+            record.accuracy
         )
-    if len(xs) < 2:
+    return {
+        task: {model: left_sum(values) / len(values) for model, values in by_task[task].items()}
+        for task in sorted(by_task)
+    }
+
+
+def task_matrix(
+    accuracies: dict[str, dict[str, float]], members: Sequence[str]
+) -> tuple[list[list[float]], int]:
+    """Rows of ``members``' mean accuracies for :func:`effectiveness_soft_vote`.
+
+    Returns one row per task on which every member has a record, in the
+    order of ``accuracies``, and the number of tasks skipped for lacking one.
+    """
+    rows = [
+        [per_model[m] for m in members]
+        for per_model in accuracies.values()
+        if all(m in per_model for m in members)
+    ]
+    return rows, len(accuracies) - len(rows)
+
+
+def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Pearson product-moment correlation, defined for non-constant series.
+
+    Spelled out as Python 3.11's ``statistics.correlation`` computes it
+    (``fsum`` means and sums over mean-centred values), which later versions
+    round differently, so every interpreter gives the same bytes.
+    """
+    n = len(xs)
+    if len(ys) != n:
+        raise UndefinedCorrelationError(f"series lengths differ: {n} vs {len(ys)}")
+    if n < 2:
         raise UndefinedCorrelationError("correlation needs at least two points")
+    x_mean = math.fsum(xs) / n
+    y_mean = math.fsum(ys) / n
+    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    sxx = math.fsum((d := x - x_mean) * d for x in xs)
+    syy = math.fsum((d := y - y_mean) * d for y in ys)
     try:
-        r = statistics.correlation(xs, ys)
-    except statistics.StatisticsError as exc:
-        raise UndefinedCorrelationError(str(exc)) from exc
+        r = sxy / math.sqrt(sxx * syy)
+    except ZeroDivisionError:
+        raise UndefinedCorrelationError("at least one of the inputs is constant") from None
     return max(-1.0, min(1.0, r))

@@ -15,8 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
+from .core import left_sum
 from .errors import DomainError, MalformedMatrixError, ParseError
 from .files import read_csv
 
@@ -65,22 +66,17 @@ class GradeMatrix:
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[str, str, float]]) -> "GradeMatrix":
         """Build from (grader, output, grade) rows, preserving first-seen order."""
-        graders: list[str] = []
-        outputs: list[str] = []
+        graders: dict[str, None] = {}
+        outputs: dict[str, None] = {}
         grades: dict[tuple[str, str], float] = {}
         for grader, output, grade in rows:
-            if grader not in graders:
-                graders.append(grader)
-            if output not in outputs:
-                outputs.append(output)
+            graders[grader] = None
+            outputs[output] = None
             key = (grader, output)
             if key in grades:
                 raise MalformedMatrixError(f"duplicate grade for {key!r}")
             grades[key] = float(grade)
         return cls(outputs=tuple(outputs), graders=tuple(graders), grades=grades)
-
-    def outputs_of(self, grader: str) -> list[str]:
-        return sorted(o for o in self.outputs if (grader, o) in self.grades)
 
 
 @dataclass(frozen=True)
@@ -94,25 +90,28 @@ class ConsensusResult:
     converged: bool
 
 
-def _weighted_consensus(
-    matrix: GradeMatrix,
-    variance: Mapping[str, float],
-    output: str,
-    *,
-    exclude: str | None = None,
+def check_consensus_knobs(max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAULT_TOL) -> None:
+    """Reject a round budget below 1 or a tolerance that is not finite and positive."""
+    if max_iters < 1:
+        raise DomainError(f"max_iters must be >= 1, got {max_iters}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
+
+
+def _weighted_mean(
+    terms: list[tuple[str, float, float]], exclude: str | None = None
 ) -> float | None:
-    """Inverse-variance-weighted mean grade of one output; None if no grader."""
+    """Sum of ``weight * grade`` over sum of weights, skipping ``exclude``; None if none left.
+
+    ``terms`` holds one output's ``(grader, weight, weight * grade)`` in
+    sorted-grader order, and both sums run in that order.
+    """
     total = 0.0
     weight_sum = 0.0
-    for grader in sorted(matrix.graders):
-        if grader == exclude:
-            continue
-        grade = matrix.grades.get((grader, output))
-        if grade is None:
-            continue
-        weight = 1.0 / variance[grader]
-        total += weight * grade
-        weight_sum += weight
+    for grader, weight, weighted in terms:
+        if grader != exclude:
+            total += weighted
+            weight_sum += weight
     if weight_sum == 0.0:
         return None
     return total / weight_sum
@@ -134,11 +133,17 @@ def vancouver_consensus(
     variance 1.0.  Stops when the largest consensus change drops below
     ``tol`` or after ``max_iters`` rounds.  Internal iteration follows sorted
     grader and output ids, so declaration order never affects the result.
+
+    The matrix is indexed once: each output's graders and each grader's
+    outputs, both sorted, so a round only visits the grades that exist.
     """
-    if max_iters < 1:
-        raise DomainError(f"max_iters must be >= 1, got {max_iters}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
+    check_consensus_knobs(max_iters, tol)
+
+    graders_of: dict[str, list[tuple[str, float]]] = {o: [] for o in matrix.outputs}
+    graded_by: dict[str, list[tuple[str, float]]] = {g: [] for g in matrix.graders}
+    for (grader, output), grade in sorted(matrix.grades.items()):
+        graders_of[output].append((grader, grade))
+        graded_by[grader].append((output, grade))
 
     variance: dict[str, float] = {g: PRIOR_VARIANCE for g in matrix.graders}
     consensus: dict[str, float] = {}
@@ -146,12 +151,13 @@ def vancouver_consensus(
     iterations = 0
 
     for iterations in range(1, max_iters + 1):
-        new_consensus: dict[str, float] = {}
-        for output in matrix.outputs:
-            value = _weighted_consensus(matrix, variance, output)
-            if value is None:  # unreachable: the matrix requires >= 1 grade
-                raise MalformedMatrixError(f"output {output!r} has no grades")
-            new_consensus[output] = value
+        weights = {g: 1.0 / v for g, v in variance.items()}
+        terms = {
+            output: [(g, weights[g], weights[g] * grade) for g, grade in pairs]
+            for output, pairs in graders_of.items()
+        }
+        # Every output has a grade (GradeMatrix checks it), so no mean is None.
+        new_consensus = {output: _weighted_mean(terms[output]) for output in matrix.outputs}
 
         change = (
             max(abs(new_consensus[o] - consensus[o]) for o in matrix.outputs)
@@ -163,13 +169,13 @@ def vancouver_consensus(
         new_variance: dict[str, float] = {}
         for grader in matrix.graders:
             deviations: list[float] = []
-            for output in matrix.outputs_of(grader):
-                others = _weighted_consensus(matrix, variance, output, exclude=grader)
+            for output, grade in graded_by[grader]:
+                others = _weighted_mean(terms[output], exclude=grader)
                 if others is None:
                     continue  # grader stands alone on this output
-                deviations.append((matrix.grades[(grader, output)] - others) ** 2)
+                deviations.append((grade - others) ** 2)
             if deviations:
-                estimate = sum(deviations) / len(deviations)
+                estimate = left_sum(deviations) / len(deviations)
                 new_variance[grader] = max(VARIANCE_FLOOR, estimate)
             else:
                 new_variance[grader] = variance[grader]

@@ -29,6 +29,19 @@ AUDIT_SIZE_GUARD = 12
 _ABS_TOL = 1e-12
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """Add ``values`` one by one, left to right, starting from 0.0.
+
+    Every float sum in the package goes through this loop, so a result has the
+    same bytes on every interpreter: the built-in ``sum()`` compensates
+    rounding from Python 3.12 on, and up to 3.11 it is this loop.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -196,8 +209,8 @@ def cost(model_set: ModelSet, config: Iterable[ModelId]) -> float:
     ranked = rank_outputs(model_set, config)
     if not ranked:
         return model_set.empty_cost
-    # Plain left-to-right accumulation, which mig.profile_cost_table repeats
-    # bit for bit; the built-in sum() compensates rounding from Python 3.12 on.
+    # left_sum's loop, inlined: the exhaustive enumerator calls cost() millions
+    # of times.  mig.profile_cost_table repeats this accumulation bit for bit.
     total = 0.0
     for r in ranked:
         total += r.weight * penalty(r.quality_norm, r.accuracy)
@@ -343,7 +356,7 @@ def _linearity_residual(rng: random.Random, model_set: ModelSet, names: list[str
     ]
     # Reversed summation order keeps the oracle independent of cost()'s own
     # accumulation while staying well inside the 1e-12 tolerance.
-    return abs(total - sum(reversed(terms)))
+    return abs(total - left_sum(reversed(terms)))
 
 
 def _submodularity_gap(rng: random.Random, model_set: ModelSet, names: list[str]) -> float:

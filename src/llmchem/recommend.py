@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .chemistry import ChemistryTable, pair_key
-from .core import Configuration
+from .core import Configuration, left_sum
 from .errors import (
     DomainError,
     InvalidConfigurationError,
@@ -112,7 +112,7 @@ def chem_totals(table: ChemistryTable) -> tuple[float, float]:
     maxT sums each unordered pair once in sorted order; maxI counts every
     ordered pair, which by symmetry is exactly 2 * maxT.
     """
-    max_t = sum(value for _, _, value in table.pairs())
+    max_t = left_sum(value for _, _, value in table.pairs())
     return max_t, 2.0 * max_t
 
 

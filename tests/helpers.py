@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 
@@ -165,3 +166,173 @@ def reference_consensus_iteration(rows, n_iters, floor=1e-10):
             new_var[g] = max(floor, sum(devs) / len(devs)) if devs else var[g]
         var = new_var
     return cons, var
+
+
+# Verbatim copies of the bulk-path code as it was before each index was built
+# once (consensus, eval --history task rows, per-cell map), kept as references
+# that the indexed versions must equal with ``==``.  They use the built-in
+# sum(), which equals llmchem.core.left_sum up to Python 3.11 only.
+
+
+def _reference_outputs_of(matrix, grader: str) -> list[str]:
+    return sorted(o for o in matrix.outputs if (grader, o) in matrix.grades)
+
+
+def _reference_weighted_consensus(matrix, variance, output, *, exclude=None):
+    """Inverse-variance-weighted mean grade of one output; None if no grader."""
+    total = 0.0
+    weight_sum = 0.0
+    for grader in sorted(matrix.graders):
+        if grader == exclude:
+            continue
+        grade = matrix.grades.get((grader, output))
+        if grade is None:
+            continue
+        weight = 1.0 / variance[grader]
+        total += weight * grade
+        weight_sum += weight
+    if weight_sum == 0.0:
+        return None
+    return total / weight_sum
+
+
+def reference_vancouver_consensus(matrix, max_iters, tol):
+    """The consensus loop that scanned every grader for every mean."""
+    from llmchem.consensus import (
+        PRIOR_VARIANCE,
+        VARIANCE_FLOOR,
+        ConsensusResult,
+        review_accuracy_from_variance,
+    )
+    from llmchem.errors import MalformedMatrixError
+
+    variance = {g: PRIOR_VARIANCE for g in matrix.graders}
+    consensus = {}
+    converged = False
+    iterations = 0
+
+    for iterations in range(1, max_iters + 1):
+        new_consensus = {}
+        for output in matrix.outputs:
+            value = _reference_weighted_consensus(matrix, variance, output)
+            if value is None:  # unreachable: the matrix requires >= 1 grade
+                raise MalformedMatrixError(f"output {output!r} has no grades")
+            new_consensus[output] = value
+
+        change = (
+            max(abs(new_consensus[o] - consensus[o]) for o in matrix.outputs)
+            if consensus
+            else math.inf
+        )
+        consensus = new_consensus
+
+        new_variance = {}
+        for grader in matrix.graders:
+            deviations = []
+            for output in _reference_outputs_of(matrix, grader):
+                others = _reference_weighted_consensus(matrix, variance, output, exclude=grader)
+                if others is None:
+                    continue  # grader stands alone on this output
+                deviations.append((matrix.grades[(grader, output)] - others) ** 2)
+            if deviations:
+                estimate = sum(deviations) / len(deviations)
+                new_variance[grader] = max(VARIANCE_FLOOR, estimate)
+            else:
+                new_variance[grader] = variance[grader]
+        variance = new_variance
+
+        if change < tol:
+            converged = True
+            break
+
+    review = {g: review_accuracy_from_variance(v) for g, v in variance.items()}
+    return ConsensusResult(
+        consensus=consensus,
+        variance=variance,
+        review_accuracy=review,
+        iterations=iterations,
+        converged=converged,
+    )
+
+
+def reference_grade_order(rows) -> tuple[list[str], list[str]]:
+    """First-seen grader and output order, by membership tests on growing lists."""
+    graders: list[str] = []
+    outputs: list[str] = []
+    for grader, output, _ in rows:
+        if grader not in graders:
+            graders.append(grader)
+        if output not in outputs:
+            outputs.append(output)
+    return graders, outputs
+
+
+def reference_task_matrix(records, members) -> tuple[list[list[float]], int]:
+    """Per-task mean accuracy rows for the members, regrouping every record per call.
+
+    Returns the rows and the number of skipped tasks, which the CLI logs.
+    """
+    by_task: dict[str, dict[str, list[float]]] = {}
+    for record in records:
+        by_task.setdefault(record.task, {}).setdefault(record.model, []).append(
+            record.accuracy
+        )
+    rows = []
+    skipped = 0
+    for task in sorted(by_task):
+        per_model = by_task[task]
+        if any(m not in per_model for m in members):
+            skipped += 1
+            continue
+        rows.append([sum(per_model[m]) / len(per_model[m]) for m in members])
+    return rows, skipped
+
+
+def _reference_hypervolume2d(points) -> float:
+    dominating = [
+        (p.accuracy, p.quality_norm)
+        for p in points
+        if p.accuracy > 0.0 and p.quality_norm > 0.0
+    ]
+    dominating.sort(key=lambda xy: (-xy[0], -xy[1]))
+    area = 0.0
+    best_quality = 0.0
+    for accuracy, quality in dominating:
+        if quality > best_quality:
+            area += accuracy * (quality - best_quality)
+            best_quality = quality
+    return area
+
+
+def _reference_rao_entropy(points) -> float:
+    n = len(points)
+    total = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            total += 2.0 * math.dist(
+                (points[i].accuracy, points[i].quality_norm),
+                (points[j].accuracy, points[j].quality_norm),
+            )
+    return total / (n * n) / math.sqrt(2.0)
+
+
+def _reference_ci(points, lam: float) -> float:
+    return lam * _reference_hypervolume2d(points) + (1.0 - lam) * _reference_rao_entropy(points)
+
+
+def reference_delta_ci_cells(ensemble, lam: float, grid_size: int):
+    """Map cells by scoring every candidate ensemble from scratch."""
+    from llmchem.complementarity import EnsemblePoint
+
+    base = _reference_ci(ensemble, lam)
+    members = list(ensemble)
+    cells = []
+    for i in range(grid_size):
+        accuracy = (i + 0.5) / grid_size
+        row = []
+        for j in range(grid_size):
+            quality = (j + 0.5) / grid_size
+            candidate = EnsemblePoint("+candidate", accuracy=accuracy, quality_norm=quality)
+            row.append(_reference_ci(members + [candidate], lam) - base)
+        cells.append(tuple(row))
+    return base, tuple(cells)

@@ -540,3 +540,62 @@ def test_shared_flag_defaults_in_help_are_pinned(capsys):
         "--seed SEED seed for audits and diagnostics (default 0)",
     ):
         assert entry in text
+
+
+#: Subcommand flag outside the config -> (argv template, out-of-range value, domain message).
+OUT_OF_RANGE_FLAGS = {
+    "--consensus-max-iters": (
+        "score --grades {tmp}/g.csv --out {tmp}/c.json", "0", "max_iters must be >= 1, got 0"
+    ),
+    "--consensus-tol": (
+        "score --grades {tmp}/g.csv --out {tmp}/c.json", "0",
+        "tol must be finite and > 0, got 0.0",
+    ),
+    "--size-cap": (
+        "recommend --store {tmp}/s.json --chem {tmp}/c.csv --pool {tmp}/p.json "
+        "--out {tmp}/r.json", "0", "size_cap must be >= 1, got 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(OUT_OF_RANGE_FLAGS))
+def test_out_of_range_subcommand_flag_exits_1_naming_the_flag(flag, tmp_path, capsys):
+    argv, value, message = OUT_OF_RANGE_FLAGS[flag]
+    # The inputs do not exist: the range check must fail before any is read.
+    assert main(argv.format(tmp=tmp_path).split() + [flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {flag} is out of range: {message}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eval_history_warns_per_ensemble_and_rejects_an_ensemble_with_no_full_task(
+    store_path, history_fixture, tmp_path, caplog
+):
+    records = [
+        HistoryRecord(
+            trial="t1", model=model, task=task, latency=1.0, temperature=0.7, id=f"{task}{model}",
+            result="", quality=5.0, gen_accuracy=0.9, variance=0.0, review_accuracy=0.9,
+            accuracy=0.9, elapsed="", created="",
+        )
+        for task, model in (("a", "gpt-4o"), ("a", "o3-mini"), ("b", "gpt-4o"), ("c", "o3-mini"))
+    ]
+    history = tmp_path / "partial.csv"
+    write_history_csv(records, history)
+    ensembles = tmp_path / "ensembles.json"
+    ensembles.write_text(json.dumps({"ensembles": [["gpt-4o", "o3-mini"], ["gpt-4o"]]}))
+    argv = ["eval", "--store", str(store_path), "--ensembles", str(ensembles),
+            "--metric", "effectiveness", "--history", str(history)]
+    with caplog.at_level("WARNING"):
+        assert main(argv + ["--out", str(tmp_path / "e.csv")]) == 0
+    assert caplog.messages == [
+        "skipped 2 task(s) lacking records for some members",
+        "skipped 1 task(s) lacking records for some members",
+    ]
+    assert read_csv(tmp_path / "e.csv") == [
+        {"ensemble": "gpt-4o|o3-mini", "effectiveness": "1.0"},
+        {"ensemble": "gpt-4o", "effectiveness": "1.0"},
+    ]
+    ensembles.write_text(json.dumps({"ensembles": [["gpt-4o", "qwen2.5:32b"]]}))
+    assert main(argv + ["--out", str(tmp_path / "none.csv")]) == 1
+    assert not (tmp_path / "none.csv").exists()

@@ -1,0 +1,163 @@
+"""The indexed bulk-path kernels equal the per-query scans they replaced, with ``==``.
+
+Each reference in ``tests/helpers.py`` is the earlier code, copied verbatim:
+the consensus loop that scanned every grader for each mean, the task rows
+that regrouped every history record per ensemble, and the map that scored
+each candidate ensemble from scratch.  The references sum with the built-in
+``sum()``, which compensates rounding from Python 3.12 on, so the comparison
+is only exact up to 3.11.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+from helpers import (
+    reference_delta_ci_cells,
+    reference_grade_order,
+    reference_task_matrix,
+    reference_vancouver_consensus,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from llmchem.complementarity import (
+    CIParams,
+    EnsemblePoint,
+    delta_ci_map,
+    task_accuracies,
+    task_matrix,
+)
+from llmchem.consensus import GradeMatrix, vancouver_consensus
+from llmchem.errors import MalformedMatrixError
+from llmchem.history import HistoryRecord
+
+pytestmark = pytest.mark.skipif(
+    sys.version_info >= (3, 12), reason="the references use the built-in sum()"
+)
+
+GRADES = st.one_of(
+    st.floats(0.0, 10.0, allow_nan=False), st.integers(0, 10).map(float)
+)
+
+
+@st.composite
+def grade_rows(draw) -> list[tuple[str, str, float]]:
+    """Rows of a grade matrix in arbitrary order, with the sparse corner cases mixed in.
+
+    Besides a random core, it may add lone graders (one grade each), outputs
+    with a single grade, and a grader with no estimable output (it alone
+    grades each of its outputs).
+    """
+    graders = [f"g{i}" for i in range(draw(st.integers(1, 6)))]
+    outputs = [f"o{i}" for i in range(draw(st.integers(1, 8)))]
+    rows = []
+    for output in outputs:
+        chosen = draw(st.lists(st.sampled_from(graders), min_size=1, unique=True))
+        rows += [(g, output, draw(GRADES)) for g in chosen]
+    for i in range(draw(st.integers(0, 2))):  # lone graders on shared outputs
+        rows.append((f"lone{i}", draw(st.sampled_from(outputs)), draw(GRADES)))
+    for i in range(draw(st.integers(0, 3))):  # single-grade outputs of a shared grader
+        rows.append((draw(st.sampled_from(graders)), f"single{i}", draw(GRADES)))
+    for i in range(draw(st.integers(0, 2))):  # a grader that no other grader checks
+        rows.append(("solo", f"solo{i}", draw(GRADES)))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=grade_rows(),
+    max_iters=st.integers(1, 8),
+    tol=st.sampled_from([1e-12, 1e-6, 1e-2, 1.0]),
+)
+def test_consensus_equals_the_full_scan(rows, max_iters, tol):
+    matrix = GradeMatrix.from_rows(rows)
+    assert (list(matrix.graders), list(matrix.outputs)) == reference_grade_order(rows)
+    mine = vancouver_consensus(matrix, max_iters=max_iters, tol=tol)
+    ref = reference_vancouver_consensus(matrix, max_iters, tol)
+    assert mine == ref
+    assert list(mine.consensus) == list(ref.consensus)
+    assert list(mine.variance) == list(ref.variance)
+
+
+def test_duplicate_grade_still_rejected():
+    with pytest.raises(MalformedMatrixError, match="duplicate grade for \\('g1', 'o1'\\)"):
+        GradeMatrix.from_rows([("g1", "o1", 5.0), ("g2", "o1", 4.0), ("g1", "o1", 6.0)])
+
+
+def _record(task: str, model: str, trial: int, accuracy: float) -> HistoryRecord:
+    return HistoryRecord(
+        trial=f"t{trial}", model=model, task=task, latency=1.0, temperature=0.7,
+        id=f"{task}-{model}-{trial}", result="", quality=5.0, gen_accuracy=accuracy,
+        variance=0.0, review_accuracy=accuracy, accuracy=accuracy, elapsed="", created="",
+    )
+
+
+MODELS = ["m0", "m1", "m2", "m3", "m4"]
+
+
+@st.composite
+def histories(draw) -> list[HistoryRecord]:
+    """Records of a few tasks, each with some of the models and repeated trials."""
+    records = []
+    for task in [f"task{i}" for i in range(draw(st.integers(1, 6)))]:
+        for model in draw(st.lists(st.sampled_from(MODELS), unique=True)):
+            for trial in range(draw(st.integers(1, 4))):
+                accuracy = draw(st.floats(0.0, 1.0, allow_nan=False))
+                records.append(_record(task, model, trial, accuracy))
+    return draw(st.permutations(records))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    records=histories(),
+    ensembles=st.lists(
+        st.lists(st.sampled_from(MODELS), min_size=1, max_size=4), min_size=1, max_size=5
+    ),
+)
+def test_task_rows_equal_the_per_ensemble_regrouping(records, ensembles):
+    accuracies = task_accuracies(records)
+    for group in ensembles:
+        assert task_matrix(accuracies, group) == reference_task_matrix(records, group)
+
+
+COORDINATES = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0, allow_nan=False)
+)
+
+
+@st.composite
+def ensembles(draw) -> list[EnsemblePoint]:
+    """Members with tied, duplicated and on-axis points."""
+    points = [
+        EnsemblePoint(f"m{i}", accuracy=draw(COORDINATES), quality_norm=draw(COORDINATES))
+        for i in range(draw(st.integers(1, 6)))
+    ]
+    for i in range(draw(st.integers(0, 2))):  # exact duplicates of earlier members
+        twin = draw(st.sampled_from(points))
+        points.append(EnsemblePoint(f"twin{i}", twin.accuracy, twin.quality_norm))
+    return draw(st.permutations(points))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ensemble=ensembles(),
+    grid_size=st.integers(2, 20),
+    lam=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0, allow_nan=False)),
+)
+def test_map_equals_scoring_each_cell_from_scratch(ensemble, grid_size, lam):
+    grid = delta_ci_map(ensemble, CIParams(lam=lam), grid_size=grid_size)
+    assert (grid.base_index, grid.cells) == reference_delta_ci_cells(ensemble, lam, grid_size)
+
+
+def test_map_candidate_ties_a_member_on_the_grid():
+    # Members at cell centres of a 4x4 grid: candidates tie them exactly.
+    ensemble = [
+        EnsemblePoint("a", 0.375, 0.625),
+        EnsemblePoint("b", 0.375, 0.625),
+        EnsemblePoint("c", 0.625, 0.125),
+        EnsemblePoint("d", 0.0, 0.875),
+    ]
+    grid = delta_ci_map(ensemble, CIParams(lam=0.3), grid_size=4)
+    assert (grid.base_index, grid.cells) == reference_delta_ci_cells(ensemble, 0.3, 4)
