@@ -7,12 +7,13 @@ disjoint contexts X, in a's marginal benefit caused by b's presence:
                  divided by cost(X | {a, b})
 
 Two scorers are provided: an exact enumerator over every context subset, and
-a graph-based scorer.  On the graph of a profile source (a
-:class:`~llmchem.mig.LatticeMIG`) the graph scorer reads the four costs of
-each context straight from the graph's bitmask cost table; on an explicit
-cost table or an explicitly given graph it answers subset queries through
-memoized covering nodes.  On a fully materialised graph either way agrees
-with the exact enumerator, term for term.
+a graph-based scorer.  The graph scorer evaluates the ratio in one kernel,
+:func:`_pair_score`, over a list of costs indexed by bitmask.  On the graph
+of a profile source (a :class:`~llmchem.mig.LatticeMIG`) that list is the
+graph's cost table; on an explicit cost table or an explicitly given graph it
+holds each subset's covering-node cost, with NaN marking every context the
+covers cannot answer.  On a fully materialised graph either way agrees with
+the exact enumerator, term for term.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .files import read_csv, write_csv
-from .mig import MIG, CostBackend, CoverLookup, LatticeMIG, as_backend, subset_key
+from .mig import MIG, CostBackend, CoverLookup, LatticeMIG, subset_key
 
 #: Ceiling on |S| for exhaustive enumeration (2^(|S|-2) contexts per pair).
 BRUTE_FORCE_GUARD = 16
@@ -138,7 +139,10 @@ class ChemistryTable:
             scores[key] = value
             seen |= {a, b}
         table_members = known if known is not None else frozenset(seen)
-        return cls(scores=scores, members=table_members, method="loaded")
+        try:
+            return cls(scores=scores, members=table_members, method="loaded")
+        except MissingPairError as exc:
+            raise ParseError(str(exc), path=path) from None
 
     def to_json_obj(self, model_set: ModelSet | None = None) -> dict:
         obj: dict = {
@@ -193,7 +197,7 @@ def _check_brute_force_size(members: Configuration) -> None:
         )
 
 
-def chem_pair_bruteforce(source: ModelSet | CostBackend, a: str, b: str) -> float:
+def chem_pair_bruteforce(backend: CostBackend, a: str, b: str) -> float:
     """Exact chemistry of one pair by enumerating every context subset.
 
     Context subsets are drawn from the members minus {a, b}, visited by size
@@ -201,7 +205,6 @@ def chem_pair_bruteforce(source: ModelSet | CostBackend, a: str, b: str) -> floa
     cost are skipped (the ratio is undefined there); if every context is
     skipped the pair's chemistry is 0.
     """
-    backend = as_backend(source)
     members = backend.members
     if a == b:
         raise InvalidPairError(f"a pair needs two distinct models, got {a!r} twice")
@@ -212,14 +215,13 @@ def chem_pair_bruteforce(source: ModelSet | CostBackend, a: str, b: str) -> floa
     return _pair_score_bruteforce(backend, a, b, cache={})
 
 
-def chem_table_bruteforce(source: ModelSet | CostBackend) -> ChemistryTable:
+def chem_table_bruteforce(backend: CostBackend) -> ChemistryTable:
     """Exact chemistry table over all pairs, sharing one cost cache.
 
     Each pair is scored from the perspective of its lexicographically smaller
     member; the two perspectives agree (the benefit difference is symmetric
     in a and b), so this is purely a determinism convention.
     """
-    backend = as_backend(source)
     members = backend.members
     _check_brute_force_size(members)
     if len(members) < 2:
@@ -231,95 +233,81 @@ def chem_table_bruteforce(source: ModelSet | CostBackend) -> ChemistryTable:
     return ChemistryTable(scores=scores, members=members, method="brute-force")
 
 
-def _lattice_pair_scores(graph: LatticeMIG) -> dict[PairKey, float]:
-    """Chemistry of every pair of usable members, from the graph's cost table.
+def _pair_score(costs: list[float], bit_a: int, bit_b: int, rest: int) -> float:
+    """Chemistry of one pair from a list of costs indexed by bitmask.
 
-    Contexts are every submask of the other usable members: unusable members
-    change no cost, so contexts that differ only in them give equal ratios.
-    Each pair is scored from its lexicographically smaller member, as the
-    exhaustive enumerator does, so every ratio is computed from the same
-    operands in the same order.
+    Contexts are every submask of ``rest``.  A context is skipped when its
+    combined cost is zero, or when any of its four costs is NaN: the ratio
+    is then NaN, which never exceeds the best so far.  ``bit_a`` belongs to
+    the lexicographically smaller member, as in the exhaustive enumerator, so
+    every ratio is computed from the same operands in the same order.
     """
-    costs = graph.costs
-    bits = {name: 1 << j for j, name in enumerate(graph.ranked)}
-    everyone = len(costs) - 1
-    scores: dict[PairKey, float] = {}
-    for a, b in combinations(sorted(graph.ranked), 2):
-        bit_a, bit_b = bits[a], bits[b]
-        both = bit_a | bit_b
-        rest = everyone ^ both
-        best = 0.0
-        context = rest
-        while True:
-            denom = costs[context | both]
-            if denom != 0.0:
-                gain_alone = costs[context] - costs[context | bit_a]
-                gain_with_partner = costs[context | bit_b] - denom
-                d = abs(gain_alone - gain_with_partner) / denom
-                if d > best:
-                    best = d
-            if not context:
-                break
-            context = (context - 1) & rest
-        scores[pair_key(a, b)] = best
-    return scores
+    both = bit_a | bit_b
+    best = 0.0
+    context = rest
+    while True:
+        denom = costs[context | both]
+        if denom != 0.0:
+            gain_alone = costs[context] - costs[context | bit_a]
+            gain_with_partner = costs[context | bit_b] - denom
+            d = abs(gain_alone - gain_with_partner) / denom
+            if d > best:
+                best = d
+        if not context:
+            break
+        context = (context - 1) & rest
+    return best
 
 
-def cheme(source: ModelSet | CostBackend, graph: MIG) -> ChemistryTable:
+def cheme(source: CostBackend, graph: MIG) -> ChemistryTable:
     """Chemistry for all pairs from the graph's node costs.
 
     On a :class:`~llmchem.mig.LatticeMIG` (the graph of a profile source)
     every context's costs are read from the graph's cost table, and a pair
     with an unusable member scores 0: it lies in every node, so no context
-    is admissible for it.  On any other graph, context subsets X are
-    iterated by increasing size; each X, and each of X|{a}, X|{b}, X|{a,b}
-    per candidate pair, is answered by its smallest covering node in the
-    graph.  A context is skipped for a pair when any cover is missing, when
-    the context's own cover already contains a or b (it would violate the
-    disjoint-context premise), or when the combined cover has zero cost.
-    Benefits are evaluated on the cover subsets, so on a fully materialised
-    graph the result equals the exhaustive enumerator exactly; on sparser
-    graphs it is the graph's best available approximation.
+    is admissible for it.  On any other graph each subset X is answered by
+    its smallest covering node, and a context is skipped for a pair when any
+    of the covers of X, X|{a}, X|{b}, X|{a,b} is missing, when the context's
+    own cover already contains a or b (it would violate the disjoint-context
+    premise), or when the combined cover has zero cost.  Benefits are
+    evaluated on the cover subsets, so on a fully materialised graph the
+    result equals the exhaustive enumerator exactly; on sparser graphs it is
+    the graph's best available approximation.
     """
-    backend = as_backend(source)
-    if backend.members != graph.members:
+    if source.members != graph.members:
         raise InvalidConfigurationError(
             "model set does not match the graph's member set"
         )
-    members = sorted(graph.members)
     scores: dict[PairKey, float] = {
-        pair_key(a, b): 0.0 for a, b in combinations(members, 2)
+        pair_key(a, b): 0.0 for a, b in combinations(sorted(graph.members), 2)
     }
     if not scores:
         raise InvalidConfigurationError("chemistry needs at least two models")
+    covers = None
     if isinstance(graph, LatticeMIG):
-        scores.update(_lattice_pair_scores(graph))
-        return ChemistryTable(scores=scores, members=graph.members, method="mig-cheme")
-    lookup = CoverLookup(graph)
-    for size in range(len(members) + 1):
-        for combo in combinations(members, size):
-            context = frozenset(combo)
-            cover = lookup.cover(context)
-            if cover is None:
-                continue
-            outside = [m for m in members if m not in context]
-            for a, b in combinations(outside, 2):
-                if a in cover.subset or b in cover.subset:
-                    continue
-                cover_a = lookup.cover(context | {a})
-                cover_b = lookup.cover(context | {b})
-                cover_ab = lookup.cover(context | {a, b})
-                if cover_a is None or cover_b is None or cover_ab is None:
-                    continue
-                denom = cover_ab.cost
-                if denom == 0.0:
-                    continue
-                gain_alone = cover.cost - cover_a.cost
-                gain_with_partner = cover_b.cost - cover_ab.cost
-                d = abs(gain_alone - gain_with_partner) / denom
-                key = pair_key(a, b)
-                if d > scores[key]:
-                    scores[key] = d
+        names, costs = graph.ranked, graph.costs
+    else:
+        names = sorted(graph.members)
+        lookup = CoverLookup(graph)
+        covers = [
+            lookup.cover(name for j, name in enumerate(names) if mask >> j & 1)
+            for mask in range(1 << len(names))
+        ]
+        costs = [math.nan if node is None else node.cost for node in covers]
+    bits = {name: 1 << j for j, name in enumerate(names)}
+    everyone = len(costs) - 1
+    for a, b in combinations(sorted(names), 2):
+        bit_a, bit_b = bits[a], bits[b]
+        both = bit_a | bit_b
+        table = costs
+        if covers is not None:
+            # A context whose cover holds a or b is inadmissible.  Marking it NaN,
+            # not testing for it in the shared loop, keeps the lattice path fast.
+            table = costs.copy()
+            for mask, node in enumerate(covers):
+                if not mask & both and node is not None and (a in node.subset or b in node.subset):
+                    table[mask] = math.nan
+        scores[pair_key(a, b)] = _pair_score(table, bit_a, bit_b, everyone ^ both)
     return ChemistryTable(scores=scores, members=graph.members, method="mig-cheme")
 
 

@@ -353,9 +353,19 @@ def cmd_recommend(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
+def _ensemble_arg(value: str) -> list[str]:
+    """``--ensemble``: comma-separated model names, at least one, none twice."""
+    names = [name for name in value.split(",") if name]
+    if not names:
+        raise argparse.ArgumentTypeError("needs at least one model name")
+    if len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError(f"names a model twice: {value!r}")
+    return names
+
+
 def cmd_map(args: argparse.Namespace, config: RunConfig) -> int:
     store = _select_store(args.store, args.context)
-    names = [name for name in args.ensemble.split(",") if name]
+    names = args.ensemble
     points = []
     for name in names:
         if name not in store.profiles:
@@ -383,6 +393,9 @@ def _load_ensembles(path: Path) -> list[list[str]]:
         raise ParseError(
             "'ensembles' must be a non-empty list of non-empty lists of model names", path=path
         )
+    for number, group in enumerate(ensembles, start=1):
+        if len(set(group)) < len(group):
+            raise ParseError(f"ensemble {number} names a model twice: {group}", path=path)
     return ensembles
 
 
@@ -568,7 +581,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("map", help="marginal-complementarity grid for an ensemble")
     p.add_argument("--store", type=Path, required=True)
     p.add_argument("--context")
-    p.add_argument("--ensemble", required=True, help="comma-separated model names")
+    p.add_argument(
+        "--ensemble", required=True, type=_ensemble_arg, help="comma-separated model names"
+    )
     p.add_argument("--out", type=Path, required=True)
     _add_config_flags(p)
     p.set_defaults(func=cmd_map)

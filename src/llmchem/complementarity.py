@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -138,15 +139,15 @@ class ChemistryMap:
     params: CIParams
     base_index: float
 
-    @property
+    @cached_property
     def max_delta(self) -> float:
         return max(value for row in self.cells for value in row)
 
-    @property
+    @cached_property
     def max_abs_delta(self) -> float:
         return max(abs(value) for row in self.cells for value in row)
 
-    @property
+    @cached_property
     def saturated(self) -> bool:
         return self.max_abs_delta < SATURATION_THRESHOLD
 

@@ -129,6 +129,14 @@ class ModelSet:
         )
         return replace(self, profiles=updated)
 
+    def cost(self, config: Iterable[ModelId]) -> float:
+        """:func:`cost` of ``config`` in this set."""
+        return cost(self, config)
+
+    def used(self, config: Iterable[ModelId]) -> Configuration:
+        """:func:`used_subset` of ``config`` in this set."""
+        return used_subset(self, config)
+
 
 @dataclass(frozen=True)
 class RankedOutput:

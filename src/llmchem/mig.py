@@ -7,14 +7,14 @@ by the smallest materialised node that covers them, so recorded costs for
 large configurations stand in for their sub-configurations without
 materialising the whole powerset.
 
-Costs and used sets come from a pluggable backend: either derived from model
-profiles, or an explicit per-subset table (replaying recorded or hypothetical
-runs).  From profile costs the construction always yields the full lattice
-over the usable members, so :func:`build_mig` returns it as a
-:class:`LatticeMIG`: a view of one cost table indexed by bitmask
-(:func:`profile_cost_table`), from which chemistry is scored directly.
-Explicit tables and explicitly given graphs keep materialised nodes and
-answer through covering nodes (:class:`CoverLookup`).
+Costs and used sets come from a cost backend: a :class:`~llmchem.core.ModelSet`
+derives them from model profiles, a :class:`TableBackend` replays an explicit
+per-subset table (recorded or hypothetical runs).  From profile costs the
+construction always yields the full lattice over the usable members, so
+:func:`build_mig` returns it as a :class:`LatticeMIG`: a view of one cost
+table indexed by bitmask (:func:`profile_cost_table`), from which chemistry
+is scored directly.  Explicit tables and explicitly given graphs keep
+materialised nodes and answer through covering nodes (:class:`CoverLookup`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Protocol, runtime_checkable
+from typing import Callable, Iterable, Mapping, Protocol
 
 from . import core
 from .core import Configuration, ModelSet
@@ -38,9 +38,11 @@ def subset_key(subset: Iterable[str]) -> str:
     return ",".join(sorted(subset))
 
 
-@runtime_checkable
 class CostBackend(Protocol):
-    """Source of cost and used-subset answers for configurations."""
+    """Source of cost and used-subset answers for configurations.
+
+    A :class:`~llmchem.core.ModelSet` is one; :class:`TableBackend` is the other.
+    """
 
     @property
     def members(self) -> Configuration: ...
@@ -48,23 +50,6 @@ class CostBackend(Protocol):
     def cost(self, config: Configuration) -> float: ...
 
     def used(self, config: Configuration) -> Configuration: ...
-
-
-@dataclass(frozen=True)
-class ProfileBackend:
-    """Backend that derives cost and used(X) from recorded model profiles."""
-
-    model_set: ModelSet
-
-    @property
-    def members(self) -> Configuration:
-        return self.model_set.members
-
-    def cost(self, config: Configuration) -> float:
-        return core.cost(self.model_set, config)
-
-    def used(self, config: Configuration) -> Configuration:
-        return core.used_subset(self.model_set, config)
 
 
 class TableBackend:
@@ -121,22 +106,12 @@ class TableBackend:
         return self._used.get(frozenset(config), frozenset())
 
 
-def as_backend(source: ModelSet | CostBackend) -> CostBackend:
-    """Wrap a ModelSet in a ProfileBackend; pass backends through unchanged."""
-    if isinstance(source, ModelSet):
-        return ProfileBackend(source)
-    return source
-
-
-def backend_benefit(
-    source: ModelSet | CostBackend, x: Iterable[str], y: Iterable[str]
-) -> float:
+def backend_benefit(backend: CostBackend, x: Iterable[str], y: Iterable[str]) -> float:
     """``cost(y) - cost(x | y)`` over any cost backend.
 
-    Mirrors :func:`llmchem.core.benefit` for explicit cost tables and other
-    non-profile backends; disjoint ``x`` and ``y`` is the intended contract.
+    Mirrors :func:`llmchem.core.benefit` for explicit cost tables; disjoint
+    ``x`` and ``y`` is the intended contract.
     """
-    backend = as_backend(source)
     xs = frozenset(x)
     ys = frozenset(y)
     for subset in (xs, ys):
@@ -163,7 +138,7 @@ class MIGNode:
         if not math.isfinite(self.cost) or self.cost < 0.0:
             raise DomainError(f"node cost must be finite and >= 0, got {self.cost!r}")
 
-    @property
+    @cached_property
     def key(self) -> str:
         return subset_key(self.subset)
 
@@ -195,15 +170,6 @@ class MIG:
         self.root = frozenset(root)
         self._members = frozenset(backend.members)
         self._validate()
-
-    @cached_property
-    def _nodes_by_size(self) -> dict[int, list[MIGNode]]:
-        by_size: dict[int, list[MIGNode]] = {}
-        for node in self.nodes.values():
-            by_size.setdefault(len(node.subset), []).append(node)
-        for bucket in by_size.values():
-            bucket.sort(key=lambda n: n.key)
-        return by_size
 
     def _validate(self) -> None:
         if self.root not in self.nodes:
@@ -252,24 +218,6 @@ class MIG:
     @property
     def edge_count(self) -> int:
         return sum(len(children) for children in self.edges.values())
-
-    def nodes_of_size(self, size: int) -> tuple[MIGNode, ...]:
-        return tuple(self._nodes_by_size.get(size, ()))
-
-    def removal_closure_gaps(self) -> list[tuple[Configuration, str]]:
-        """Nodes whose used members lack the corresponding child edge.
-
-        Empty for graphs produced by :func:`build_mig`; explicit graphs that
-        replicate an external drawing may legitimately report gaps here.
-        """
-        gaps: list[tuple[Configuration, str]] = []
-        for subset, node in self.nodes.items():
-            children = set(self.edges.get(subset, ()))
-            for member in sorted(node.used):
-                child = subset - {member}
-                if child not in children:
-                    gaps.append((subset, member))
-        return gaps
 
 
 def profile_cost_table(model_set: ModelSet) -> tuple[tuple[str, ...], list[float]]:
@@ -321,7 +269,7 @@ def _top_down(
 
 
 class LatticeMIG(MIG):
-    """The graph of a profile backend, as a view of its bitmask cost table.
+    """The graph of a profile set, as a view of its bitmask cost table.
 
     Top-down construction from profile costs reaches every subset X of the
     usable members U, each node holding X plus every unusable member, whose
@@ -331,11 +279,11 @@ class LatticeMIG(MIG):
     the eager construction.
     """
 
-    def __init__(self, backend: ProfileBackend):
-        self.backend = backend
-        self.root = frozenset(backend.members)
+    def __init__(self, model_set: ModelSet):
+        self.backend = model_set
+        self.root = model_set.members
         self._members = self.root
-        self.ranked, self.costs = profile_cost_table(backend.model_set)
+        self.ranked, self.costs = profile_cost_table(model_set)
 
     @property
     def node_count(self) -> int:
@@ -348,15 +296,7 @@ class LatticeMIG(MIG):
 
     @cached_property
     def _materialised(self) -> tuple[dict, dict]:
-        bits = {name: 1 << j for j, name in enumerate(self.ranked)}
-
-        def used(subset: Configuration) -> Configuration:
-            return frozenset(m for m in subset if m in bits)
-
-        def cost(subset: Configuration) -> float:
-            return self.costs[sum(bits[m] for m in used(subset))]
-
-        return _top_down(self.root, used, cost)
+        return _top_down(self.root, self.backend.used, self.backend.cost)
 
     @property
     def nodes(self) -> dict[Configuration, MIGNode]:
@@ -367,7 +307,7 @@ class LatticeMIG(MIG):
         return self._materialised[1]
 
 
-def build_mig(source: ModelSet | CostBackend) -> MIG:
+def build_mig(source: CostBackend) -> MIG:
     """Construct the graph top-down from the full member set.
 
     Starting at the root S, each materialised node X spawns one child
@@ -378,17 +318,16 @@ def build_mig(source: ModelSet | CostBackend) -> MIG:
     holds the same graph as a cost table and materialises nodes only on
     demand.
     """
-    backend = as_backend(source)
-    members = backend.members
+    members = source.members
     if not 1 <= len(members) <= BUILD_SIZE_GUARD:
         raise SizeLimitError(
             f"graph construction supports 1..{BUILD_SIZE_GUARD} models, got {len(members)}"
         )
-    if isinstance(backend, ProfileBackend):
-        return LatticeMIG(backend)
+    if isinstance(source, ModelSet):
+        return LatticeMIG(source)
     root = frozenset(members)
-    nodes, edges = _top_down(root, backend.used, backend.cost)
-    return MIG(backend, nodes, edges, root)
+    nodes, edges = _top_down(root, source.used, source.cost)
+    return MIG(source, nodes, edges, root)
 
 
 class CoverLookup:
@@ -414,13 +353,11 @@ class CoverLookup:
             return self._memo[subset]
         answer = self.graph.nodes.get(subset)
         if answer is None:
-            for size in range(len(subset) + 1, len(self.graph.members) + 1):
-                for node in self.graph.nodes_of_size(size):
-                    if subset <= node.subset:
-                        answer = node
-                        break
-                if answer is not None:
-                    break
+            answer = min(
+                (node for node in self.graph.nodes.values() if subset <= node.subset),
+                key=lambda node: (len(node.subset), node.key),
+                default=None,
+            )
         self._memo[subset] = answer
         return answer
 

@@ -155,8 +155,10 @@ def neighbors(
     """Single-step moves from ``x``: additions, removals, then swaps.
 
     Additions respect ``size_cap``; removals never empty the subset.  The
-    result is deduplicated and deterministically ordered (each move family in
-    model-name order), which fixes tie-breaking during descent.
+    result is deterministically ordered (each move family in model-name
+    order), which fixes tie-breaking during descent.  It holds no duplicates:
+    the three families differ in size, and a swap is fixed by the model it
+    removes and the one it adds.
     """
     subset = frozenset(x)
     if not subset:
@@ -164,17 +166,13 @@ def neighbors(
     universe = frozenset(members)
     outside = sorted(universe - subset)
     inside = sorted(subset)
-    moves: dict[Configuration, None] = {}
+    moves: list[Configuration] = []
     if size_cap is None or len(subset) < size_cap:
-        for model in outside:
-            moves.setdefault(subset | {model}, None)
+        moves += [subset | {model} for model in outside]
     if len(subset) > 1:
-        for model in inside:
-            moves.setdefault(subset - {model}, None)
-    for removed in inside:
-        for added in outside:
-            moves.setdefault((subset - {removed}) | {added}, None)
-    return list(moves)
+        moves += [subset - {model} for model in inside]
+    moves += [(subset - {removed}) | {added} for removed in inside for added in outside]
+    return moves
 
 
 def recommend(

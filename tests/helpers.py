@@ -128,6 +128,45 @@ def drawn_example_graph(members: tuple[str, ...] | None = None) -> MIG:
     return MIG(backend, nodes, edges, root=frozenset("abc"))
 
 
+def reference_cover_cheme(source, graph: MIG) -> dict[frozenset, float]:
+    """``cheme``'s covering-node loop as it was before the bitmask kernel.
+
+    Copied verbatim: each context X by increasing size, one cover query for X
+    and three per candidate pair, with the skip rules written as branches.
+    """
+    from llmchem.chemistry import pair_key
+    from llmchem.mig import CoverLookup
+
+    members = sorted(graph.members)
+    scores = {pair_key(a, b): 0.0 for a, b in combinations(members, 2)}
+    lookup = CoverLookup(graph)
+    for size in range(len(members) + 1):
+        for combo in combinations(members, size):
+            context = frozenset(combo)
+            cover = lookup.cover(context)
+            if cover is None:
+                continue
+            outside = [m for m in members if m not in context]
+            for a, b in combinations(outside, 2):
+                if a in cover.subset or b in cover.subset:
+                    continue
+                cover_a = lookup.cover(context | {a})
+                cover_b = lookup.cover(context | {b})
+                cover_ab = lookup.cover(context | {a, b})
+                if cover_a is None or cover_b is None or cover_ab is None:
+                    continue
+                denom = cover_ab.cost
+                if denom == 0.0:
+                    continue
+                gain_alone = cover.cost - cover_a.cost
+                gain_with_partner = cover_b.cost - cover_ab.cost
+                d = abs(gain_alone - gain_with_partner) / denom
+                key = pair_key(a, b)
+                if d > scores[key]:
+                    scores[key] = d
+    return scores
+
+
 def zero_table_scores(names: list[str]) -> dict[frozenset, float]:
     return {frozenset((a, b)): 0.0 for a, b in combinations(sorted(names), 2)}
 

@@ -29,15 +29,17 @@ from llmchem.errors import (
     InvalidConfigurationError,
     InvalidPairError,
     MissingPairError,
+    ParseError,
     SizeLimitError,
 )
-from llmchem.mig import LatticeMIG, TableBackend
+from llmchem.mig import MIG, LatticeMIG, MIGNode, TableBackend
 
 from helpers import (
     drawn_example_graph,
     example_backend,
     homogeneous_model_set,
     random_model_set,
+    reference_cover_cheme,
 )
 
 ABS = 1e-12
@@ -254,6 +256,62 @@ class TestCostTableKernel:
         assert with_unusable > 0
 
 
+@st.composite
+def partial_graphs(draw) -> tuple[TableBackend, MIG]:
+    """A recorded cost table over at most six models and a partial graph on it.
+
+    Costs are often zero or tied, so combined costs vanish.  The graph is
+    grown top-down from random used sets or given explicitly with random
+    edges, so the covers of many contexts hold a member of a pair.  An
+    explicit graph's universe may hold models that no node contains, so the
+    subsets holding them have no cover.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    universe = list("abcdef")[: draw(st.integers(2, 6))]
+    explicit = draw(st.booleans())
+    # Top-down construction starts from the whole universe, so only an
+    # explicit graph can leave models out of every node.
+    names = universe[: draw(st.integers(1, len(universe)))] if explicit else universe
+    subsets = [frozenset(c) for k in range(len(names) + 1) for c in combinations(names, k)]
+    table = {s: rng.choice([0.0, 0.25, 1.0, rng.uniform(0.0, 10.0)]) for s in subsets}
+    used = {s: frozenset(m for m in s if rng.random() < 0.5) for s in subsets}
+    backend = TableBackend(costs=table, used=used, members=universe)
+    if not explicit:
+        return backend, build_mig(backend)
+    root = frozenset(names)
+    edges: dict[frozenset, tuple[frozenset, ...]] = {}
+    reached = {root}
+    frontier = [root]
+    while frontier:
+        parent = frontier.pop()
+        edges[parent] = tuple(parent - {m} for m in sorted(parent) if rng.random() < 0.5)
+        frontier += [child for child in edges[parent] if child not in reached]
+        reached.update(edges[parent])
+    nodes = {s: MIGNode(s, used[s], table[s]) for s in reached}
+    return backend, MIG(backend, nodes, edges, root)
+
+
+class TestCoverKernelEquivalence:
+    """The bitmask kernel on a partial graph equals the covering-node loop it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=partial_graphs())
+    def test_partial_graphs_equal_the_cover_loop(self, drawn):
+        backend, graph = drawn
+        expected = reference_cover_cheme(backend, graph)
+        if math.inf in expected.values():  # a tiny denominator overflowed the ratio
+            with pytest.raises(DomainError):
+                cheme(backend, graph)
+        else:
+            assert cheme(backend, graph).scores == expected
+
+    @pytest.mark.parametrize("members", [None, ("a", "b", "c", "d")])
+    def test_drawn_example_graph_equals_the_cover_loop(self, members):
+        backend = example_backend(members)
+        graph = drawn_example_graph(members)
+        assert cheme(backend, graph).scores == reference_cover_cheme(backend, graph)
+
+
 class TestLlmcpFilter:
     def _table(self, entries):
         members = frozenset({m for pair in entries for m in pair})
@@ -317,8 +375,9 @@ class TestChemistryTable:
     def test_from_csv_detects_missing_pairs(self, tmp_path):
         path = tmp_path / "chem.csv"
         path.write_text("model_a,model_b,chemistry\na,b,0.5\n")
-        with pytest.raises(MissingPairError):
+        with pytest.raises(ParseError, match="missing pairs") as raised:
             ChemistryTable.from_csv(path, members=frozenset(("a", "b", "c")))
+        assert raised.value.path == path
 
     def test_json_obj_contains_fingerprint(self):
         ms = homogeneous_model_set(3, 10.0, 0.9)

@@ -176,6 +176,14 @@ class TestMap:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("ensemble", ["o3-mini,o3-mini", ","])
+    def test_ensemble_needs_distinct_names(self, ensemble, store_path, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert main(["map", "--store", str(store_path), "--ensemble", ensemble,
+                     "--out", str(out)]) == 1
+        assert "--ensemble" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     @pytest.fixture()
@@ -381,6 +389,9 @@ BAD_INPUTS = {
                        "e.json", b'{"ensembles": ', ["invalid JSON"]),
     "ensembles-schema": ("eval --store {store} --ensembles {bad} --metric ci --out {tmp}/e.csv",
                          "e.json", b'{"ensembles": [5]}', ["'ensembles'"]),
+    "ensembles-repeated-model": (
+        "eval --store {store} --ensembles {bad} --metric ci --out {tmp}/e.csv",
+        "e.json", b'{"ensembles": [["o3-mini", "o3-mini"]]}', ["twice"]),
     "ensembles-unknown-model": (
         "eval --store {store} --ensembles {bad} --metric ci --out {tmp}/e.csv",
         "e.json", b'{"ensembles": [["nope"]]}', ["'nope'"]),
@@ -404,6 +415,9 @@ BAD_INPUTS = {
     "chem-self-pair": ("recommend --store {store} --chem {bad} --pool {tmp}/p.json --out {tmp}/r.json",
                        "c.csv", b"model_a,model_b,chemistry\ngpt-4o,gpt-4o,1.0\n",
                        ["row 2, field 'model_b'"]),
+    "chem-missing-pairs": (
+        "recommend --store {store} --chem {bad} --pool {tmp}/p.json --out {tmp}/r.json",
+        "c.csv", b"model_a,model_b,chemistry\ngpt-4o,o3-mini,0.5\n", ["missing pairs"]),
     "chem-nan": ("recommend --store {store} --chem {bad} --pool {tmp}/p.json --out {tmp}/r.json",
                  "c.csv", b"model_a,model_b,chemistry\ngpt-4o,o3-mini,nan\n",
                  ["row 2, field 'chemistry'"]),

@@ -49,7 +49,6 @@ class TestBuild:
             frozenset("c"),
             frozenset("b"),
         }
-        assert graph.removal_closure_gaps() == []
 
     def test_singleton(self):
         ms = ModelSet(profiles=(ModelProfile("a", 5.0, 0.9),))
@@ -201,11 +200,6 @@ class TestGraphValidation:
         }
         with pytest.raises(InvalidConfigurationError):
             MIG(backend, nodes, {}, frozenset("abc"))
-
-    def test_drawn_graph_reports_removal_gaps(self):
-        # The drawn example omits {c} although c is removable from {b,c}.
-        gaps = drawn_example_graph().removal_closure_gaps()
-        assert (frozenset("bc"), "b") in gaps
 
 
 def test_subset_key_is_sorted_join():

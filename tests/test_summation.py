@@ -26,7 +26,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "llmchem"
 #: Functions allowed a built-in ``sum`` of integers: (module, qualified name) -> calls.
 INTEGER_SUMS = {
     ("mig.py", "MIG.edge_count"): 1,  # children per node
-    ("mig.py", "LatticeMIG._materialised.cost"): 1,  # bits of a subset's mask
     ("complementarity.py", "effectiveness_soft_vote"): 1,  # tasks answered correctly
 }
 
