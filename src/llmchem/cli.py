@@ -343,7 +343,7 @@ def cmd_recommend(args: argparse.Namespace, config: RunConfig) -> int:
         args.out,
         config,
         {"store": args.store, "chem": args.chem, "pool": args.pool},
-        extra={"size_cap": args.size_cap},
+        extra={"size_cap": args.size_cap, "stats": result.stats},
     )
     flag = " [zero chemistry: consider single-model selection]" if result.zero_chemistry else ""
     print(
@@ -369,7 +369,8 @@ def cmd_map(args: argparse.Namespace, config: RunConfig) -> int:
     points = []
     for name in names:
         if name not in store.profiles:
-            raise LLMChemError(f"model {name!r} is not in the store")
+            raise ParseError(f"--ensemble names model {name!r}, which is not in the store",
+                             path=args.store)
         points.append(EnsemblePoint.from_profile(store.profiles[name]))
     grid = delta_ci_map(points, CIParams(lam=config.lam), grid_size=config.grid_size)
     grid.to_csv(args.out)

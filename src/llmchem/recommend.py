@@ -11,15 +11,25 @@ pairs straddling the boundary, maxT is the unordered-pair total over the
 whole set and maxI the ordered-pair total (exactly twice maxT).  Starting
 from historically used subsets, local search over single additions, removals
 and swaps descends this loss and returns the best subset found.
+
+Every loss comes from one kernel, :class:`_LossKernel`, built once per table
+over a pair-score matrix indexed by position in the sorted member list.  The
+loss is quadratic in the membership vector, so a move's change follows from
+per-member sums: each step gives every neighbour an approximate loss in O(1),
+then computes the exact loss (the same floats added in the same order as
+``subset_loss``) only for the neighbours within a floating-point error bound
+of the approximate minimum.  The result equals exact re-scoring of every
+neighbour.  ``exhaustive_best`` screens all subsets the same way, walking
+them in Gray-code order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .chemistry import ChemistryTable, pair_key
 from .core import Configuration, left_sum
@@ -92,6 +102,8 @@ class Recommendation:
     trace: tuple[tuple[int, Configuration, float], ...]  # (iteration, subset, loss)
     seed_subset: Configuration
     zero_chemistry: bool  # no pairwise chemistry inside the winner
+    # Search counters (see ``recommend``); they describe the work, not the result.
+    stats: dict[str, int] = field(default_factory=dict, compare=False)
 
     def to_json_obj(self) -> dict:
         return {
@@ -116,6 +128,169 @@ def chem_totals(table: ChemistryTable) -> tuple[float, float]:
     return max_t, 2.0 * max_t
 
 
+#: Unit roundoff of a double: one +, -, * is off by at most this times its result.
+_UNIT_ROUNDOFF = math.ulp(1.0) / 2
+
+
+class _LossKernel:
+    """The loss of any subset of one table, addressed by bitmask.
+
+    Bit i stands for the i-th member in sorted order, so ascending bits are
+    the sorted-name order that the exact loss adds its pair values in.
+    """
+
+    def __init__(
+        self, table: ChemistryTable, totals: tuple[float, float], params: LossParams
+    ) -> None:
+        names = sorted(table.members)
+        n = len(names)
+        matrix = [[0.0] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            matrix[i][j] = matrix[j][i] = table.scores[pair_key(names[i], names[j])]
+        self.names = names
+        self.position = {name: i for i, name in enumerate(names)}
+        self.matrix = matrix
+        self.row_totals = [left_sum(row) for row in matrix]
+        self.max_t, self.max_i = totals
+        self.alpha = params.alpha
+        self.beta = params.beta
+        # d loss = -alpha * d(row totals inside) + (3 * alpha - 1) * d intra + beta * d|x|,
+        # since inter = (row totals inside) - 2 * intra.
+        self.cross = 3.0 * params.alpha - 1.0
+
+    def mask_of(self, x: Iterable[str]) -> int:
+        subset = frozenset(x)
+        if not subset:
+            raise DomainError("loss is undefined for the empty subset")
+        unknown = subset.difference(self.position)
+        if unknown:
+            raise InvalidConfigurationError(
+                f"subset references models outside the table: {sorted(unknown)}"
+            )
+        mask = 0
+        for name in subset:
+            mask |= 1 << self.position[name]
+        return mask
+
+    def subset_of(self, mask: int) -> Configuration:
+        return frozenset(name for i, name in enumerate(self.names) if mask >> i & 1)
+
+    def combine(self, intra: float, inter: float, size: int) -> float:
+        return (
+            self.alpha * (self.max_i - inter)
+            + (1.0 - self.alpha) * (self.max_t - intra)
+            + self.beta * size
+        )
+
+    def loss(self, mask: int) -> float:
+        """Exact loss: intra over sorted pairs, then inter per inside member."""
+        n = len(self.names)
+        inside = [i for i in range(n) if mask >> i & 1]
+        outside = [i for i in range(n) if not mask >> i & 1]
+        intra = 0.0
+        for rank, a in enumerate(inside):
+            row = self.matrix[a]
+            for b in inside[rank + 1:]:
+                intra += row[b]
+        inter = 0.0
+        for a in inside:
+            row = self.matrix[a]
+            for b in outside:
+                inter += row[b]
+        return self.combine(intra, inter, len(inside))
+
+    def tolerance(self, updates: int = 0) -> float:
+        """Bound on |screened loss - exact loss| of any one subset.
+
+        ``updates`` is the longest run of additions and subtractions that a
+        screened value's per-member sums have taken (0 when they are rebuilt
+        for every neighbourhood).
+        """
+        # With u the unit roundoff and S = maxI + maxT + beta * (n + 1): pair
+        # values are finite and >= 0 and maxI = 2 * maxT, so S bounds every
+        # loss, T = maxT <= S / 3 bounds any member's row total, and 2 * T any
+        # sum of pair values.  Rounding one +, -, * costs at most u times its
+        # result; a left-to-right sum of k values >= 0 is off by at most
+        # (k - 1) * u times its value (Higham, "Accuracy and Stability of
+        # Numerical Algorithms", 2002, section 4.2).
+        # - Exact loss: intra and inter each add fewer than n**2 / 2 pair
+        #   values, then about ten roundings follow: off by at most
+        #   (n**2 + 8) * u * S.
+        # - Screened move: the current exact loss plus a delta built from two
+        #   per-member sums of n values and about a dozen roundings on values
+        #   <= 8 * T: the delta is off by at most (2 * n + 16) * u * S.  A
+        #   neighbour's screened and exact loss thus differ by at most
+        #   2 * (n**2 + 8) + 2 * n + 16 <= 2 * (n**2 + n + 16) times u * S.
+        # - Gray walk: each running sum to the inside members is off by at most
+        #   ``updates`` * u times its row total, so the screened loss is off by
+        #   at most (updates + 2 * n + 6) * u * S and differs from the exact
+        #   loss by at most 2 * (n**2 + n + 16 + updates) * u * S.
+        # The tolerance doubles that bound, which covers the (1 - k * u)**-1
+        # factors dropped above and maxT's own rounding.  If S is near
+        # overflow, nothing is screened out.
+        n = len(self.names)
+        scale = self.max_i + self.max_t + self.beta * (n + 1)
+        if not math.isfinite(16.0 * scale):
+            return math.inf
+        return 4.0 * (n * n + n + 16 + updates) * _UNIT_ROUNDOFF * scale
+
+    def best_move(
+        self, mask: int, loss: float, size_cap: int | None, tol: float, stats: dict[str, int]
+    ) -> tuple[int | None, float]:
+        """The descent's next subset from ``mask`` (exact ``loss``), with its exact loss.
+
+        Every move of ``neighbors`` gets a screened loss in O(1) from the
+        per-member sums to the inside members; only those within ``2 * tol`` of
+        the smallest are re-scored exactly.  If every screened loss is within
+        ``tol`` of the exact one, the exactly best moves are all among them,
+        so the first exact minimum in ``neighbors`` order is the move that
+        re-scoring every neighbour would pick.  Returns ``(None, inf)`` when
+        there is no move.
+        """
+        n = len(self.names)
+        matrix = self.matrix
+        row_totals = self.row_totals
+        alpha, beta, cross = self.alpha, self.beta, self.cross
+        inside = [i for i in range(n) if mask >> i & 1]
+        outside = [i for i in range(n) if not mask >> i & 1]
+        to_inside = []
+        for row in matrix:
+            total = 0.0
+            for j in inside:
+                total += row[j]
+            to_inside.append(total)
+        # Change in loss when member i joins or leaves; a swap also loses the
+        # pair between the two.
+        joins = [cross * to_inside[i] - alpha * row_totals[i] for i in range(n)]
+        leaves = [alpha * row_totals[i] - cross * to_inside[i] for i in range(n)]
+        screened: list[tuple[float, int]] = []
+        if size_cap is None or len(inside) < size_cap:
+            screened += [(loss + (joins[u] + beta), mask | 1 << u) for u in outside]
+        if len(inside) > 1:
+            screened += [(loss + (leaves[v] - beta), mask ^ 1 << v) for v in inside]
+        for v in inside:
+            leave, row = leaves[v], matrix[v]
+            screened += [
+                (loss + (leave + joins[u] - cross * row[u]), mask ^ (1 << v | 1 << u))
+                for u in outside
+            ]
+        stats["moves_screened"] += len(screened)
+        best: int | None = None
+        best_loss = math.inf
+        if not screened:
+            return best, best_loss
+        cutoff = min(approx for approx, _ in screened) + 2.0 * tol
+        for approx, candidate in screened:
+            if approx > cutoff:
+                continue
+            stats["moves_rescored"] += 1
+            candidate_loss = self.loss(candidate)
+            if candidate_loss < best_loss:
+                best = candidate
+                best_loss = candidate_loss
+        return best, best_loss
+
+
 def subset_loss(
     x: Iterable[str],
     table: ChemistryTable,
@@ -123,28 +298,8 @@ def subset_loss(
     params: LossParams,
 ) -> float:
     """Unrealized chemistry of ``x`` plus its size penalty (lower is better)."""
-    subset = frozenset(x)
-    if not subset:
-        raise DomainError("loss is undefined for the empty subset")
-    outside_members = table.members - subset
-    unknown = subset - table.members
-    if unknown:
-        raise InvalidConfigurationError(
-            f"subset references models outside the table: {sorted(unknown)}"
-        )
-    max_t, max_i = totals
-    intra = 0.0
-    for a, b in combinations(sorted(subset), 2):
-        intra += table.scores[pair_key(a, b)]
-    inter = 0.0
-    for a in sorted(subset):
-        for b in sorted(outside_members):
-            inter += table.scores[pair_key(a, b)]
-    return (
-        params.alpha * (max_i - inter)
-        + (1.0 - params.alpha) * (max_t - intra)
-        + params.beta * len(subset)
-    )
+    kernel = _LossKernel(table, totals, params)
+    return kernel.loss(kernel.mask_of(x))
 
 
 def neighbors(
@@ -158,7 +313,8 @@ def neighbors(
     result is deterministically ordered (each move family in model-name
     order), which fixes tie-breaking during descent.  It holds no duplicates:
     the three families differ in size, and a swap is fixed by the model it
-    removes and the one it adds.
+    removes and the one it adds.  ``recommend`` scans the moves in this order
+    without building them.
     """
     subset = frozenset(x)
     if not subset:
@@ -186,53 +342,54 @@ def recommend(
     broken by neighbor order) until no move improves or the iteration budget
     is spent.  The cross-seed winner is the minimum by (loss, subset key), so
     the result is deterministic for a fixed pool order, table and parameters.
+
+    ``stats`` counts the seeds, the neighbourhoods scanned over all seeds
+    (``iterations``), the moves given a screened loss and the moves re-scored
+    exactly.
     """
     if not pool.subsets:
         raise NoCandidatesError("the candidate pool is empty")
-    totals = chem_totals(table)
-    members = table.members
+    kernel = _LossKernel(table, chem_totals(table), params)
+    tol = kernel.tolerance()
+    stats = {"seeds": 0, "iterations": 0, "moves_screened": 0, "moves_rescored": 0}
 
     best: tuple[float, str] | None = None
-    best_subset: Configuration = frozenset()
+    best_mask = 0
     best_trace: tuple[tuple[int, Configuration, float], ...] = ()
     best_seed: Configuration = frozenset()
 
     for seed in pool.subsets:
-        current = frozenset(seed)
-        loss = subset_loss(current, table, totals, params)
-        trace: list[tuple[int, Configuration, float]] = [(0, current, loss)]
+        stats["seeds"] += 1
+        mask = kernel.mask_of(seed)
+        loss = kernel.loss(mask)
+        trace: list[tuple[int, Configuration, float]] = [(0, frozenset(seed), loss)]
         for iteration in range(1, params.max_iters + 1):
-            best_neighbor: Configuration | None = None
-            best_neighbor_loss = math.inf
-            for candidate in neighbors(current, members, params.size_cap):
-                candidate_loss = subset_loss(candidate, table, totals, params)
-                if candidate_loss < best_neighbor_loss:
-                    best_neighbor = candidate
-                    best_neighbor_loss = candidate_loss
-            if best_neighbor is None or best_neighbor_loss >= loss:
+            stats["iterations"] += 1
+            move, move_loss = kernel.best_move(mask, loss, params.size_cap, tol, stats)
+            if move is None or move_loss >= loss:
                 break
-            current = best_neighbor
-            loss = best_neighbor_loss
-            trace.append((iteration, current, loss))
+            mask = move
+            loss = move_loss
+            trace.append((iteration, kernel.subset_of(mask), loss))
+        current = trace[-1][1]
         ranked = (loss, subset_key(current))
         if best is None or ranked < best:
             best = ranked
-            best_subset = current
+            best_mask = mask
             best_trace = tuple(trace)
             best_seed = frozenset(seed)
 
     assert best is not None
-    winner_pairs = [
-        table.scores[pair_key(a, b)]
-        for a, b in combinations(sorted(best_subset), 2)
-    ]
+    inside = [i for i in range(len(kernel.names)) if best_mask >> i & 1]
+    winner_pairs = [kernel.matrix[a][b] for a, b in combinations(inside, 2)]
     zero_chemistry = max(winner_pairs, default=0.0) == 0.0
     return Recommendation(
-        subset=best_subset,
+        subset=best_trace[-1][1],
         loss=best[0],
         trace=best_trace,
         seed_subset=best_seed,
         zero_chemistry=zero_chemistry,
+        stats=stats,
     )
 
 
@@ -241,17 +398,49 @@ def exhaustive_best(
 ) -> tuple[Configuration, float]:
     """Global minimum-loss subset by full enumeration (desk-scale sizes only).
 
-    Ties are broken by subset key, matching the search's own reduction.
+    Walks the non-empty subsets in Gray-code order, so each step adds or
+    removes one member and updates the per-member sums to the inside members
+    in O(n).  Subsets whose screened loss is within twice the kernel's
+    tolerance of the smallest are re-scored exactly; ties are broken by subset
+    key, matching the search's own reduction.
     """
-    members = sorted(table.members)
-    totals = chem_totals(table)
+    kernel = _LossKernel(table, chem_totals(table), params)
+    n = len(kernel.names)
+    tol = kernel.tolerance(updates=1 << n)
+    row_totals = kernel.row_totals
+    to_inside = [0.0] * n
+    inside: list[int] = []
+    mask = 0
+    floor = math.inf
+    near: list[tuple[float, int]] = []
+    for rank in range(1, 1 << n):
+        bit = (rank & -rank).bit_length() - 1
+        row = kernel.matrix[bit]
+        mask ^= 1 << bit
+        if mask >> bit & 1:
+            inside.append(bit)
+            to_inside = [total + value for total, value in zip(to_inside, row)]
+        else:
+            inside.remove(bit)
+            to_inside = [total - value for total, value in zip(to_inside, row)]
+        paired = 0.0
+        rows = 0.0
+        for i in inside:
+            paired += to_inside[i]
+            rows += row_totals[i]
+        approx = kernel.combine(0.5 * paired, rows - paired, len(inside))
+        if approx > floor + 2.0 * tol:
+            continue
+        near.append((approx, mask))
+        if approx < floor:
+            floor = approx
     best: tuple[float, str, Configuration] | None = None
-    for size in range(1, len(members) + 1):
-        for combo in combinations(members, size):
-            subset = frozenset(combo)
-            loss = subset_loss(subset, table, totals, params)
-            ranked = (loss, subset_key(subset), subset)
-            if best is None or ranked[:2] < best[:2]:
-                best = ranked
+    for approx, mask in near:
+        if approx > floor + 2.0 * tol:
+            continue
+        subset = kernel.subset_of(mask)
+        ranked = (kernel.loss(mask), subset_key(subset), subset)
+        if best is None or ranked[:2] < best[:2]:
+            best = ranked
     assert best is not None
     return best[2], best[0]

@@ -7,7 +7,10 @@ import random
 from itertools import combinations
 
 from llmchem import ModelProfile, ModelSet
-from llmchem.mig import MIG, MIGNode, TableBackend
+from llmchem.chemistry import pair_key
+from llmchem.errors import DomainError, InvalidConfigurationError, NoCandidatesError
+from llmchem.mig import MIG, MIGNode, TableBackend, subset_key
+from llmchem.recommend import Recommendation, chem_totals, neighbors
 
 
 def random_model_set(
@@ -375,3 +378,96 @@ def reference_delta_ci_cells(ensemble, lam: float, grid_size: int):
             row.append(_reference_ci(members + [candidate], lam) - base)
         cells.append(tuple(row))
     return base, tuple(cells)
+
+
+def reference_subset_loss(x, table, totals, params) -> float:
+    """The earlier ``recommend.subset_loss``: every pair looked up by name."""
+    subset = frozenset(x)
+    if not subset:
+        raise DomainError("loss is undefined for the empty subset")
+    outside_members = table.members - subset
+    unknown = subset - table.members
+    if unknown:
+        raise InvalidConfigurationError(
+            f"subset references models outside the table: {sorted(unknown)}"
+        )
+    max_t, max_i = totals
+    intra = 0.0
+    for a, b in combinations(sorted(subset), 2):
+        intra += table.scores[pair_key(a, b)]
+    inter = 0.0
+    for a in sorted(subset):
+        for b in sorted(outside_members):
+            inter += table.scores[pair_key(a, b)]
+    return (
+        params.alpha * (max_i - inter)
+        + (1.0 - params.alpha) * (max_t - intra)
+        + params.beta * len(subset)
+    )
+
+
+def reference_recommend(pool, table, params) -> Recommendation:
+    """The earlier ``recommend``: every neighbour re-scored from scratch."""
+    if not pool.subsets:
+        raise NoCandidatesError("the candidate pool is empty")
+    totals = chem_totals(table)
+    members = table.members
+
+    best: tuple[float, str] | None = None
+    best_subset = frozenset()
+    best_trace = ()
+    best_seed = frozenset()
+
+    for seed in pool.subsets:
+        current = frozenset(seed)
+        loss = reference_subset_loss(current, table, totals, params)
+        trace = [(0, current, loss)]
+        for iteration in range(1, params.max_iters + 1):
+            best_neighbor = None
+            best_neighbor_loss = math.inf
+            for candidate in neighbors(current, members, params.size_cap):
+                candidate_loss = reference_subset_loss(candidate, table, totals, params)
+                if candidate_loss < best_neighbor_loss:
+                    best_neighbor = candidate
+                    best_neighbor_loss = candidate_loss
+            if best_neighbor is None or best_neighbor_loss >= loss:
+                break
+            current = best_neighbor
+            loss = best_neighbor_loss
+            trace.append((iteration, current, loss))
+        ranked = (loss, subset_key(current))
+        if best is None or ranked < best:
+            best = ranked
+            best_subset = current
+            best_trace = tuple(trace)
+            best_seed = frozenset(seed)
+
+    assert best is not None
+    winner_pairs = [
+        table.scores[pair_key(a, b)]
+        for a, b in combinations(sorted(best_subset), 2)
+    ]
+    zero_chemistry = max(winner_pairs, default=0.0) == 0.0
+    return Recommendation(
+        subset=best_subset,
+        loss=best[0],
+        trace=best_trace,
+        seed_subset=best_seed,
+        zero_chemistry=zero_chemistry,
+    )
+
+
+def reference_exhaustive_best(table, params):
+    """The earlier ``exhaustive_best``: a plain ``combinations`` loop, smallest subsets first."""
+    members = sorted(table.members)
+    totals = chem_totals(table)
+    best = None
+    for size in range(1, len(members) + 1):
+        for combo in combinations(members, size):
+            subset = frozenset(combo)
+            loss = reference_subset_loss(subset, table, totals, params)
+            ranked = (loss, subset_key(subset), subset)
+            if best is None or ranked[:2] < best[:2]:
+                best = ranked
+    assert best is not None
+    return best[2], best[0]

@@ -137,6 +137,25 @@ class TestRecommend:
         losses = [step["loss"] for step in rec["trace"]]
         assert all(x > y for x, y in zip(losses, losses[1:]))
 
+    def test_sidecar_counts_the_search(self, store_path, tmp_path):
+        chem_path, pool_path, rec_path = (tmp_path / name for name in ("c.csv", "p.json", "r.json"))
+        main(["chem", "--store", str(store_path), "--out", str(chem_path)])
+        names = sorted({row["model_a"] for row in read_csv(chem_path)}
+                       | {row["model_b"] for row in read_csv(chem_path)})
+        pool_path.write_text(json.dumps({"subsets": [names[:2], names[1:4], [names[0]]]}))
+        assert main(["recommend", "--store", str(store_path), "--chem", str(chem_path),
+                     "--pool", str(pool_path), "--size-cap", "3", "--out", str(rec_path)]) == 0
+        meta = json.loads(rec_path.with_name("r.json.meta.json").read_text())
+        assert meta["size_cap"] == 3
+        assert meta["config"]["max_iters"] == 50
+        stats = meta["stats"]
+        assert stats["seeds"] == 3
+        assert 3 <= stats["iterations"] <= 150
+        assert 0 < stats["moves_rescored"] <= stats["moves_screened"]
+        assert set(json.loads(rec_path.read_text())) == {
+            "subset", "loss", "zero_chemistry", "seed_subset", "trace"
+        }
+
     def test_missing_pool_file_is_validation_error(self, store_path, tmp_path):
         chem_path = tmp_path / "chem.csv"
         main(["chem", "--store", str(store_path), "--out", str(chem_path)])
@@ -169,12 +188,15 @@ class TestMap:
         assert summary["saturated"] is False
         assert summary["max_delta_ci"] > 0.0
 
-    def test_unknown_member_rejected(self, store_path, tmp_path):
+    def test_unknown_member_rejected(self, store_path, tmp_path, capsys):
         rc = main(
             ["map", "--store", str(store_path), "--ensemble", "nope",
              "--out", str(tmp_path / "m.csv")]
         )
         assert rc == 1
+        err = capsys.readouterr().err
+        assert "--ensemble names model 'nope', which is not in the store" in err
+        assert f"(in {store_path})" in err
 
     @pytest.mark.parametrize("ensemble", ["o3-mini,o3-mini", ","])
     def test_ensemble_needs_distinct_names(self, ensemble, store_path, tmp_path, capsys):

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llmchem import (
     CandidatePool,
@@ -22,7 +26,12 @@ from llmchem.errors import (
     NoCandidatesError,
 )
 
-from helpers import zero_table_scores
+from helpers import (
+    reference_exhaustive_best,
+    reference_recommend,
+    reference_subset_loss,
+    zero_table_scores,
+)
 
 ABS = 1e-12
 
@@ -251,3 +260,138 @@ class TestPoolAndJson:
         assert set(obj) == {"subset", "loss", "zero_chemistry", "seed_subset", "trace"}
         assert obj["trace"][0]["iteration"] == 0
         assert obj["seed_subset"] == ["a", "b", "c"]
+
+
+# Pair values: ties from a small set that includes 0, the same set nudged by
+# one ulp, or a wide range (criterion 04's homogeneous chemistry reaches 13,320).
+TIED = (0.0, 0.1, 0.2, 0.3, 1.0)
+WIDE = st.one_of(st.just(0.0), st.sampled_from((1e-5, 13320.0)), st.floats(1e-5, 1e4))
+
+
+def _one_ulp_off(value: float, step: int) -> float:
+    if step == 0 or (value == 0.0 and step < 0):
+        return value
+    return math.nextafter(value, math.inf if step > 0 else 0.0)
+
+
+@st.composite
+def tables(draw, max_n: int = 10) -> ChemistryTable:
+    n = draw(st.integers(1, max_n))
+    names = draw(st.lists(st.text("abAB_1", min_size=1, max_size=3),
+                          min_size=n, max_size=n, unique=True))
+    kind = draw(st.sampled_from(("tied", "near", "wide")))
+    entries = {}
+    for pair in combinations(sorted(names), 2):
+        if kind == "wide":
+            entries[pair] = draw(WIDE)
+        else:
+            value = draw(st.sampled_from(TIED))
+            step = draw(st.sampled_from((-1, 0, 1))) if kind == "near" else 0
+            entries[pair] = _one_ulp_off(value, step)
+    return table_from(entries, names)
+
+
+WEIGHTS = st.builds(
+    LossParams,
+    alpha=st.one_of(st.sampled_from((0.0, 0.1, 1.0 / 3.0, 0.5, 1.0)), st.floats(0.0, 1.0)),
+    beta=st.one_of(st.sampled_from((1e-5, 0.25, 0.5, 1.0)), st.floats(1e-5, 1e4)),
+)
+
+
+@st.composite
+def searches(draw) -> tuple[CandidatePool, ChemistryTable, LossParams]:
+    table = draw(tables())
+    names = sorted(table.members)
+    seeds = draw(st.lists(st.frozensets(st.sampled_from(names), min_size=1),
+                          min_size=1, max_size=4))
+    weights = draw(WEIGHTS)
+    params = LossParams(
+        alpha=weights.alpha,
+        beta=weights.beta,
+        max_iters=draw(st.integers(1, 50)),
+        size_cap=draw(st.one_of(st.none(), st.integers(1, len(names) + 1))),
+    )
+    return CandidatePool(subsets=tuple(seeds)), table, params
+
+
+class TestKernelEquivalence:
+    """The screened kernel equals exact re-scoring of every move (``tests/helpers.py``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(search=searches())
+    def test_recommend_equals_rescoring_every_neighbor(self, search):
+        pool, table, params = search
+        result = recommend(pool, table, params)
+        expected = reference_recommend(pool, table, params)
+        assert result == expected
+        assert repr(result.to_json_obj()) == repr(expected.to_json_obj())
+
+    def test_screen_keeps_every_near_tie(self):
+        # Adding a and removing b or c tie in real arithmetic (loss 0.87); the
+        # exact losses put the addition one ulp lower, the screened ones the
+        # removals, so a screen without slack would move to {c}.
+        table = table_from({("a", "b"): 0.2, ("a", "c"): 0.2, ("b", "c"): 0.2}, ["a", "b", "c"])
+        pool = CandidatePool(subsets=(frozenset({"b", "c"}),))
+        params = LossParams(alpha=0.1, beta=0.25, max_iters=1, size_cap=None)
+        result = recommend(pool, table, params)
+        assert result == reference_recommend(pool, table, params)
+        assert result.subset == frozenset({"a", "b", "c"})
+        assert repr(result.loss) == "0.87"
+
+    @pytest.mark.parametrize("value", [3e306, 3e307, 1e308])
+    def test_totals_near_overflow_rescore_every_move(self, value):
+        # maxT is near or past the largest double, so losses may be inf or nan;
+        # the screen then keeps every move and the results match by repr.
+        names = ["a", "b", "c", "d"]
+        table = table_from(dict.fromkeys(combinations(names, 2), value), names)
+        pool = CandidatePool(subsets=(frozenset("ab"), frozenset("c"), frozenset(names)))
+        for params in (LossParams(), LossParams(alpha=0.0), LossParams(alpha=1.0, beta=1e308)):
+            result = recommend(pool, table, params)
+            expected = reference_recommend(pool, table, params)
+            assert repr(result.to_json_obj()) == repr(expected.to_json_obj())
+            assert result.stats["moves_rescored"] == result.stats["moves_screened"]
+            assert repr(exhaustive_best(table, params)) == repr(
+                reference_exhaustive_best(table, params)
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=tables(), params=WEIGHTS)
+    def test_exhaustive_best_equals_the_combinations_loop(self, table, params):
+        subset, loss = exhaustive_best(table, params)
+        expected_subset, expected_loss = reference_exhaustive_best(table, params)
+        assert subset == expected_subset
+        assert repr(loss) == repr(expected_loss)
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=tables(), params=WEIGHTS, data=st.data())
+    def test_subset_loss_keeps_its_bytes(self, table, params, data):
+        subset = data.draw(st.frozensets(st.sampled_from(sorted(table.members)), min_size=1))
+        totals = chem_totals(table)
+        assert repr(subset_loss(subset, table, totals, params)) == repr(
+            reference_subset_loss(subset, table, totals, params)
+        )
+
+
+class TestStats:
+    def test_counts_the_search(self):
+        rng = random.Random(139)
+        table = random_table(rng, 10)
+        names = sorted(table.members)
+        pool = CandidatePool(
+            subsets=tuple(frozenset(rng.sample(names, rng.randint(1, 6))) for _ in range(8))
+        )
+        params = LossParams(max_iters=50, size_cap=None)
+        stats = recommend(pool, table, params).stats
+        assert set(stats) == {"seeds", "iterations", "moves_screened", "moves_rescored"}
+        assert stats["seeds"] == len(pool.subsets)
+        assert stats["seeds"] <= stats["iterations"] <= stats["seeds"] * params.max_iters
+        # Distinct random values leave about one near-best move per neighbourhood.
+        assert stats["iterations"] <= stats["moves_rescored"] <= 2 * stats["iterations"]
+        assert stats["moves_screened"] >= 20 * stats["moves_rescored"]
+
+    def test_left_out_of_equality(self):
+        table = table_from({("a", "b"): 1.0}, ["a", "b", "c"])
+        result = recommend(CandidatePool(subsets=(frozenset({"a"}),)), table)
+        assert result.stats["seeds"] == 1
+        assert dataclasses.replace(result, stats={}) == result
+        assert "stats" not in result.to_json_obj()
