@@ -111,12 +111,12 @@ class ChemistryTable:
         known = frozenset(members) if members is not None else None
         scores: dict[PairKey, float] = {}
         seen: set[str] = set()
-        for number, row in read_csv(path, ("model_a", "model_b", "chemistry")):
+        for number, (a, b, raw) in read_csv(path, ("model_a", "model_b", "chemistry")):
             try:
-                value = float(row["chemistry"])
+                value = float(raw)
             except ValueError:
                 raise ParseError(
-                    f"chemistry is not a number: {row['chemistry']!r}",
+                    f"chemistry is not a number: {raw!r}",
                     path=path, row=number, field="chemistry",
                 ) from None
             if not math.isfinite(value) or value < 0.0:
@@ -124,7 +124,6 @@ class ChemistryTable:
                     f"chemistry must be finite and >= 0, got {value!r}",
                     path=path, row=number, field="chemistry",
                 )
-            a, b = row["model_a"], row["model_b"]
             for field, name in (("model_a", a), ("model_b", b)):
                 if not name or (known is not None and name not in known):
                     raise ParseError(f"unknown model {name!r}", path=path, row=number, field=field)

@@ -31,6 +31,13 @@ GEN_WEIGHT_WITH_GT = 0.75
 GEN_WEIGHT_WITHOUT_GT = 0.25
 
 
+def _check_grade(grader: str, output: str, grade: float) -> None:
+    if not math.isfinite(grade) or not 0.0 <= grade <= 10.0:
+        raise MalformedMatrixError(
+            f"grade for ({grader!r}, {output!r}) must be in [0, 10], got {grade!r}"
+        )
+
+
 @dataclass(frozen=True)
 class GradeMatrix:
     """Sparse grader-by-output grade matrix, grades in [0, 10]."""
@@ -54,10 +61,7 @@ class GradeMatrix:
                 raise MalformedMatrixError(f"grade from unknown grader {grader!r}")
             if output not in known_outputs:
                 raise MalformedMatrixError(f"grade for unknown output {output!r}")
-            if not math.isfinite(grade) or not 0.0 <= grade <= 10.0:
-                raise MalformedMatrixError(
-                    f"grade for ({grader!r}, {output!r}) must be in [0, 10], got {grade!r}"
-                )
+            _check_grade(grader, output, grade)
             graded.add(output)
         ungraded = known_outputs - graded
         if ungraded:
@@ -233,34 +237,48 @@ def combined_accuracy(gen: float, review: float, has_ground_truth: bool) -> floa
 
 
 def load_grades_csv(path: str | Path) -> GradeMatrix:
-    """Read a ``grader,output_id,grade`` CSV into a grade matrix."""
+    """Read a ``grader,output_id,grade`` CSV into a grade matrix.
+
+    Each grade is range-checked and each ``(grader, output_id)`` must be new as
+    its row is read, so the error names the row.
+    """
     rows: list[tuple[str, str, float]] = []
-    for number, row in read_csv(path, ("grader", "output_id", "grade")):
+    seen: set[tuple[str, str]] = set()
+    for number, (grader, output, raw) in read_csv(path, ("grader", "output_id", "grade")):
         try:
-            grade = float(row["grade"])
+            grade = float(raw)
         except ValueError:
             raise ParseError("grade is not a number", path=path, row=number, field="grade") from None
-        rows.append((row["grader"], row["output_id"], grade))
-    try:
-        return GradeMatrix.from_rows(rows)
-    except MalformedMatrixError as exc:
-        raise ParseError(f"invalid grade matrix: {exc}", path=path) from exc
+        key = (grader, output)
+        if key in seen:
+            raise ParseError(
+                f"invalid grade matrix: duplicate grade for {key!r}",
+                path=path, row=number, field="output_id",
+            )
+        try:
+            _check_grade(grader, output, grade)
+        except MalformedMatrixError as exc:
+            raise ParseError(
+                f"invalid grade matrix: {exc}", path=path, row=number, field="grade"
+            ) from None
+        seen.add(key)
+        rows.append((grader, output, grade))
+    return GradeMatrix.from_rows(rows)
 
 
 def load_ground_truth_csv(path: str | Path) -> dict[str, str]:
     """Read an ``output_id,reference`` CSV into a reference map."""
     references: dict[str, str] = {}
-    for number, row in read_csv(path, ("output_id", "reference")):
-        output = row["output_id"]
+    for number, (output, reference) in read_csv(path, ("output_id", "reference")):
         if output in references:
             raise ParseError("duplicate output id", path=path, row=number, field="output_id")
-        references[output] = row["reference"]
+        references[output] = reference
     return references
 
 
 def load_results_csv(path: str | Path) -> dict[str, list[tuple[str, str]]]:
     """Read a ``model,output_id,result`` CSV into each model's (output id, result) rows."""
     outputs_by_model: dict[str, list[tuple[str, str]]] = {}
-    for _, row in read_csv(path, ("model", "output_id", "result")):
-        outputs_by_model.setdefault(row["model"], []).append((row["output_id"], row["result"]))
+    for _, (model, output, result) in read_csv(path, ("model", "output_id", "result")):
+        outputs_by_model.setdefault(model, []).append((output, result))
     return outputs_by_model

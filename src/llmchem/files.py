@@ -1,9 +1,11 @@
 """The one module that opens files: CSV and JSON in, CSV and JSON out.
 
 Inputs are UTF-8.  A CSV header must hold exactly the expected columns, in any
-order, and each data row one field per column.  Undecodable bytes, malformed
-CSV or JSON, a bad header and a short or long row raise ``ParseError`` naming
-the file (and the row and field), so callers only check values.  Each output is
+order, and each data row one field per column.  The header is the first row
+and row 1; blank lines are skipped, and the records are numbered from 2 in
+order, however many lines each spans.  Undecodable bytes, malformed CSV or
+JSON, a bad header and a short or long row raise ``ParseError`` naming the
+file (and the row and field), so callers only check values.  Each output is
 written to a temporary file beside its target and moved over it with
 ``os.replace``, so a failed write leaves the previous file and no partial one.
 JSON output is indented, key-sorted, strict (no NaN or infinity) and ends in a
@@ -23,12 +25,12 @@ from typing import Any, Iterable, Iterator, Sequence
 from .errors import ParseError
 
 
-def read_csv(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, dict[str, str]]]:
-    """Yield ``(row_number, row)`` per data record, counting the header as row 1."""
+def read_csv(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(row_number, fields)`` per data record, ``fields`` in ``columns`` order."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
-            header = reader.fieldnames or []  # an empty file has no columns
+            reader = csv.reader(handle)
+            header = next(reader, [])  # an empty file has no columns
             missing = sorted((Counter(columns) - Counter(header)).elements())
             stray = sorted((Counter(header) - Counter(columns)).elements())
             if missing or stray:
@@ -36,15 +38,24 @@ def read_csv(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, di
                     f"unexpected header: missing columns {missing}, stray columns {stray}",
                     path=path,
                 )
-            for number, row in enumerate(reader, start=2):
-                if None in row:
-                    raise ParseError("row has more fields than the header", path=path, row=number)
-                if None in row.values():
-                    first = next(column for column, value in row.items() if value is None)
+            width = len(header)
+            order = [header.index(column) for column in columns]
+            in_order = order == list(range(width))
+            number = 1
+            for fields in reader:
+                if not fields:  # a blank line
+                    continue
+                number += 1
+                if len(fields) != width:
+                    if len(fields) > width:
+                        raise ParseError(
+                            "row has more fields than the header", path=path, row=number
+                        )
                     raise ParseError(
-                        "row has fewer fields than the header", path=path, row=number, field=first
+                        "row has fewer fields than the header",
+                        path=path, row=number, field=header[len(fields)],
                     )
-                yield number, row
+                yield number, fields if in_order else [fields[i] for i in order]
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"unreadable CSV: {exc}", path=path) from None
 

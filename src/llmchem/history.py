@@ -12,9 +12,11 @@ from __future__ import annotations
 import logging
 import math
 import statistics
+import sys
 from dataclasses import dataclass
+from operator import itemgetter, le
 from pathlib import Path
-from typing import Iterable, Literal
+from typing import Iterable, Literal, NamedTuple
 
 from .core import ModelProfile, ModelSet
 from .errors import DomainError, ParseError, StoreVersionError
@@ -46,9 +48,8 @@ Grouping = Literal["trial", "task", "all"]
 Aggregate = Literal["mean", "median"]
 
 
-@dataclass(frozen=True)
-class HistoryRecord:
-    """One benchmark-run row; elapsed/created stay opaque strings."""
+class HistoryRecord(NamedTuple):
+    """One benchmark-run row, fields in ``HISTORY_COLUMNS`` order; elapsed/created stay strings."""
 
     trial: str
     model: str
@@ -77,7 +78,17 @@ _NUMERIC_RANGES: dict[str, tuple[float, float]] = {
 }
 
 
-def _parse_numeric(raw: str, column: str, path: str | Path, row_number: int) -> float:
+#: Positions of the numeric columns in a row, and their bounds with infinite
+#: ones replaced by the largest finite float, so that ``lo <= value <= hi``
+#: also rejects NaN and infinity.
+_NUMERIC_INDEX = tuple(HISTORY_COLUMNS.index(column) for column in _NUMERIC_RANGES)
+_NUMERIC_FIELDS = itemgetter(*_NUMERIC_INDEX)
+_LOWS = tuple(max(lo, -sys.float_info.max) for lo, _ in _NUMERIC_RANGES.values())
+_HIGHS = tuple(min(hi, sys.float_info.max) for _, hi in _NUMERIC_RANGES.values())
+
+
+def _parse_numeric(raw: str, column: str, path: str | Path, row_number: int) -> None:
+    """Raise the ``ParseError`` for a numeric field that is not a number or out of range."""
     try:
         value = float(raw)
     except ValueError:
@@ -89,38 +100,36 @@ def _parse_numeric(raw: str, column: str, path: str | Path, row_number: int) -> 
         raise ParseError(
             f"{column} out of range: {value!r}", path=path, row=row_number, field=column
         )
-    return value
 
 
 def parse_history_csv(path: str | Path) -> list[HistoryRecord]:
-    """Parse and validate one history CSV; reject the whole file on any error."""
+    """Parse and validate one history CSV; reject the whole file on any error.
+
+    Each row's numeric fields are converted and range-checked together; only
+    a row that fails goes through ``_parse_numeric`` column by column, which
+    raises the row's first error.
+    """
     records: list[HistoryRecord] = []
     seen_keys: set[tuple[str, str, str]] = set()
     for number, row in read_csv(path, HISTORY_COLUMNS):
-        if not row["model"]:
+        if not row[1]:
             raise ParseError("model name is empty", path=path, row=number, field="model")
-        numeric = {
-            column: _parse_numeric(row[column], column, path, number)
-            for column in _NUMERIC_RANGES
-        }
-        key = (row["trial"], row["model"], row["id"])
+        try:
+            values = tuple(map(float, _NUMERIC_FIELDS(row)))
+            valid = all(map(le, _LOWS, values)) and all(map(le, values, _HIGHS))
+        except ValueError:
+            valid = False
+        if not valid:
+            for column, index in zip(_NUMERIC_RANGES, _NUMERIC_INDEX):
+                _parse_numeric(row[index], column, path, number)
+        key = (row[0], row[1], row[5])
         if key in seen_keys:
             raise ParseError(
                 f"duplicate (trial, model, id) key {key!r}", path=path, row=number, field="id"
             )
         seen_keys.add(key)
-        records.append(
-            HistoryRecord(
-                trial=row["trial"],
-                model=row["model"],
-                task=row["task"],
-                id=row["id"],
-                result=row["result"],
-                elapsed=row["elapsed"],
-                created=row["created"],
-                **numeric,
-            )
-        )
+        row[3], row[4], row[7], row[8], row[9], row[10], row[11] = values  # _NUMERIC_INDEX
+        records.append(HistoryRecord._make(row))
     return records
 
 

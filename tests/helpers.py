@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import random
+from collections import Counter
+from dataclasses import dataclass
 from itertools import combinations
+from pathlib import Path
+from typing import Iterator, Sequence
 
 from llmchem import ModelProfile, ModelSet
 from llmchem.chemistry import pair_key
-from llmchem.errors import DomainError, InvalidConfigurationError, NoCandidatesError
+from llmchem.errors import DomainError, InvalidConfigurationError, NoCandidatesError, ParseError
+from llmchem.history import HISTORY_COLUMNS
 from llmchem.mig import MIG, MIGNode, TableBackend, subset_key
 from llmchem.recommend import Recommendation, chem_totals, neighbors
 
@@ -471,3 +477,115 @@ def reference_exhaustive_best(table, params):
                 best = ranked
     assert best is not None
     return best[2], best[0]
+
+
+# Verbatim copies of the CSV file layer and the history parser as they were
+# before ``read_csv`` yielded lists from ``csv.reader`` (it yielded
+# ``csv.DictReader`` dicts) and before the history parser checked each row's
+# numbers in one test and built ``NamedTuple`` records (a frozen dataclass here).
+# The current code must yield the same rows and records, or raise the same
+# ``ParseError``.
+
+
+def reference_read_csv(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, dict[str, str]]]:
+    """Yield ``(row_number, row)`` per data record, counting the header as row 1."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.DictReader(handle)
+            header = reader.fieldnames or []  # an empty file has no columns
+            missing = sorted((Counter(columns) - Counter(header)).elements())
+            stray = sorted((Counter(header) - Counter(columns)).elements())
+            if missing or stray:
+                raise ParseError(
+                    f"unexpected header: missing columns {missing}, stray columns {stray}",
+                    path=path,
+                )
+            for number, row in enumerate(reader, start=2):
+                if None in row:
+                    raise ParseError("row has more fields than the header", path=path, row=number)
+                if None in row.values():
+                    first = next(column for column, value in row.items() if value is None)
+                    raise ParseError(
+                        "row has fewer fields than the header", path=path, row=number, field=first
+                    )
+                yield number, row
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"unreadable CSV: {exc}", path=path) from None
+
+
+@dataclass(frozen=True)
+class ReferenceHistoryRecord:
+    """One benchmark-run row; elapsed/created stay opaque strings."""
+
+    trial: str
+    model: str
+    task: str
+    latency: float
+    temperature: float
+    id: str
+    result: str
+    quality: float
+    gen_accuracy: float
+    variance: float
+    review_accuracy: float
+    accuracy: float
+    elapsed: str
+    created: str
+
+
+_REFERENCE_NUMERIC_RANGES: dict[str, tuple[float, float]] = {
+    "latency": (0.0, math.inf),
+    "temperature": (-math.inf, math.inf),
+    "quality": (0.0, 10.0),
+    "gen_accuracy": (0.0, 1.0),
+    "variance": (0.0, math.inf),
+    "review_accuracy": (0.0, 1.0),
+    "accuracy": (0.0, 1.0),
+}
+
+
+def _reference_parse_numeric(raw: str, column: str, path: str | Path, row_number: int) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ParseError(
+            f"{column} is not a number: {raw!r}", path=path, row=row_number, field=column
+        ) from None
+    lo, hi = _REFERENCE_NUMERIC_RANGES[column]
+    if not math.isfinite(value) or not lo <= value <= hi:
+        raise ParseError(
+            f"{column} out of range: {value!r}", path=path, row=row_number, field=column
+        )
+    return value
+
+
+def reference_parse_history_csv(path: str | Path) -> list[ReferenceHistoryRecord]:
+    """Parse and validate one history CSV; reject the whole file on any error."""
+    records: list[ReferenceHistoryRecord] = []
+    seen_keys: set[tuple[str, str, str]] = set()
+    for number, row in reference_read_csv(path, HISTORY_COLUMNS):
+        if not row["model"]:
+            raise ParseError("model name is empty", path=path, row=number, field="model")
+        numeric = {
+            column: _reference_parse_numeric(row[column], column, path, number)
+            for column in _REFERENCE_NUMERIC_RANGES
+        }
+        key = (row["trial"], row["model"], row["id"])
+        if key in seen_keys:
+            raise ParseError(
+                f"duplicate (trial, model, id) key {key!r}", path=path, row=number, field="id"
+            )
+        seen_keys.add(key)
+        records.append(
+            ReferenceHistoryRecord(
+                trial=row["trial"],
+                model=row["model"],
+                task=row["task"],
+                id=row["id"],
+                result=row["result"],
+                elapsed=row["elapsed"],
+                created=row["created"],
+                **numeric,
+            )
+        )
+    return records

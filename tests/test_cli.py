@@ -426,6 +426,15 @@ BAD_INPUTS = {
     "store-directory": ("chem --store {bad} --out {tmp}/c.csv", "s.json", None, ["directory"]),
     "grades-extra-field": ("score --grades {bad} --out {tmp}/s.json", "g.csv",
                            b"grader,output_id,grade\ng1,o1,5,extra\n", ["row 2)"]),
+    "grades-nan": ("score --grades {bad} --out {tmp}/s.json", "g.csv",
+                   b"grader,output_id,grade\ng1,o1,5\ng2,o1,nan\n",
+                   ["must be in [0, 10], got nan", "row 3, field 'grade'"]),
+    "grades-out-of-range": ("score --grades {bad} --out {tmp}/s.json", "g.csv",
+                            b"grader,output_id,grade\ng1,o1,10.5\ng2,o1,5\n",
+                            ["got 10.5", "row 2, field 'grade'"]),
+    "grades-duplicate": ("score --grades {bad} --out {tmp}/s.json", "g.csv",
+                         b"grader,output_id,grade\ng1,o1,5\ng2,o1,6\n\ng1,o1,7\n",
+                         ["duplicate grade for ('g1', 'o1')", "row 4, field 'output_id'"]),
     "chem-extra-field": ("recommend --store {store} --chem {bad} --pool {tmp}/p.json --out {tmp}/r.json",
                          "c.csv", b"model_a,model_b,chemistry\ngpt-4o,o3-mini,0.5,9\n", ["row 2)"]),
     "chem-empty-name": ("recommend --store {store} --chem {bad} --pool {tmp}/p.json --out {tmp}/r.json",

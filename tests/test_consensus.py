@@ -190,6 +190,19 @@ class TestCsvLoaders:
             load_grades_csv(path)
         assert err.value.row == 2
 
+    @pytest.mark.parametrize("rows, row, field", [
+        ("g1,o1,5.0\ng2,o1,nan\n", 3, "grade"),
+        ("g1,o1,-0.5\n", 2, "grade"),
+        ("g1,o1,inf\n", 2, "grade"),
+        ("g1,o1,5.0\ng2,o1,6.0\ng1,o1,5.0\n", 4, "output_id"),
+    ])
+    def test_grades_bad_grade_or_repeated_key_reports_row(self, tmp_path, rows, row, field):
+        path = tmp_path / "grades.csv"
+        path.write_text("grader,output_id,grade\n" + rows)
+        with pytest.raises(ParseError) as err:
+            load_grades_csv(path)
+        assert (err.value.row, err.value.field) == (row, field)
+
     def test_ground_truth_duplicate_rejected(self, tmp_path):
         path = tmp_path / "gt.csv"
         path.write_text("output_id,reference\no1,true\no1,false\n")

@@ -1,0 +1,235 @@
+"""The list-row CSV reader and the history parser equal the code they replaced.
+
+The references in ``tests/helpers.py`` are verbatim copies of ``read_csv`` on
+``csv.DictReader`` and of the history parser that checked each numeric field
+on its own and built frozen-dataclass records.  On every generated file the
+current code must yield the same rows and records, field by field, or raise a
+``ParseError`` with the same message, row and field after the same rows.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+
+import pytest
+from helpers import reference_parse_history_csv, reference_read_csv
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from llmchem.errors import ParseError
+from llmchem.files import read_csv
+from llmchem.history import (
+    _NUMERIC_INDEX,
+    _NUMERIC_RANGES,
+    HISTORY_COLUMNS,
+    HistoryRecord,
+    parse_history_csv,
+)
+
+COLUMNS = ("a", "b", "c")
+
+#: Field text: separators, quotes, line breaks (quoted fields that span
+#: lines), NUL and a non-ASCII letter.
+TEXT = st.text(st.sampled_from('ab1., "\n\r\x00é'), max_size=5)
+
+#: Numeric field text the history parser must treat exactly as before.
+NUMBER_TEXT = st.one_of(
+    st.sampled_from(
+        ["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "-0.0", "1_0", " 2.0 ", "", "abc",
+         "0", "1", "10", "10.000001", "-1", "1.5", "11", "0x10", "١", "1e-400"]
+    ),
+    st.floats().map(repr),
+)
+
+#: Valid text per numeric column, drawn inside its range.
+VALID_NUMBER = {
+    "latency": st.floats(0.0, 1e3),
+    "temperature": st.floats(-2.0, 2.0),
+    "quality": st.floats(0.0, 10.0),
+    "gen_accuracy": st.floats(0.0, 1.0),
+    "variance": st.floats(0.0, 1e3),
+    "review_accuracy": st.floats(0.0, 1.0),
+    "accuracy": st.floats(0.0, 1.0),
+}
+
+BAD_BYTES = st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"])
+
+
+def _outcome(rows):
+    """What a caller sees: the rows yielded before any error, then the error's location."""
+    seen = []
+    try:
+        for item in rows:
+            seen.append(item)
+    except ParseError as exc:
+        return seen, (str(exc), exc.row, exc.field)
+    return seen, None
+
+
+def _line(fields, terminator: str) -> str:
+    out = io.StringIO(newline="")
+    csv.writer(out, lineterminator=terminator).writerow(fields)
+    return out.getvalue()
+
+
+@st.composite
+def _encode(draw, rows: list[list[str]]) -> bytes:
+    """CSV bytes of ``rows`` with blank lines drawn before any row and maybe one bad byte."""
+    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    blanks = st.sampled_from([0, 0, 0, 0, 1, 2])
+    text = "".join(terminator * draw(blanks) + _line(row, terminator) for row in rows)
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(BAD_BYTES) + data[at:]
+    return data
+
+
+@st.composite
+def csv_files(draw) -> bytes:
+    """A three-column file: any header order, maybe a bad header, short and long rows."""
+    header = list(draw(st.permutations(COLUMNS)))
+    fault = draw(st.sampled_from([None] * 6 + ["missing", "stray", "duplicate", "empty"]))
+    if fault == "missing":
+        header.pop()
+    elif fault == "stray":
+        header.append("d")
+    elif fault == "duplicate":
+        header[-1] = header[0]
+    elif fault == "empty":
+        header = []
+    widths = st.sampled_from([3] * 8 + [0, 1, 2, 4])
+    records = [draw(st.lists(TEXT, min_size=w, max_size=w))
+               for w in draw(st.lists(widths, max_size=6))]
+    return draw(_encode([header] + records))
+
+
+def _write(workdir, data: bytes):
+    path = workdir / "in.csv"
+    path.write_bytes(data)
+    return path
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("equivalence")
+
+
+def _assert_same_rows(path) -> None:
+    old = ((n, [row[c] for c in COLUMNS]) for n, row in reference_read_csv(path, COLUMNS))
+    assert _outcome(read_csv(path, COLUMNS)) == _outcome(old)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=csv_files())
+@example(data=b"c,a,b\n3,1,2\n")
+@example(data=b"\na,b,c\n1,2,3\n")
+@example(data=b"a,b,c\n\n1,2,3\n\r\n\n4,5,6\n")
+@example(data=b'a,b,c\n"x\ny",2,3\n1,2\n')
+@example(data=b"a,b,c\n1,2,3\n1,2,3,4\n")
+@example(data=b"a,b,c\n1,2,\xff\n")
+def test_read_csv_yields_the_dict_readers_rows(workdir, data):
+    _assert_same_rows(_write(workdir, data))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(st.sampled_from('abc,\n\r" \x00'), max_size=40), header=st.booleans())
+def test_read_csv_equals_on_raw_text(workdir, text, header):
+    _assert_same_rows(_write(workdir, (("a,b,c\n" if header else "") + text).encode("utf-8")))
+
+
+@st.composite
+def history_files(draw) -> bytes:
+    """A history file with faults from the parser's every branch mixed into valid rows.
+
+    Faults: an empty model, a numeric field from ``NUMBER_TEXT`` (not a number,
+    non-finite, out of range, or odd but valid spellings), a repeated
+    ``(trial, model, id)`` key, a short or a long row; several may land in one
+    row.  The header order, blank lines, multi-line fields and a bad byte vary.
+    """
+    rows = []
+    for i in range(draw(st.integers(0, 6))):
+        row = {
+            "trial": draw(st.sampled_from(["t0", "t1"])),
+            "model": draw(st.sampled_from(["m0", "m1"])),
+            "task": draw(TEXT),
+            "id": f"o{i}",
+            "result": draw(TEXT),
+            "elapsed": draw(TEXT),
+            "created": "2025-06-01 12:00:00",
+        }
+        row.update({column: repr(draw(valid)) for column, valid in VALID_NUMBER.items()})
+        rows.append(row)
+    lengths = {}
+    kinds = st.sampled_from(["model", "number", "number", "number", "duplicate", "short", "long"])
+    for at, kind in draw(st.lists(st.tuples(st.integers(0, 5), kinds), max_size=3)):
+        if at >= len(rows):
+            continue
+        row = rows[at]
+        if kind == "model":
+            row["model"] = ""
+        elif kind == "number":
+            row[draw(st.sampled_from(list(VALID_NUMBER)))] = draw(NUMBER_TEXT)
+        elif kind == "duplicate":
+            other = rows[draw(st.integers(0, len(rows) - 1))]
+            row.update(trial=other["trial"], model=other["model"], id=other["id"])
+        else:
+            lengths[at] = -1 if kind == "short" else 1
+    order = list(draw(st.permutations(HISTORY_COLUMNS)))
+    lines = [order]
+    for at, row in enumerate(rows):
+        fields = [row[column] for column in order]
+        if lengths.get(at) == -1:
+            fields.pop()
+        elif lengths.get(at) == 1:
+            fields.append("extra")
+        lines.append(fields)
+    return draw(_encode(lines))
+
+
+def _fields(record) -> list[tuple[type, str]]:
+    """Each field's type and repr, so -0.0 and 0.0 differ."""
+    return [(type(value), repr(value)) for value in (getattr(record, c) for c in HISTORY_COLUMNS)]
+
+
+def _parse(parser, path):
+    try:
+        return [_fields(record) for record in parser(path)], None
+    except ParseError as exc:
+        return None, (str(exc), exc.row, exc.field)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=history_files())
+def test_history_parser_equals_the_per_field_parser(workdir, data):
+    path = _write(workdir, data)
+    assert _parse(parse_history_csv, path) == _parse(reference_parse_history_csv, path)
+
+
+def test_history_fixture_parses_to_the_same_records(history_fixture):
+    assert _parse(parse_history_csv, history_fixture) == _parse(
+        reference_parse_history_csv, history_fixture
+    )
+    assert _parse(parse_history_csv, history_fixture)[0]
+
+
+@pytest.mark.parametrize("column", list(_NUMERIC_RANGES))
+@pytest.mark.parametrize("text", ["-1", "11", "1.0000001", "inf", "-inf", "nan", "1e400", "x"])
+def test_each_column_out_of_range_names_it(workdir, column, text):
+    row = {c: "0.5" for c in _NUMERIC_RANGES}
+    row.update(trial="t", model="m", task="q", id="o", result="r", elapsed="e", created="c")
+    row[column] = text
+    body = _line(HISTORY_COLUMNS, "\n") + _line([row[c] for c in HISTORY_COLUMNS], "\n")
+    path = _write(workdir, body.encode("utf-8"))
+    records, error = _parse(parse_history_csv, path)
+    assert (records, error) == _parse(reference_parse_history_csv, path)
+    assert error is None or error[1:] == (2, column)
+
+
+def test_the_parser_reads_the_record_positions_of_the_history_columns():
+    # parse_history_csv builds each record from the row in place, so the two
+    # orders must be one, and the numeric positions those it assigns.
+    assert HistoryRecord._fields == HISTORY_COLUMNS
+    assert _NUMERIC_INDEX == (3, 4, 7, 8, 9, 10, 11)
+    assert [HISTORY_COLUMNS[i] for i in (0, 1, 5)] == ["trial", "model", "id"]
