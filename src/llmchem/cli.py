@@ -16,7 +16,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -64,28 +64,31 @@ from .recommend import CandidatePool, LossParams, recommend
 
 logger = logging.getLogger(__name__)
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Tunables shared across subcommands, echoed on every run.
+#: The settings every subcommand shares, echoed as ``config:`` and recorded in
+#: every sidecar: config key -> (default, help, range check).  Values the
+#: library uses take their default and their check from the type or function
+#: that uses them; ``tau`` and ``seed`` are used by the CLI alone.
+_SETTINGS = {
+    "alpha": (LossParams.alpha, "inter/intra loss balance", lambda v: LossParams(alpha=v)),
+    "beta": (LossParams.beta, "subset size penalty", lambda v: LossParams(beta=v)),
+    "lambda": (CIParams.lam, "coverage/diversity trade-off", lambda v: CIParams(lam=v)),
+    "tau": (0.0, "chemistry report threshold", check_tau),
+    "used_threshold": (ModelSet.used_threshold, "accuracy cut-off for usable outputs",
+                       lambda v: check_cost_knobs(ModelSet.empty_cost, v)),
+    "empty_cost": (ModelSet.empty_cost, "cost of a configuration with no usable output",
+                   lambda v: check_cost_knobs(v, ModelSet.used_threshold)),
+    "max_iters": (LossParams.max_iters, "hill-climb budget per seed",
+                  lambda v: LossParams(max_iters=v)),
+    "grid_size": (DEFAULT_GRID_SIZE, "chemistry map resolution", check_grid_size),
+    "seed": (0, "seed for audits and diagnostics", lambda v: None),
+}
 
-    Values the library uses take their defaults from the domain type or
-    function that uses them; ``tau`` and ``seed`` are used by the CLI alone.
-    """
-
-    alpha: float = LossParams.alpha
-    beta: float = LossParams.beta
-    lam: float = CIParams.lam
-    tau: float = 0.0
-    used_threshold: float = ModelSet.used_threshold
-    empty_cost: float = ModelSet.empty_cost
-    max_iters: int = LossParams.max_iters
-    grid_size: int = DEFAULT_GRID_SIZE
-    seed: int = 0
-
-    def as_dict(self) -> dict:
-        out = asdict(self)
-        out["lambda"] = out.pop("lam")
-        return out
+#: Subcommand flags outside the shared settings: argparse dest -> range check.
+_FLAG_CHECKS = {
+    "consensus_max_iters": lambda value: check_consensus_knobs(max_iters=value),
+    "consensus_tol": lambda value: check_consensus_knobs(tol=value),
+    "size_cap": lambda value: LossParams(size_cap=value),
+}
 
 
 class _UsageError(Exception):
@@ -97,50 +100,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-#: Config keys (as in a config file and the ``config:`` echo) -> RunConfig fields.
-_CONFIG_FIELDS = {("lambda" if f.name == "lam" else f.name): f for f in fields(RunConfig)}
-
-_FLAG_HELP = {
-    "alpha": "inter/intra loss balance",
-    "beta": "subset size penalty",
-    "lambda": "coverage/diversity trade-off",
-    "tau": "chemistry report threshold",
-    "used_threshold": "accuracy cut-off for usable outputs",
-    "empty_cost": "cost of a configuration with no usable output",
-    "max_iters": "hill-climb budget per seed",
-    "grid_size": "chemistry map resolution",
-    "seed": "seed for audits and diagnostics",
-}
-
-
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON file of config defaults")
-    for key, field in _CONFIG_FIELDS.items():
+    for key, (default, text, _) in _SETTINGS.items():
         parser.add_argument(
-            "--" + key.replace("_", "-"), dest=field.name, type=type(field.default),
-            help=f"{_FLAG_HELP[key]} (default {field.default})",
+            "--" + key.replace("_", "-"), dest=key, type=type(default),
+            metavar="LAM" if key == "lambda" else None,  # CIParams' name for it
+            help=f"{text} (default {default})",
         )
 
 
-def _check_ranges(config: RunConfig) -> None:
-    """Raise ``DomainError`` for a value outside the domain of the type that uses it."""
-    LossParams(alpha=config.alpha, beta=config.beta, max_iters=config.max_iters)
-    CIParams(lam=config.lam)
-    check_tau(config.tau)
-    check_cost_knobs(config.empty_cost, config.used_threshold)
-    check_grid_size(config.grid_size)
+def _resolve_config(args: argparse.Namespace) -> dict:
+    """Defaults, then the ``--config`` file, then flags; every value type- and range-checked.
 
-
-#: Subcommand flags outside RunConfig: argparse dest -> range check.
-_FLAG_CHECKS = {
-    "consensus_max_iters": lambda value: check_consensus_knobs(max_iters=value),
-    "consensus_tol": lambda value: check_consensus_knobs(tol=value),
-    "size_cap": lambda value: LossParams(size_cap=value),
-}
-
-
-def _check_flags(args: argparse.Namespace) -> None:
-    """Range-check the subcommand's own numeric flags, naming the flag on failure."""
+    The subcommand's own numeric flags are range-checked first, naming the flag.
+    """
     for dest, check in _FLAG_CHECKS.items():
         value = getattr(args, dest, None)
         if value is None:
@@ -148,57 +122,47 @@ def _check_flags(args: argparse.Namespace) -> None:
         try:
             check(value)
         except DomainError as exc:
-            flag = "--" + dest.replace("_", "-")
-            raise _UsageError(f"{flag} is out of range: {exc}") from None
-
-
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the ``--config`` file, then flags; every value type- and range-checked."""
-    _check_flags(args)
+            raise _UsageError(f"--{dest.replace('_', '-')} is out of range: {exc}") from None
     given: list[tuple[str, object, str]] = []  # (key, value, where it came from)
-    path = getattr(args, "config", None)
-    if path is not None:
-        payload = read_json(path)
+    if args.config is not None:
+        payload = read_json(args.config)
         if not isinstance(payload, dict):
-            raise ParseError("a config file must hold a JSON object", path=path)
-        stray = sorted(set(payload) - set(_CONFIG_FIELDS))
+            raise ParseError("a config file must hold a JSON object", path=args.config)
+        stray = sorted(set(payload) - set(_SETTINGS))
         if stray:
-            raise _UsageError(f"unknown config keys in {path}: {stray}")
-        given += [(key, value, f"in {path}") for key, value in payload.items()]
-    for key, field in _CONFIG_FIELDS.items():
-        value = getattr(args, field.name, None)
-        if value is not None:
-            given.append((key, value, "on the command line"))
-    values = {}
+            raise _UsageError(f"unknown config keys in {args.config}: {stray}")
+        given += [(key, value, f"in {args.config}") for key, value in payload.items()]
+    given += [(key, getattr(args, key), "on the command line")
+              for key in _SETTINGS if getattr(args, key) is not None]
+    config = {key: default for key, (default, _, _) in _SETTINGS.items()}
     for key, value, where in given:
-        field = _CONFIG_FIELDS[key]
-        whole = isinstance(field.default, int)
+        default, _, check = _SETTINGS[key]
+        whole = isinstance(default, int)
         number = isinstance(value, int if whole else (int, float)) and not isinstance(value, bool)
         if not number or not -math.inf < value < math.inf:
             kind = "an integer" if whole else "a finite number"
             raise _UsageError(f"config key {key!r} {where} must be {kind}, got {value!r}")
         try:
-            # Defaults are in range, so only this value can fail the check.
-            _check_ranges(RunConfig(**{field.name: value}))
+            check(value)
         except DomainError as exc:
             raise _UsageError(f"config key {key!r} {where} is out of range: {exc}") from None
-        values[field.name] = value
-    return RunConfig(**values)
+        config[key] = value
+    return config
 
 
-def _echo_config(config: RunConfig) -> None:
-    print("config: " + json.dumps(config.as_dict(), sort_keys=True))
+def _echo_config(config: dict) -> None:
+    print("config: " + json.dumps(config, sort_keys=True))
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_meta(out: Path, config: RunConfig, inputs: dict[str, Path], extra: dict | None = None) -> None:
+def _write_meta(out: Path, config: dict, inputs: dict[str, Path], extra: dict | None = None) -> None:
     meta = {
         "package": "llmchem",
         "version": __version__,
-        "config": config.as_dict(),
+        "config": config,
         "inputs": {
             label: {"path": str(path), "sha256": _sha256(path)}
             for label, path in sorted(inputs.items())
@@ -224,16 +188,19 @@ def _select_store(path: Path, context: str | None):
     raise LLMChemError(f"no store with context {context!r} in {path}")
 
 
-def _model_set(store, config: RunConfig) -> ModelSet:
+def _model_set(store, config: dict) -> ModelSet:
     return store.to_model_set(
-        empty_cost=config.empty_cost, used_threshold=config.used_threshold
+        empty_cost=config["empty_cost"], used_threshold=config["used_threshold"]
     )
 
 
-def cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_ingest(args: argparse.Namespace, config: dict) -> int:
     records = []
     for path in args.csv:
-        records.extend(parse_history_csv(path))
+        parsed = parse_history_csv(path)
+        if not parsed:
+            raise ParseError("a history CSV needs at least one record", path=path)
+        records.extend(parsed)
     stores = build_profiles(
         records,
         grouping=args.grouping,
@@ -246,7 +213,7 @@ def cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def cmd_score(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_score(args: argparse.Namespace, config: dict) -> int:
     matrix = load_grades_csv(args.grades)
     result = vancouver_consensus(
         matrix, max_iters=args.consensus_max_iters, tol=args.consensus_tol
@@ -294,7 +261,7 @@ def cmd_score(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def cmd_chem(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_chem(args: argparse.Namespace, config: dict) -> int:
     store = _select_store(args.store, args.context)
     model_set = _model_set(store, config)
     if args.brute_force:
@@ -305,7 +272,7 @@ def cmd_chem(args: argparse.Namespace, config: RunConfig) -> int:
     table.to_csv(args.out)
     if args.json_out is not None:
         write_json(args.json_out, table.to_json_obj(model_set))
-    reported = llmcp_filter(table, config.tau)
+    reported = llmcp_filter(table, config["tau"])
     _write_meta(
         args.out,
         config,
@@ -318,12 +285,12 @@ def cmd_chem(args: argparse.Namespace, config: RunConfig) -> int:
     )
     print(
         f"chemistry ({table.method}) over {len(model_set.profiles)} models: "
-        f"{len(reported)} pair(s) above tau={config.tau}, max={table.max_score()!r}"
+        f"{len(reported)} pair(s) above tau={config['tau']}, max={table.max_score()!r}"
     )
     return 0
 
 
-def cmd_recommend(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_recommend(args: argparse.Namespace, config: dict) -> int:
     store = _select_store(args.store, args.context)
     model_set = _model_set(store, config)
     table = ChemistryTable.from_csv(args.chem, members=model_set.members)
@@ -332,9 +299,9 @@ def cmd_recommend(args: argparse.Namespace, config: RunConfig) -> int:
     if unknown:
         raise ParseError(f"models not in the store: {unknown}", path=args.pool)
     params = LossParams(
-        alpha=config.alpha,
-        beta=config.beta,
-        max_iters=config.max_iters,
+        alpha=config["alpha"],
+        beta=config["beta"],
+        max_iters=config["max_iters"],
         size_cap=args.size_cap,
     )
     result = recommend(pool, table, params)
@@ -363,7 +330,7 @@ def _ensemble_arg(value: str) -> list[str]:
     return names
 
 
-def cmd_map(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_map(args: argparse.Namespace, config: dict) -> int:
     store = _select_store(args.store, args.context)
     names = args.ensemble
     points = []
@@ -372,7 +339,7 @@ def cmd_map(args: argparse.Namespace, config: RunConfig) -> int:
             raise ParseError(f"--ensemble names model {name!r}, which is not in the store",
                              path=args.store)
         points.append(EnsemblePoint.from_profile(store.profiles[name]))
-    grid = delta_ci_map(points, CIParams(lam=config.lam), grid_size=config.grid_size)
+    grid = delta_ci_map(points, CIParams(lam=config["lambda"]), grid_size=config["grid_size"])
     grid.to_csv(args.out)
     summary_path = args.out.with_name(args.out.name + ".summary.json")
     write_json(summary_path, grid.summary())
@@ -400,7 +367,16 @@ def _load_ensembles(path: Path) -> list[list[str]]:
     return ensembles
 
 
-def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
+#: ``eval`` input flags that only one metric reads: argparse dest -> that metric.
+_METRIC_INPUTS = {"chem": "correlation", "history": "effectiveness"}
+
+
+def cmd_eval(args: argparse.Namespace, config: dict) -> int:
+    for dest, metric in _METRIC_INPUTS.items():
+        if getattr(args, dest) is not None and args.metric != metric:
+            raise _UsageError(
+                f"--{dest} is read only by --metric {metric}, not by --metric {args.metric}"
+            )
     store = _select_store(args.store, args.context)
     ensembles = _load_ensembles(args.ensembles)
     for group in ensembles:
@@ -417,20 +393,23 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
             accuracies = task_accuracies(parse_history_csv(args.history))
             inputs["history"] = args.history
         header = ["ensemble", "effectiveness"]
-        for group in ensembles:
+        for number, group in enumerate(ensembles, start=1):
             if accuracies is not None:
                 matrix, skipped = task_matrix(accuracies, group)
                 if skipped:
                     logger.warning("skipped %d task(s) lacking records for some members", skipped)
                 if not matrix:
-                    raise LLMChemError("no task has records for every ensemble member")
+                    raise ParseError(
+                        f"no task has records for every member of ensemble {number}: {group}",
+                        path=args.history,
+                    )
             else:
                 # Single pseudo-task over the stored profile accuracies.
                 matrix = [[store.profiles[m].accuracy for m in group]]
             rows.append(["|".join(group), repr(effectiveness_soft_vote(matrix))])
     elif args.metric == "ci":
         header = ["ensemble", "ci"]
-        params = CIParams(lam=config.lam)
+        params = CIParams(lam=config["lambda"])
         for group in ensembles:
             points = [EnsemblePoint.from_profile(store.profiles[m]) for m in group]
             rows.append(["|".join(group), repr(complementarity_index(points, params))])
@@ -440,7 +419,7 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
         inputs["chem"] = args.chem
         model_set = _model_set(store, config)
         table = ChemistryTable.from_csv(args.chem, members=model_set.members)
-        params = CIParams(lam=config.lam)
+        params = CIParams(lam=config["lambda"])
         header = ["ensemble", "chemistry", "ci"]
         chems, cis = [], []
         for group in ensembles:
@@ -470,7 +449,7 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_check(args: argparse.Namespace, config: dict) -> int:
     store = _select_store(args.store, args.context)
     model_set = _model_set(store, config)
     failures = 0
@@ -483,7 +462,7 @@ def cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
     if len(names) > AUDIT_SIZE_GUARD:
         audited = restricted(model_set.profile(n) for n in names[:AUDIT_SIZE_GUARD])
         print(f"check: auditing the first {AUDIT_SIZE_GUARD} of {len(names)} models")
-    report = audit_cost_properties(audited, trials=1000, seed=config.seed)
+    report = audit_cost_properties(audited, trials=1000, seed=config["seed"])
     for section in (report.monotonicity, report.linearity):
         status = "PASS" if section.clean else "FAIL"
         print(f"{status} {section.name}: {section.violations}/{section.trials} violations")

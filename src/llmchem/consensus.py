@@ -277,8 +277,18 @@ def load_ground_truth_csv(path: str | Path) -> dict[str, str]:
 
 
 def load_results_csv(path: str | Path) -> dict[str, list[tuple[str, str]]]:
-    """Read a ``model,output_id,result`` CSV into each model's (output id, result) rows."""
+    """Read a ``model,output_id,result`` CSV into each model's (output id, result) rows.
+
+    Every row names a model, and no ``(model, output_id)`` appears twice.
+    """
     outputs_by_model: dict[str, list[tuple[str, str]]] = {}
-    for _, (model, output, result) in read_csv(path, ("model", "output_id", "result")):
+    seen: set[tuple[str, str]] = set()
+    for number, (model, output, result) in read_csv(path, ("model", "output_id", "result")):
+        if not model:
+            raise ParseError("model name is empty", path=path, row=number, field="model")
+        if (model, output) in seen:
+            raise ParseError(f"duplicate result for {(model, output)!r}",
+                             path=path, row=number, field="output_id")
+        seen.add((model, output))
         outputs_by_model.setdefault(model, []).append((output, result))
     return outputs_by_model

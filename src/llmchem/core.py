@@ -378,6 +378,18 @@ def _submodularity_gap(rng: random.Random, model_set: ModelSet, names: list[str]
     return rhs - lhs
 
 
+#: The audited properties in the order they draw: (name, probe, note).  A probe
+#: returns one trial's violation, positive beyond ``_ABS_TOL`` when violated.
+_AUDITS = (
+    ("monotonicity", _monotonicity_probe,
+     "rank- and usage-preserving raises of a single quality or accuracy"),
+    ("linearity", _linearity_residual,
+     "cost equals the sum of per-output terms recomputed independently"),
+    ("submodularity", _submodularity_gap,
+     "diagnostic only; rank re-weighting can break diminishing returns"),
+)
+
+
 def audit_cost_properties(
     model_set: ModelSet, trials: int, seed: int
 ) -> PropertyAuditReport:
@@ -400,52 +412,14 @@ def audit_cost_properties(
         )
     names = sorted(model_set.members)
     rng = random.Random(seed)
-
-    mono_violations = 0
-    mono_worst = 0.0
-    for _ in range(trials):
-        increase = _monotonicity_probe(rng, model_set, names)
-        if increase > _ABS_TOL:
-            mono_violations += 1
-            mono_worst = max(mono_worst, increase)
-
-    lin_violations = 0
-    lin_worst = 0.0
-    for _ in range(trials):
-        residual = _linearity_residual(rng, model_set, names)
-        lin_worst = max(lin_worst, residual)
-        if residual > _ABS_TOL:
-            lin_violations += 1
-
-    sub_violations = 0
-    sub_worst = 0.0
-    for _ in range(trials):
-        gap = _submodularity_gap(rng, model_set, names)
-        if gap > _ABS_TOL:
-            sub_violations += 1
-            sub_worst = max(sub_worst, gap)
-
-    return PropertyAuditReport(
-        seed=seed,
-        monotonicity=AuditSection(
-            name="monotonicity",
-            trials=trials,
-            violations=mono_violations,
-            worst=mono_worst,
-            note="rank- and usage-preserving raises of a single quality or accuracy",
-        ),
-        linearity=AuditSection(
-            name="linearity",
-            trials=trials,
-            violations=lin_violations,
-            worst=lin_worst,
-            note="cost equals the sum of per-output terms recomputed independently",
-        ),
-        submodularity=AuditSection(
-            name="submodularity",
-            trials=trials,
-            violations=sub_violations,
-            worst=sub_worst,
-            note="diagnostic only; rank re-weighting can break diminishing returns",
-        ),
-    )
+    sections = {}
+    for name, probe, note in _AUDITS:
+        violations, worst = 0, 0.0
+        for _ in range(trials):
+            value = probe(rng, model_set, names)
+            if value > _ABS_TOL:
+                violations += 1
+            if value > _ABS_TOL or name == "linearity":  # linearity: the largest residual
+                worst = max(worst, value)
+        sections[name] = AuditSection(name, trials, violations, worst, note)
+    return PropertyAuditReport(seed=seed, **sections)

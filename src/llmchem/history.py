@@ -136,22 +136,7 @@ def parse_history_csv(path: str | Path) -> list[HistoryRecord]:
 def write_history_csv(records: Iterable[HistoryRecord], path: str | Path) -> None:
     """Write records in canonical form: fixed column order, shortest float reprs."""
     rows = (
-        [
-            record.trial,
-            record.model,
-            record.task,
-            repr(record.latency),
-            repr(record.temperature),
-            record.id,
-            record.result,
-            repr(record.quality),
-            repr(record.gen_accuracy),
-            repr(record.variance),
-            repr(record.review_accuracy),
-            repr(record.accuracy),
-            record.elapsed,
-            record.created,
-        ]
+        [repr(value) if index in _NUMERIC_INDEX else value for index, value in enumerate(record)]
         for record in records
     )
     write_csv(path, HISTORY_COLUMNS, rows)
@@ -298,6 +283,6 @@ def read_profiles(path: str | Path) -> list[ProfileStore]:
     if stray:
         logger.warning("ignoring unknown top-level keys: %s", stray)
     stores_obj = payload.get("stores")
-    if not isinstance(stores_obj, list):
-        raise ParseError("lacks a 'stores' list", path=path)
+    if not isinstance(stores_obj, list) or not stores_obj:
+        raise ParseError("lacks a non-empty 'stores' list", path=path)
     return [_store_from_obj(obj, path) for obj in stores_obj]

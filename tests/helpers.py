@@ -589,3 +589,75 @@ def reference_parse_history_csv(path: str | Path) -> list[ReferenceHistoryRecord
             )
         )
     return records
+
+
+def reference_audit_cost_properties(model_set, trials: int, seed: int):
+    """Verbatim copy of ``core.audit_cost_properties`` before it ran one loop over a table."""
+    from llmchem.core import (
+        _ABS_TOL,
+        AUDIT_SIZE_GUARD,
+        AuditSection,
+        PropertyAuditReport,
+        _linearity_residual,
+        _monotonicity_probe,
+        _submodularity_gap,
+    )
+    from llmchem.errors import SizeLimitError
+
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    if len(model_set.profiles) > AUDIT_SIZE_GUARD:
+        raise SizeLimitError(
+            f"audit supports at most {AUDIT_SIZE_GUARD} models, got {len(model_set.profiles)}"
+        )
+    names = sorted(model_set.members)
+    rng = random.Random(seed)
+
+    mono_violations = 0
+    mono_worst = 0.0
+    for _ in range(trials):
+        increase = _monotonicity_probe(rng, model_set, names)
+        if increase > _ABS_TOL:
+            mono_violations += 1
+            mono_worst = max(mono_worst, increase)
+
+    lin_violations = 0
+    lin_worst = 0.0
+    for _ in range(trials):
+        residual = _linearity_residual(rng, model_set, names)
+        lin_worst = max(lin_worst, residual)
+        if residual > _ABS_TOL:
+            lin_violations += 1
+
+    sub_violations = 0
+    sub_worst = 0.0
+    for _ in range(trials):
+        gap = _submodularity_gap(rng, model_set, names)
+        if gap > _ABS_TOL:
+            sub_violations += 1
+            sub_worst = max(sub_worst, gap)
+
+    return PropertyAuditReport(
+        seed=seed,
+        monotonicity=AuditSection(
+            name="monotonicity",
+            trials=trials,
+            violations=mono_violations,
+            worst=mono_worst,
+            note="rank- and usage-preserving raises of a single quality or accuracy",
+        ),
+        linearity=AuditSection(
+            name="linearity",
+            trials=trials,
+            violations=lin_violations,
+            worst=lin_worst,
+            note="cost equals the sum of per-output terms recomputed independently",
+        ),
+        submodularity=AuditSection(
+            name="submodularity",
+            trials=trials,
+            violations=sub_violations,
+            worst=sub_worst,
+            note="diagnostic only; rank re-weighting can break diminishing returns",
+        ),
+    )

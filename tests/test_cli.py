@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from llmchem.cli import main
-from llmchem.history import HistoryRecord, write_history_csv
+from llmchem.history import HISTORY_COLUMNS, HistoryRecord, write_history_csv
 
 
 @pytest.fixture()
@@ -420,6 +420,16 @@ BAD_INPUTS = {
     "results-short-row": (
         "score --grades {grades} --ground-truth {gt} --results {bad} --out {tmp}/s.json",
         "r.csv", b"model,output_id,result\ng1,o1\n", ["row 2, field 'result'"]),
+    "results-repeated-key": (
+        "score --grades {grades} --ground-truth {gt} --results {bad} --out {tmp}/s.json",
+        "r.csv", b"model,output_id,result\nm1,o1,yes\nm1,o1,yes\n",
+        ["duplicate result for ('m1', 'o1')", "row 3, field 'output_id'"]),
+    "results-empty-model": (
+        "score --grades {grades} --ground-truth {gt} --results {bad} --out {tmp}/s.json",
+        "r.csv", b"model,output_id,result\nm1,o1,yes\n,o1,no\n",
+        ["model name is empty", "row 3, field 'model'"]),
+    "history-no-records": ("ingest {bad} --out {tmp}/s.json", "h.csv",
+                           ",".join(HISTORY_COLUMNS).encode() + b"\n", ["at least one record"]),
     "history-encoding": ("ingest {bad} --out {tmp}/s.json", "h.csv", b"\xff", ["utf-8"]),
     "store-encoding": ("chem --store {bad} --out {tmp}/c.csv", "s.json", b"\xff", ["utf-8"]),
     "history-directory": ("ingest {bad} --out {tmp}/s.json", "h.csv", None, ["directory"]),
@@ -460,6 +470,8 @@ BAD_INPUTS = {
                            b'[{"model": "m", "quality": "abc", "accuracy": 0.5}]}]}', ["'abc'"]),
     "store-stores-type": ("chem --store {bad} --out {tmp}/c.csv", "s.json",
                           b'{"version": 1, "stores": 3}', ["'stores'"]),
+    "store-no-stores": ("chem --store {bad} --out {tmp}/c.csv", "s.json",
+                        b'{"version": 1, "stores": []}', ["non-empty 'stores' list"]),
     "store-model-type": ("chem --store {bad} --out {tmp}/c.csv", "s.json",
                          b'{"version": 1, "stores": [{"context_key": "all", "profiles": '
                          b'[{"model": 7, "quality": 5, "accuracy": 0.5}]}]}', ["model name 7"]),
@@ -615,7 +627,7 @@ def test_out_of_range_subcommand_flag_exits_1_naming_the_flag(flag, tmp_path, ca
 
 
 def test_eval_history_warns_per_ensemble_and_rejects_an_ensemble_with_no_full_task(
-    store_path, history_fixture, tmp_path, caplog
+    store_path, history_fixture, tmp_path, caplog, capsys
 ):
     records = [
         HistoryRecord(
@@ -642,5 +654,26 @@ def test_eval_history_warns_per_ensemble_and_rejects_an_ensemble_with_no_full_ta
         {"ensemble": "gpt-4o", "effectiveness": "1.0"},
     ]
     ensembles.write_text(json.dumps({"ensembles": [["gpt-4o", "qwen2.5:32b"]]}))
+    capsys.readouterr()
     assert main(argv + ["--out", str(tmp_path / "none.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: no task has records for every member of ensemble 1: "
+        f"['gpt-4o', 'qwen2.5:32b'] (in {history})\n"
+    )
     assert not (tmp_path / "none.csv").exists()
+
+
+@pytest.mark.parametrize("flag, metric", [
+    ("--chem", "effectiveness"), ("--chem", "ci"),
+    ("--history", "ci"), ("--history", "correlation"),
+])
+def test_eval_rejects_an_input_flag_its_metric_does_not_read(flag, metric, tmp_path, capsys):
+    reader = {"--chem": "correlation", "--history": "effectiveness"}[flag]
+    # The inputs do not exist: the flag must be rejected before any is read.
+    argv = (f"eval --store {tmp_path}/s.json --ensembles {tmp_path}/e.json --metric {metric} "
+            f"{flag} {tmp_path}/x.csv --out {tmp_path}/e.csv")
+    assert main(argv.split()) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: {flag} is read only by --metric {reader}, not by --metric {metric}\n"
+    )
+    assert list(tmp_path.iterdir()) == []

@@ -20,7 +20,7 @@ from llmchem import (
 )
 from llmchem.errors import DomainError, InvalidConfigurationError, SizeLimitError
 
-from helpers import homogeneous_model_set, random_model_set
+from helpers import homogeneous_model_set, random_model_set, reference_audit_cost_properties
 
 ABS = 1e-12
 
@@ -280,3 +280,18 @@ class TestAudit:
         first = audit_cost_properties(ms, trials=200, seed=5)
         second = audit_cost_properties(ms, trials=200, seed=5)
         assert first == second
+
+    def test_report_equals_the_three_loop_reference(self):
+        # Seeded draws that hold submodularity violations (worst = largest
+        # violation) and linearity residuals at or below the tolerance
+        # (worst = largest residual, which no violation would record).
+        rng = random.Random(41)
+        seen_violations = seen_residuals = 0
+        for _ in range(40):
+            ms = random_model_set(rng, rng.randint(1, 12), min_accuracy=rng.choice([0.0, 0.5]))
+            trials, seed = rng.randint(1, 300), rng.randrange(2**32)
+            report = audit_cost_properties(ms, trials=trials, seed=seed)
+            assert report == reference_audit_cost_properties(ms, trials=trials, seed=seed)
+            seen_violations += report.submodularity.violations > 0
+            seen_residuals += report.linearity.violations == 0 < report.linearity.worst
+        assert seen_violations >= 10 and seen_residuals >= 10
