@@ -1,30 +1,47 @@
-"""Run the sample CLI pipeline under several Python interpreters and diff the bytes.
+"""Run the CLI pipelines under Python interpreters and check the bytes they write.
 
 Usage, from the repository root (standard library only):
 
-    python3 scripts/cross_interpreter.py /usr/bin/python3.10 /usr/bin/python3.12 ...
+    python3 scripts/cross_interpreter.py [PYTHON ...]
+    python3 scripts/cross_interpreter.py --expect tests/data/golden.json [PYTHON ...]
+    python3 scripts/cross_interpreter.py --write tests/data/golden.json [PYTHON ...]
 
-With no arguments the interpreters come from ``LLMCHEM_INTERPRETERS``, a
-list of interpreter paths separated by ``os.pathsep``.  The inputs are derived
-once from ``tests/data/history_sample.csv``: grades, references and results
-for ``score``, a candidate pool and ensembles.  Each interpreter then runs
-ingest, score, chem (graph and exhaustive), recommend, map, eval (ci,
-correlation, effectiveness with ``--history``) and check on the package in
-``src/``, in a directory of its own.  Every primary output and the combined
-stdout and stderr, with the run directory replaced by ``<run>``, must equal
-the first interpreter's.  The ``.meta.json`` sidecars hold input paths and are
-not compared.
+With no interpreter given they come from ``LLMCHEM_INTERPRETERS``, a list of
+interpreter paths separated by ``os.pathsep``, or else the one running this
+script.  Each interpreter runs three pipelines on the package in ``src/``,
+each in a run directory of its own:
 
-Exit status: 0 when every interpreter matches, 1 when some output differs,
-2 when a stage fails.
+* ``sample``: inputs derived from ``tests/data/history_sample.csv`` (grades,
+  references and results for ``score``, a candidate pool and ensembles), then
+  ingest, score, chem (graph and exhaustive), recommend, map, eval (ci,
+  correlation, effectiveness with ``--history``) and check;
+* ``dense14`` and ``sparse15``: the benchmark workloads' inputs at seed 1
+  (``perfbench/gen.py``), then the stages of ``perfbench/run.py`` with its
+  flags, and check.
+
+The stages run in the run directory on relative paths, because ``store.json``
+records its history's path and every later sidecar records the digest of
+``store.json``.  Each output file (primary outputs, ``.meta.json`` sidecars,
+``map.csv.summary.json``) and each stage's combined stdout and stderr is
+hashed with SHA-256 after the run directory is replaced by ``<run>`` and the
+repository root by ``<root>``.  Every interpreter's digests must equal those
+of the manifest given with ``--expect``, or else the first interpreter's;
+``--write`` saves the first interpreter's digests as a manifest.
+
+Exit status: 0 when every digest matches, 1 when some file differs, 2 when a
+stage fails.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
+import hashlib
+import importlib.util
 import itertools
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -34,28 +51,41 @@ ROOT = Path(__file__).resolve().parents[1]
 SAMPLE = ROOT / "tests" / "data" / "history_sample.csv"
 ENV_VAR = "LLMCHEM_INTERPRETERS"
 
-#: Files every run writes and that must match byte for byte.
-PRIMARY_OUTPUTS = (
-    "store.json",
-    "consensus.json",
-    "chem.csv",
-    "chem_exact.csv",
-    "rec.json",
-    "map.csv",
-    "map.csv.summary.json",
-    "eval_ci.csv",
-    "eval_corr.csv",
-    "eval_hist.csv",
-)
+PIPELINES = ("sample", "dense14", "sparse15")
+
+#: Stage -> argument vector, on paths relative to the run directory: inputs
+#: in ``in/``, outputs in ``out/``.
+STAGES = {
+    "ingest": "ingest in/history.csv --out out/store.json",
+    "score": "score --grades in/grades.csv --ground-truth in/ground_truth.csv "
+             "--results in/results.csv --out out/consensus.json",
+    "chem": "chem --store out/store.json --out out/chem.csv",
+    "chem_exact": "chem --brute-force --store out/store.json --out out/chem_exact.csv",
+    "recommend": "recommend --store out/store.json --chem out/chem.csv --pool in/pool.json "
+                 "--out out/rec.json",
+    "map": "map --store out/store.json --out out/map.csv",
+    "eval_ci": "eval --store out/store.json --ensembles in/ensembles.json --metric ci "
+               "--out out/eval_ci.csv",
+    "eval_corr": "eval --store out/store.json --ensembles in/ensembles.json "
+                 "--metric correlation --chem out/chem.csv --out out/eval_corr.csv",
+    "eval_hist": "eval --store out/store.json --ensembles in/ensembles.json "
+                 "--metric effectiveness --history in/history.csv --out out/eval_hist.csv",
+    "check": "check --store out/store.json",
+}
+
+#: Stages the workload pipelines leave out: ``chem --brute-force`` takes
+#: seconds on them, and ``perfbench/run.py`` runs no ``eval --metric ci``.
+SAMPLE_ONLY = ("chem_exact", "eval_ci")
 
 
 def write_inputs(directory: Path) -> list[str]:
-    """Derive the score, recommend and eval inputs from the sample history.
+    """Copy the sample history and derive the score, recommend and eval inputs from it.
 
     Every other model grades each output at the output's recorded quality
     shifted by a per-grader offset; half of the outputs get their own text as
     the reference answer.  Returns the model names, sorted.
     """
+    shutil.copyfile(SAMPLE, directory / "history.csv")
     with SAMPLE.open(newline="", encoding="utf-8") as handle:
         rows = list(csv.DictReader(handle))
     models = sorted({row["model"] for row in rows})
@@ -87,48 +117,72 @@ def write_inputs(directory: Path) -> list[str]:
     return models
 
 
-def stages(inputs: Path, out: Path, models: list[str]) -> list[list[str]]:
-    """Argument vectors of the pipeline, in order."""
-    store, chem = str(out / "store.json"), str(out / "chem.csv")
-    ensembles = str(inputs / "ensembles.json")
-    eval_args = ["eval", "--store", store, "--ensembles", ensembles, "--metric"]
-    return [
-        ["ingest", str(SAMPLE), "--out", store],
-        ["score", "--grades", str(inputs / "grades.csv"),
-         "--ground-truth", str(inputs / "ground_truth.csv"),
-         "--results", str(inputs / "results.csv"), "--out", str(out / "consensus.json")],
-        ["chem", "--store", store, "--out", chem],
-        ["chem", "--brute-force", "--store", store, "--out", str(out / "chem_exact.csv")],
-        ["recommend", "--store", store, "--chem", chem, "--pool", str(inputs / "pool.json"),
-         "--out", str(out / "rec.json")],
-        ["map", "--store", store, "--ensemble", ",".join(models[:3]),
-         "--out", str(out / "map.csv")],
-        eval_args + ["ci", "--out", str(out / "eval_ci.csv")],
-        eval_args + ["correlation", "--chem", chem, "--out", str(out / "eval_corr.csv")],
-        eval_args + ["effectiveness", "--history", str(SAMPLE),
-                     "--out", str(out / "eval_hist.csv")],
-        ["check", "--store", store],
-    ]
+def _perfbench_gen():
+    """``perfbench/gen.py``, imported by path: perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks the module up by name
+    spec.loader.exec_module(module)
+    return module
 
 
-def run_pipeline(python: str, inputs: Path, out: Path, models: list[str]) -> dict[str, bytes]:
-    """Run every stage under ``python``; return the primary outputs and the log."""
-    out.mkdir()
+def prepare(pipeline: str, run: Path) -> dict[str, list[str]]:
+    """Write the pipeline's inputs into ``run/in``; return its stages' argument vectors."""
+    inputs = run / "in"
+    inputs.mkdir(parents=True)
+    (run / "out").mkdir()
+    if pipeline == "sample":
+        members = write_inputs(inputs)[:3]
+        flags: dict[str, list[str]] = {}
+        names = list(STAGES)
+    else:
+        gen = _perfbench_gen()
+        workload = gen.WORKLOADS[pipeline]
+        members = gen.generate(workload, 1, inputs)["map_members"]
+        flags = {  # as perfbench/run.py's stage_plan passes them
+            "score": ["--consensus-max-iters", "5", "--consensus-tol", "1e-12"],
+            "recommend": ["--max-iters", "3"],
+            "map": ["--grid-size", str(workload.grid_size)],
+        }
+        names = [name for name in STAGES if name not in SAMPLE_ONLY]
+    flags.setdefault("map", []).extend(["--ensemble", ",".join(members)])
+    return {name: STAGES[name].split() + flags.get(name, []) for name in names}
+
+
+def run_pipeline(python: str, pipeline: str, run: Path) -> dict[str, bytes]:
+    """Run one pipeline under ``python``; return every output file and stage log, normalised."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    log = []
-    for argv in stages(inputs, out, models):
+    found = {}
+    for stage, argv in prepare(pipeline, run).items():
         done = subprocess.run(
-            [python, "-m", "llmchem.cli", *argv], env=env, cwd=ROOT, timeout=300,
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            [python, "-m", "llmchem.cli", *argv], env=env, cwd=run, timeout=300,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         )
         if done.returncode != 0:
-            raise RuntimeError(f"{python}: {argv[0]} exited {done.returncode}:\n{done.stdout}")
-        log.append(f"$ {' '.join(argv)}\n{done.stdout}")
-    text = "".join(log).replace(str(out), "<run>").replace(str(inputs), "<inputs>")
-    outputs = {name: (out / name).read_bytes() for name in PRIMARY_OUTPUTS}
-    outputs["stdout"] = text.encode("utf-8")
-    return outputs
+            raise RuntimeError(
+                f"{python}: {pipeline} {stage} exited {done.returncode}:\n"
+                + done.stdout.decode("utf-8", "replace")
+            )
+        found[f"{stage}.log"] = done.stdout
+    found.update((path.name, path.read_bytes()) for path in (run / "out").iterdir())
+    return {
+        name: data.replace(str(run).encode(), b"<run>").replace(str(ROOT).encode(), b"<root>")
+        for name, data in found.items()
+    }
+
+
+def digests(python: str) -> dict[str, str]:
+    """``pipeline/file`` -> SHA-256 of every output and stage log of every pipeline."""
+    found = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for pipeline in PIPELINES:
+            files = run_pipeline(python, pipeline, Path(tmp) / pipeline)
+            found.update(
+                (f"{pipeline}/{name}", hashlib.sha256(data).hexdigest())
+                for name, data in files.items()
+            )
+    return dict(sorted(found.items()))
 
 
 def version(python: str) -> str:
@@ -140,33 +194,38 @@ def version(python: str) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    pythons = list(argv if argv is not None else sys.argv[1:])
-    if not pythons:
-        pythons = [p for p in os.environ.get(ENV_VAR, "").split(os.pathsep) if p]
-    if not pythons:
-        print(f"no interpreters given: pass paths or set {ENV_VAR}", file=sys.stderr)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("pythons", nargs="*", metavar="PYTHON")
+    manifest = parser.add_mutually_exclusive_group()
+    manifest.add_argument("--expect", type=Path, metavar="FILE",
+                          help="compare every digest with this manifest")
+    manifest.add_argument("--write", type=Path, metavar="FILE",
+                          help="save the first interpreter's digests as a manifest")
+    args = parser.parse_args(argv)
+    pythons = args.pythons or [
+        p for p in os.environ.get(ENV_VAR, "").split(os.pathsep) if p
+    ] or [sys.executable]
+    try:
+        runs = [(f"{python} ({version(python)})", digests(python)) for python in pythons]
+    except RuntimeError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        inputs = work / "inputs"
-        inputs.mkdir()
-        models = write_inputs(inputs)
-        try:
-            runs = [
-                run_pipeline(python, inputs, work / f"run{i}", models)
-                for i, python in enumerate(pythons)
-            ]
-        except RuntimeError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-    first = f"{pythons[0]} ({version(pythons[0])})"
+    if args.write is not None:
+        args.write.write_text(json.dumps(runs[0][1], indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {len(runs[0][1])} digests to {args.write}")
+    if args.expect is not None:
+        reference, against = json.loads(args.expect.read_text(encoding="utf-8")), args.expect
+    else:
+        (against, reference), runs = runs[0], runs[1:]
     differs = False
-    for python, outputs in zip(pythons[1:], runs[1:]):
-        changed = [name for name in outputs if outputs[name] != runs[0][name]]
+    for label, found in runs:
+        changed = sorted(
+            name for name in reference.keys() | found.keys() if reference.get(name) != found.get(name)
+        )
         differs |= bool(changed)
         verdict = f"differs in {', '.join(changed)}" if changed else "identical"
-        print(f"{python} ({version(python)}): {verdict} vs {first}")
-    print(f"{len(pythons)} interpreter(s), {len(runs[0])} outputs each: "
+        print(f"{label}: {verdict} vs {against}")
+    print(f"{len(pythons)} interpreter(s), {len(reference)} digests each: "
           f"{'DIFFERENT' if differs else 'all identical'}")
     return 1 if differs else 0
 
