@@ -54,7 +54,7 @@ ENV_VAR = "LLMCHEM_INTERPRETERS"
 PIPELINES = ("sample", "dense14", "sparse15")
 
 #: Stage -> argument vector, on paths relative to the run directory: inputs
-#: in ``in/``, outputs in ``out/``.
+#: in ``in/``, outputs in ``out/``; ``{ensemble}`` is the map's members.
 STAGES = {
     "ingest": "ingest in/history.csv --out out/store.json",
     "score": "score --grades in/grades.csv --ground-truth in/ground_truth.csv "
@@ -63,7 +63,7 @@ STAGES = {
     "chem_exact": "chem --brute-force --store out/store.json --out out/chem_exact.csv",
     "recommend": "recommend --store out/store.json --chem out/chem.csv --pool in/pool.json "
                  "--out out/rec.json",
-    "map": "map --store out/store.json --out out/map.csv",
+    "map": "map --store out/store.json --ensemble {ensemble} --out out/map.csv",
     "eval_ci": "eval --store out/store.json --ensembles in/ensembles.json --metric ci "
                "--out out/eval_ci.csv",
     "eval_corr": "eval --store out/store.json --ensembles in/ensembles.json "
@@ -133,7 +133,7 @@ def prepare(pipeline: str, run: Path) -> dict[str, list[str]]:
     (run / "out").mkdir()
     if pipeline == "sample":
         members = write_inputs(inputs)[:3]
-        flags: dict[str, list[str]] = {}
+        flags = {}
         names = list(STAGES)
     else:
         gen = _perfbench_gen()
@@ -145,8 +145,10 @@ def prepare(pipeline: str, run: Path) -> dict[str, list[str]]:
             "map": ["--grid-size", str(workload.grid_size)],
         }
         names = [name for name in STAGES if name not in SAMPLE_ONLY]
-    flags.setdefault("map", []).extend(["--ensemble", ",".join(members)])
-    return {name: STAGES[name].split() + flags.get(name, []) for name in names}
+    return {
+        name: STAGES[name].format(ensemble=",".join(members)).split() + flags.get(name, [])
+        for name in names
+    }
 
 
 def run_pipeline(python: str, pipeline: str, run: Path) -> dict[str, bytes]:

@@ -90,6 +90,22 @@ _FLAG_CHECKS = {
     "size_cap": lambda value: LossParams(size_cap=value),
 }
 
+#: Subcommand -> its input files, by argparse dest -> when it reads one: "always"
+#: (a required flag; ingest's CSVs are positional), "if given", or (dest, value,
+#: required): only when that dest holds ``value`` (None: any value), and then
+#: required or not.  The parser declares the flags from it, the rules are checked
+#: before any file is read, and the sidecar records each given input by dest.
+_INPUTS = {
+    "ingest": {"csv": "always"},
+    "score": {"grades": "always", "ground_truth": ("results", None, False), "results": "if given"},
+    "chem": {"store": "always"},
+    "recommend": {"store": "always", "chem": "always", "pool": "always"},
+    "map": {"store": "always"},
+    "eval": {"store": "always", "ensembles": "always", "chem": ("metric", "correlation", True),
+             "history": ("metric", "effectiveness", False)},
+    "check": {"store": "always"},
+}
+
 
 class _UsageError(Exception):
     pass
@@ -100,21 +116,63 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON file of config defaults")
     for key, (default, text, _) in _SETTINGS.items():
         parser.add_argument(
-            "--" + key.replace("_", "-"), dest=key, type=type(default),
+            _flag(key), dest=key, type=type(default),
             metavar="LAM" if key == "lambda" else None,  # CIParams' name for it
             help=f"{text} (default {default})",
         )
 
 
+def _reader(by: str, value: str | None) -> str:
+    return f"with {_flag(by)}" if value is None else f"by {_flag(by)} {value}"
+
+
+def _add_inputs(parser: argparse.ArgumentParser, command: str) -> None:
+    for dest, when in _INPUTS[command].items():
+        if dest == "csv":
+            parser.add_argument("csv", nargs="+", type=Path, help="history CSVs")
+        elif isinstance(when, str):
+            parser.add_argument(_flag(dest), type=Path, required=when == "always")
+        else:
+            by, value, required = when
+            parser.add_argument(_flag(dest), type=Path, help=f"read only {_reader(by, value)}"
+                                + (", which requires it" if required else ""))
+        if dest == "store":
+            parser.add_argument("--context", help="store context key when the file holds several")
+
+
+def _check_inputs(args: argparse.Namespace) -> None:
+    """Reject an input file given where it is not read, then one left out where it is required."""
+    missing = []
+    for dest, when in _INPUTS[args.command].items():
+        if isinstance(when, str):
+            continue
+        by, value, required = when
+        chosen, given = getattr(args, by), getattr(args, dest) is not None
+        read = chosen is not None if value is None else chosen == value
+        if given and not read:
+            other = "" if value is None else f", not by {_flag(by)} {chosen}"
+            raise _UsageError(f"{_flag(dest)} is read only {_reader(by, value)}{other}")
+        if required and read and not given:
+            missing.append(f"{_flag(by)} {value} requires {_flag(dest)}")
+    if missing:
+        raise _UsageError(missing[0])
+
+
 def _resolve_config(args: argparse.Namespace) -> dict:
     """Defaults, then the ``--config`` file, then flags; every value type- and range-checked.
 
-    The subcommand's own numeric flags are range-checked first, naming the flag.
+    The input-file rules and the subcommand's own numeric flags are checked
+    first, naming the flag, so a usage error never waits on a file.
     """
+    _check_inputs(args)
     for dest, check in _FLAG_CHECKS.items():
         value = getattr(args, dest, None)
         if value is None:
@@ -122,7 +180,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         try:
             check(value)
         except DomainError as exc:
-            raise _UsageError(f"--{dest.replace('_', '-')} is out of range: {exc}") from None
+            raise _UsageError(f"{_flag(dest)} is out of range: {exc}") from None
     given: list[tuple[str, object, str]] = []  # (key, value, where it came from)
     if args.config is not None:
         payload = read_json(args.config)
@@ -154,38 +212,40 @@ def _echo_config(config: dict) -> None:
     print("config: " + json.dumps(config, sort_keys=True))
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_meta(out: Path, config: dict, inputs: dict[str, Path], extra: dict | None = None) -> None:
+def _write_meta(args: argparse.Namespace, config: dict, extra: dict | None = None) -> None:
+    """Write ``<out>.meta.json``: the config, each given input's path and SHA-256, and ``extra``."""
+    inputs = {}
+    for dest in _INPUTS[args.command]:
+        value = getattr(args, dest)
+        if isinstance(value, list):  # ingest's CSVs
+            inputs.update((f"{dest}{i}", path) for i, path in enumerate(value))
+        elif value is not None:
+            inputs[dest] = value
     meta = {
         "package": "llmchem",
         "version": __version__,
         "config": config,
         "inputs": {
-            label: {"path": str(path), "sha256": _sha256(path)}
+            label: {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
             for label, path in sorted(inputs.items())
         },
     }
     if extra:
         meta.update(extra)
-    write_json(out.with_name(out.name + ".meta.json"), meta)
+    write_json(args.out.with_name(args.out.name + ".meta.json"), meta)
 
 
 def _select_store(path: Path, context: str | None):
-    stores = read_profiles(path)
+    stores = {store.context_key: store for store in read_profiles(path)}
+    if context is None and len(stores) == 1:
+        (context,) = stores
     if context is None:
-        if len(stores) == 1:
-            return stores[0]
-        keys = [store.context_key for store in stores]
         raise LLMChemError(
-            f"{path} holds {len(stores)} stores ({keys}); pick one with --context"
+            f"{path} holds {len(stores)} stores ({list(stores)}); pick one with --context"
         )
-    for store in stores:
-        if store.context_key == context:
-            return store
-    raise LLMChemError(f"no store with context {context!r} in {path}")
+    if context not in stores:
+        raise LLMChemError(f"no store with context {context!r} in {path}")
+    return stores[context]
 
 
 def _model_set(store, config: dict) -> ModelSet:
@@ -195,12 +255,10 @@ def _model_set(store, config: dict) -> ModelSet:
 
 
 def cmd_ingest(args: argparse.Namespace, config: dict) -> int:
-    records = []
-    for path in args.csv:
-        parsed = parse_history_csv(path)
-        if not parsed:
-            raise ParseError("a history CSV needs at least one record", path=path)
-        records.extend(parsed)
+    records = parse_history_csv(*args.csv)
+    if not records:
+        raise ParseError("a history CSV needs at least one record",
+                         path=", ".join(map(str, args.csv)))
     stores = build_profiles(
         records,
         grouping=args.grouping,
@@ -208,7 +266,7 @@ def cmd_ingest(args: argparse.Namespace, config: dict) -> int:
         sources=[str(p) for p in args.csv],
     )
     write_profiles(stores, args.out)
-    _write_meta(args.out, config, {f"csv{i}": p for i, p in enumerate(args.csv)})
+    _write_meta(args, config)
     print(f"ingested {len(records)} records into {len(stores)} store(s) at {args.out}")
     return 0
 
@@ -225,13 +283,8 @@ def cmd_score(args: argparse.Namespace, config: dict) -> int:
         "iterations": result.iterations,
         "converged": result.converged,
     }
-    inputs = {"grades": args.grades}
-    references = None
-    if args.ground_truth is not None:
-        references = load_ground_truth_csv(args.ground_truth)
-        inputs["ground_truth"] = args.ground_truth
     if args.results is not None:
-        inputs["results"] = args.results
+        references = load_ground_truth_csv(args.ground_truth) if args.ground_truth else None
         outputs_by_model = load_results_csv(args.results)
         models: dict[str, dict] = {}
         for model in sorted(outputs_by_model):
@@ -253,7 +306,7 @@ def cmd_score(args: argparse.Namespace, config: dict) -> int:
             }
         payload["models"] = models
     write_json(args.out, payload)
-    _write_meta(args.out, config, inputs)
+    _write_meta(args, config)
     print(
         f"consensus over {len(matrix.outputs)} outputs / {len(matrix.graders)} graders: "
         f"{'converged' if result.converged else 'truncated'} after {result.iterations} iteration(s)"
@@ -273,16 +326,11 @@ def cmd_chem(args: argparse.Namespace, config: dict) -> int:
     if args.json_out is not None:
         write_json(args.json_out, table.to_json_obj(model_set))
     reported = llmcp_filter(table, config["tau"])
-    _write_meta(
-        args.out,
-        config,
-        {"store": args.store},
-        extra={
-            "method": table.method,
-            "model_set_fingerprint": model_set_fingerprint(model_set),
-            "pairs_above_tau": len(reported),
-        },
-    )
+    _write_meta(args, config, {
+        "method": table.method,
+        "model_set_fingerprint": model_set_fingerprint(model_set),
+        "pairs_above_tau": len(reported),
+    })
     print(
         f"chemistry ({table.method}) over {len(model_set.profiles)} models: "
         f"{len(reported)} pair(s) above tau={config['tau']}, max={table.max_score()!r}"
@@ -306,12 +354,7 @@ def cmd_recommend(args: argparse.Namespace, config: dict) -> int:
     )
     result = recommend(pool, table, params)
     write_json(args.out, result.to_json_obj())
-    _write_meta(
-        args.out,
-        config,
-        {"store": args.store, "chem": args.chem, "pool": args.pool},
-        extra={"size_cap": args.size_cap, "stats": result.stats},
-    )
+    _write_meta(args, config, {"size_cap": args.size_cap, "stats": result.stats})
     flag = " [zero chemistry: consider single-model selection]" if result.zero_chemistry else ""
     print(
         f"recommended {sorted(result.subset)} at loss {result.loss!r} "
@@ -343,7 +386,7 @@ def cmd_map(args: argparse.Namespace, config: dict) -> int:
     grid.to_csv(args.out)
     summary_path = args.out.with_name(args.out.name + ".summary.json")
     write_json(summary_path, grid.summary())
-    _write_meta(args.out, config, {"store": args.store})
+    _write_meta(args, config)
     print(
         f"map {grid.grid_size}x{grid.grid_size} for {names}: "
         f"max delta {grid.max_delta!r}, saturated={grid.saturated}"
@@ -367,31 +410,18 @@ def _load_ensembles(path: Path) -> list[list[str]]:
     return ensembles
 
 
-#: ``eval`` input flags that only one metric reads: argparse dest -> that metric.
-_METRIC_INPUTS = {"chem": "correlation", "history": "effectiveness"}
-
-
 def cmd_eval(args: argparse.Namespace, config: dict) -> int:
-    for dest, metric in _METRIC_INPUTS.items():
-        if getattr(args, dest) is not None and args.metric != metric:
-            raise _UsageError(
-                f"--{dest} is read only by --metric {metric}, not by --metric {args.metric}"
-            )
     store = _select_store(args.store, args.context)
     ensembles = _load_ensembles(args.ensembles)
     for group in ensembles:
         for name in group:
             if name not in store.profiles:
                 raise ParseError(f"model {name!r} is not in the store", path=args.ensembles)
-    inputs = {"store": args.store, "ensembles": args.ensembles}
     extra: dict = {"metric": args.metric}
     rows: list[list[str]] = []
 
     if args.metric == "effectiveness":
-        accuracies = None
-        if args.history is not None:
-            accuracies = task_accuracies(parse_history_csv(args.history))
-            inputs["history"] = args.history
+        accuracies = task_accuracies(parse_history_csv(args.history)) if args.history else None
         header = ["ensemble", "effectiveness"]
         for number, group in enumerate(ensembles, start=1):
             if accuracies is not None:
@@ -414,9 +444,6 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
             points = [EnsemblePoint.from_profile(store.profiles[m]) for m in group]
             rows.append(["|".join(group), repr(complementarity_index(points, params))])
     else:  # correlation
-        if args.chem is None:
-            raise LLMChemError("--metric correlation requires --chem")
-        inputs["chem"] = args.chem
         model_set = _model_set(store, config)
         table = ChemistryTable.from_csv(args.chem, members=model_set.members)
         params = CIParams(lam=config["lambda"])
@@ -441,7 +468,7 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
             extra["pearson_note"] = str(exc)
 
     write_csv(args.out, header, rows)
-    _write_meta(args.out, config, inputs, extra=extra)
+    _write_meta(args, config, extra)
     if "pearson_r" in extra:
         print(f"eval {args.metric}: {len(rows)} ensemble(s), pearson_r={extra['pearson_r']!r}")
     else:
@@ -519,73 +546,45 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="parse history CSVs into a profile store")
-    p.add_argument("csv", nargs="+", type=Path)
+    def command(name: str, func, text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        _add_inputs(p, name)
+        return p
+
+    p = command("ingest", cmd_ingest, "parse history CSVs into a profile store")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--grouping", choices=["all", "trial", "task"], default="all")
     p.add_argument("--aggregate", choices=["mean", "median"], default="mean")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("score", help="consensus grades and accuracy blending")
-    p.add_argument("--grades", type=Path, required=True)
-    p.add_argument("--ground-truth", type=Path)
-    p.add_argument("--results", type=Path,
-                   help="optional model,output_id,result CSV enabling generation accuracy")
+    p = command("score", cmd_score, "consensus grades and accuracy blending")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--consensus-max-iters", type=int, default=DEFAULT_MAX_ITERS)
     p.add_argument("--consensus-tol", type=float, default=DEFAULT_TOL)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("chem", help="compute the pairwise chemistry table")
-    p.add_argument("--store", type=Path, required=True)
-    p.add_argument("--context", help="store context key when the file holds several")
+    p = command("chem", cmd_chem, "compute the pairwise chemistry table")
     p.add_argument("--brute-force", action="store_true",
                    help="use the exhaustive enumerator instead of the graph")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--json-out", type=Path, help="also dump the table as JSON")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_chem)
 
-    p = sub.add_parser("recommend", help="pick the best subset from a candidate pool")
-    p.add_argument("--store", type=Path, required=True)
-    p.add_argument("--context")
-    p.add_argument("--chem", type=Path, required=True)
-    p.add_argument("--pool", type=Path, required=True)
+    p = command("recommend", cmd_recommend, "pick the best subset from a candidate pool")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--size-cap", type=int, default=LossParams.size_cap)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_recommend)
 
-    p = sub.add_parser("map", help="marginal-complementarity grid for an ensemble")
-    p.add_argument("--store", type=Path, required=True)
-    p.add_argument("--context")
-    p.add_argument(
-        "--ensemble", required=True, type=_ensemble_arg, help="comma-separated model names"
-    )
+    p = command("map", cmd_map, "marginal-complementarity grid for an ensemble")
+    p.add_argument("--ensemble", required=True, type=_ensemble_arg,
+                   help="comma-separated model names")
     p.add_argument("--out", type=Path, required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_map)
 
-    p = sub.add_parser("eval", help="ensemble metrics and correlations")
-    p.add_argument("--store", type=Path, required=True)
-    p.add_argument("--context")
-    p.add_argument("--ensembles", type=Path, required=True)
+    p = command("eval", cmd_eval, "ensemble metrics and correlations")
     p.add_argument("--metric", choices=["effectiveness", "ci", "correlation"], required=True)
-    p.add_argument("--chem", type=Path, help="chemistry CSV (required for correlation)")
-    p.add_argument("--history", type=Path,
-                   help="history CSV for per-task effectiveness")
     p.add_argument("--out", type=Path, required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("check", help="run the property audits and oracle cross-checks")
-    p.add_argument("--store", type=Path, required=True)
-    p.add_argument("--context")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_check)
+    command("check", cmd_check, "run the property audits and oracle cross-checks")
 
+    for p in sub.choices.values():
+        _add_config_flags(p)
     return parser
 
 

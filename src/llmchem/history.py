@@ -102,34 +102,38 @@ def _parse_numeric(raw: str, column: str, path: str | Path, row_number: int) -> 
         )
 
 
-def parse_history_csv(path: str | Path) -> list[HistoryRecord]:
-    """Parse and validate one history CSV; reject the whole file on any error.
+def parse_history_csv(*paths: str | Path) -> list[HistoryRecord]:
+    """Parse and validate history CSVs as one history; reject them all on any error.
 
-    Each row's numeric fields are converted and range-checked together; only
-    a row that fails goes through ``_parse_numeric`` column by column, which
-    raises the row's first error.
+    Returns the records of every file, in order.  A ``(trial, model, id)``
+    key may appear once in all of them; a repeat in a later file also names
+    the file that held the key first.  Each row's numeric fields are converted
+    and range-checked together; only a row that fails goes through
+    ``_parse_numeric`` column by column, which raises the row's first error.
     """
     records: list[HistoryRecord] = []
-    seen_keys: set[tuple[str, str, str]] = set()
-    for number, row in read_csv(path, HISTORY_COLUMNS):
-        if not row[1]:
-            raise ParseError("model name is empty", path=path, row=number, field="model")
-        try:
-            values = tuple(map(float, _NUMERIC_FIELDS(row)))
-            valid = all(map(le, _LOWS, values)) and all(map(le, values, _HIGHS))
-        except ValueError:
-            valid = False
-        if not valid:
-            for column, index in zip(_NUMERIC_RANGES, _NUMERIC_INDEX):
-                _parse_numeric(row[index], column, path, number)
-        key = (row[0], row[1], row[5])
-        if key in seen_keys:
-            raise ParseError(
-                f"duplicate (trial, model, id) key {key!r}", path=path, row=number, field="id"
-            )
-        seen_keys.add(key)
-        row[3], row[4], row[7], row[8], row[9], row[10], row[11] = values  # _NUMERIC_INDEX
-        records.append(HistoryRecord._make(row))
+    seen: dict[tuple[str, str, str], int] = {}  # key -> index of its file in ``paths``
+    for at, path in enumerate(paths):
+        for number, row in read_csv(path, HISTORY_COLUMNS):
+            if not row[1]:
+                raise ParseError("model name is empty", path=path, row=number, field="model")
+            try:
+                values = tuple(map(float, _NUMERIC_FIELDS(row)))
+                valid = all(map(le, _LOWS, values)) and all(map(le, values, _HIGHS))
+            except ValueError:
+                valid = False
+            if not valid:
+                for column, index in zip(_NUMERIC_RANGES, _NUMERIC_INDEX):
+                    _parse_numeric(row[index], column, path, number)
+            key = (row[0], row[1], row[5])
+            if key in seen:
+                first = seen[key]
+                where = "" if first == at else f", first read from {paths[first]}"
+                raise ParseError(f"duplicate (trial, model, id) key {key!r}{where}",
+                                 path=path, row=number, field="id")
+            seen[key] = at
+            row[3], row[4], row[7], row[8], row[9], row[10], row[11] = values  # _NUMERIC_INDEX
+            records.append(HistoryRecord._make(row))
     return records
 
 
@@ -244,6 +248,8 @@ def _store_from_obj(obj: dict, path: str | Path) -> ProfileStore:
             model = entry["model"]
             if not isinstance(model, str):
                 raise TypeError(f"model name {model!r} is not a string")
+            if model in profiles:
+                raise ValueError(f"model {model!r} is listed twice")
             profiles[model] = ModelProfile(
                 model=model,
                 quality=float(entry["quality"]),
@@ -271,7 +277,10 @@ def write_profiles(stores: Iterable[ProfileStore], path: str | Path) -> None:
 
 
 def read_profiles(path: str | Path) -> list[ProfileStore]:
-    """Load stores from JSON; unknown keys warn, truncated files fail whole."""
+    """Load stores from JSON; unknown keys warn, truncated files fail whole.
+
+    Each store must name each model once, and no two stores may share a context.
+    """
     payload = read_json(path)
     if not isinstance(payload, dict) or "version" not in payload:
         raise ParseError("not a profile-store file", path=path)
@@ -285,4 +294,10 @@ def read_profiles(path: str | Path) -> list[ProfileStore]:
     stores_obj = payload.get("stores")
     if not isinstance(stores_obj, list) or not stores_obj:
         raise ParseError("lacks a non-empty 'stores' list", path=path)
-    return [_store_from_obj(obj, path) for obj in stores_obj]
+    stores = [_store_from_obj(obj, path) for obj in stores_obj]
+    contexts: set[str] = set()
+    for store in stores:
+        if store.context_key in contexts:
+            raise ParseError(f"context {store.context_key!r} has more than one store", path=path)
+        contexts.add(store.context_key)
+    return stores

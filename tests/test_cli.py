@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from llmchem.cli import main
+from llmchem.cli import _INPUTS, main
 from llmchem.history import HISTORY_COLUMNS, HistoryRecord, write_history_csv
 
 
@@ -393,6 +393,7 @@ def test_check_output_does_not_depend_on_the_hash_seed(store_path):
 
 
 GRADES = "grader,output_id,grade\ng1,o1,5.0\ng2,o1,6.0\n"
+HISTORY = ",".join(HISTORY_COLUMNS).encode() + b"\nt,m,q,1.0,0.7,o1,r,5.0,1.0,0.1,0.9,0.9,e,c\n"
 
 #: Fault -> (CLI arguments, bad file name, its bytes (None: a directory),
 #: fragments the message must hold besides the file's path).  ``{bad}`` is the
@@ -431,6 +432,9 @@ BAD_INPUTS = {
     "history-no-records": ("ingest {bad} --out {tmp}/s.json", "h.csv",
                            ",".join(HISTORY_COLUMNS).encode() + b"\n", ["at least one record"]),
     "history-encoding": ("ingest {bad} --out {tmp}/s.json", "h.csv", b"\xff", ["utf-8"]),
+    "history-repeated-across-files": (
+        "ingest {bad} {bad} --out {tmp}/s.json", "h.csv", HISTORY,
+        ["duplicate (trial, model, id) key ('t', 'm', 'o1'), first read from", "row 2, field 'id'"]),
     "store-encoding": ("chem --store {bad} --out {tmp}/c.csv", "s.json", b"\xff", ["utf-8"]),
     "history-directory": ("ingest {bad} --out {tmp}/s.json", "h.csv", None, ["directory"]),
     "store-directory": ("chem --store {bad} --out {tmp}/c.csv", "s.json", None, ["directory"]),
@@ -472,6 +476,18 @@ BAD_INPUTS = {
                           b'{"version": 1, "stores": 3}', ["'stores'"]),
     "store-no-stores": ("chem --store {bad} --out {tmp}/c.csv", "s.json",
                         b'{"version": 1, "stores": []}', ["non-empty 'stores' list"]),
+    "store-repeated-model": ("chem --store {bad} --out {tmp}/c.csv", "s.json",
+                             b'{"version": 1, "stores": [{"context_key": "all", "profiles": '
+                             b'[{"model": "m", "quality": 5, "accuracy": 0.5}, '
+                             b'{"model": "m", "quality": 6, "accuracy": 0.6}]}]}',
+                             ["model 'm' is listed twice"]),
+    "store-repeated-context": ("chem --store {bad} --out {tmp}/c.csv", "s.json",
+                               b'{"version": 1, "stores": ['
+                               b'{"context_key": "all", "profiles": [{"model": "m", "quality": 5, '
+                               b'"accuracy": 0.5}, {"model": "n", "quality": 6, "accuracy": 0.6}]}, '
+                               b'{"context_key": "all", "profiles": [{"model": "m", "quality": 5, '
+                               b'"accuracy": 0.5}]}]}',
+                               ["context 'all' has more than one store"]),
     "store-model-type": ("chem --store {bad} --out {tmp}/c.csv", "s.json",
                          b'{"version": 1, "stores": [{"context_key": "all", "profiles": '
                          b'[{"model": 7, "quality": 5, "accuracy": 0.5}]}]}', ["model name 7"]),
@@ -676,4 +692,59 @@ def test_eval_rejects_an_input_flag_its_metric_does_not_read(flag, metric, tmp_p
     assert capsys.readouterr().err == (
         f"usage error: {flag} is read only by --metric {reader}, not by --metric {metric}\n"
     )
+    assert list(tmp_path.iterdir()) == []
+
+
+#: (subcommand, input dest, case) -> (arguments with that input left out, or
+#: given where it is not read; what the usage error must name).  No input
+#: exists, and neither does the ``--config`` file added to every case.
+PRE_READ = {
+    ("ingest", "csv", "missing"): ("ingest --out {tmp}/s.json", ["csv"]),
+    ("score", "grades", "missing"): ("score --out {tmp}/o.json", ["--grades"]),
+    ("score", "ground_truth", "without-results"): (
+        "score --grades {tmp}/g.csv --ground-truth {tmp}/gt.csv --out {tmp}/o.json",
+        ["--ground-truth is read only with --results"]),
+    ("chem", "store", "missing"): ("chem --out {tmp}/c.csv", ["--store"]),
+    ("recommend", "store", "missing"): (
+        "recommend --chem {tmp}/c.csv --pool {tmp}/p.json --out {tmp}/r.json", ["--store"]),
+    ("recommend", "chem", "missing"): (
+        "recommend --store {tmp}/s.json --pool {tmp}/p.json --out {tmp}/r.json", ["--chem"]),
+    ("recommend", "pool", "missing"): (
+        "recommend --store {tmp}/s.json --chem {tmp}/c.csv --out {tmp}/r.json", ["--pool"]),
+    ("map", "store", "missing"): ("map --ensemble a,b --out {tmp}/m.csv", ["--store"]),
+    ("eval", "store", "missing"): (
+        "eval --ensembles {tmp}/e.json --metric ci --out {tmp}/e.csv", ["--store"]),
+    ("eval", "ensembles", "missing"): (
+        "eval --store {tmp}/s.json --metric ci --out {tmp}/e.csv", ["--ensembles"]),
+    ("eval", "chem", "missing"): (
+        "eval --store {tmp}/s.json --ensembles {tmp}/e.json --metric correlation "
+        "--out {tmp}/e.csv", ["--metric correlation requires --chem"]),
+    ("eval", "chem", "with-ci"): (
+        "eval --store {tmp}/s.json --ensembles {tmp}/e.json --metric ci --chem {tmp}/c.csv "
+        "--out {tmp}/e.csv", ["--chem is read only by --metric correlation, not by --metric ci"]),
+    ("eval", "history", "with-correlation"): (
+        "eval --store {tmp}/s.json --ensembles {tmp}/e.json --metric correlation "
+        "--history {tmp}/h.csv --out {tmp}/e.csv",
+        ["--history is read only by --metric effectiveness, not by --metric correlation"]),
+    ("check", "store", "missing"): ("check", ["--store"]),
+}
+
+
+def test_pre_read_cases_cover_every_required_or_conditional_input():
+    rules = {(command, dest) for command, inputs in _INPUTS.items()
+             for dest, when in inputs.items() if when != "if given"}
+    assert {(command, dest) for command, dest, _ in PRE_READ} == rules
+
+
+@pytest.mark.parametrize("case", sorted(PRE_READ), ids="-".join)
+def test_input_rules_are_checked_before_any_file_is_read(case, tmp_path, capsys):
+    argv, fragments = PRE_READ[case]
+    argv = argv.format(tmp=tmp_path).split() + ["--config", str(tmp_path / "config.json")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ")
+    for fragment in fragments:
+        assert fragment in captured.err
+    assert "No such file" not in captured.err
+    assert captured.out == ""
     assert list(tmp_path.iterdir()) == []

@@ -100,6 +100,34 @@ class TestParsing:
             parse_history_csv(path)
         assert err.value.row == 3
 
+    def test_several_files_parse_as_one_history_in_order(self, history_fixture, tmp_path):
+        other = tmp_path / "other.csv"
+        write_history_csv([sample_record(id="out-2"), sample_record()], other)
+        assert parse_history_csv(other, history_fixture) == (
+            parse_history_csv(other) + parse_history_csv(history_fixture)
+        )
+
+    def test_key_repeated_in_a_later_file_names_both_files(self, tmp_path):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_history_csv([sample_record(id="out-0"), sample_record()], first)
+        write_history_csv([sample_record(id="out-2"), sample_record()], second)
+        with pytest.raises(ParseError) as err:
+            parse_history_csv(first, second)
+        assert str(err.value) == (
+            f"duplicate (trial, model, id) key ('t1', 'm1', 'out-1'), first read from {first} "
+            f"(in {second}, row 3, field 'id')"
+        )
+
+    def test_key_repeated_within_a_later_file_names_that_file_alone(self, tmp_path):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_history_csv([sample_record(id="out-0")], first)
+        write_history_csv([sample_record(), sample_record()], second)
+        with pytest.raises(ParseError) as err:
+            parse_history_csv(first, second)
+        assert str(err.value) == (
+            f"duplicate (trial, model, id) key ('t1', 'm1', 'out-1') (in {second}, row 3, field 'id')"
+        )
+
     def test_non_numeric_field_rejected(self, tmp_path):
         path = tmp_path / "nan.csv"
         write_history_csv([sample_record()], path)
