@@ -47,6 +47,7 @@ from .core import (
 from .history import (
     HistoryRecord,
     build_profiles,
+    iter_history,
     parse_history_csv,
     read_profiles,
     write_history_csv,
@@ -92,6 +93,7 @@ __all__ = [
     "generation_accuracy",
     "heterogeneity_diagnostic",
     "hypervolume2d",
+    "iter_history",
     "llmcp_filter",
     "model_set_fingerprint",
     "neighbors",

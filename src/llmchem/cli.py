@@ -11,7 +11,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import math
@@ -57,8 +56,8 @@ from .core import (
     used_subset,
 )
 from .errors import DomainError, LLMChemError, ParseError, UndefinedCorrelationError
-from .files import read_json, write_csv, write_json
-from .history import build_profiles, parse_history_csv, read_profiles, write_profiles
+from .files import read_json, sha256_of, write_csv, write_json
+from .history import build_profiles, iter_history, read_profiles, write_profiles
 from .mig import build_mig
 from .recommend import CandidatePool, LossParams, recommend
 
@@ -226,7 +225,7 @@ def _write_meta(args: argparse.Namespace, config: dict, extra: dict | None = Non
         "version": __version__,
         "config": config,
         "inputs": {
-            label: {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+            label: {"path": str(path), "sha256": sha256_of(path)}
             for label, path in sorted(inputs.items())
         },
     }
@@ -255,19 +254,19 @@ def _model_set(store, config: dict) -> ModelSet:
 
 
 def cmd_ingest(args: argparse.Namespace, config: dict) -> int:
-    records = parse_history_csv(*args.csv)
-    if not records:
-        raise ParseError("a history CSV needs at least one record",
-                         path=", ".join(map(str, args.csv)))
     stores = build_profiles(
-        records,
+        iter_history(*args.csv),
         grouping=args.grouping,
         aggregate=args.aggregate,
         sources=[str(p) for p in args.csv],
     )
+    if not stores:
+        raise ParseError("a history CSV needs at least one record",
+                         path=", ".join(map(str, args.csv)))
+    records = sum(n for store in stores for n in store.provenance["record_counts"].values())
     write_profiles(stores, args.out)
     _write_meta(args, config)
-    print(f"ingested {len(records)} records into {len(stores)} store(s) at {args.out}")
+    print(f"ingested {records} records into {len(stores)} store(s) at {args.out}")
     return 0
 
 
@@ -421,7 +420,9 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
     rows: list[list[str]] = []
 
     if args.metric == "effectiveness":
-        accuracies = task_accuracies(parse_history_csv(args.history)) if args.history else None
+        accuracies = task_accuracies(iter_history(args.history)) if args.history else None
+        if accuracies == {}:
+            raise ParseError("a history CSV needs at least one record", path=args.history)
         header = ["ensemble", "effectiveness"]
         for number, group in enumerate(ensembles, start=1):
             if accuracies is not None:

@@ -1,4 +1,5 @@
-"""The one module that opens files: CSV and JSON in, CSV and JSON out.
+"""The one module that opens files: CSV and JSON in, CSV and JSON out, and the
+SHA-256 of an input for its run's sidecar.
 
 Inputs are UTF-8.  A CSV header must hold exactly the expected columns, in any
 order, and each data row one field per column.  The header is the first row
@@ -15,10 +16,12 @@ newline, so equal payloads give equal bytes.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 from collections import Counter
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -67,6 +70,15 @@ def read_json(path: str | Path) -> Any:
             return json.load(handle)
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ParseError(f"invalid JSON: {exc}", path=path) from None
+
+
+def sha256_of(path: str | Path) -> str:
+    """The SHA-256 hex digest of a file's bytes, read in 64 KiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(partial(handle.read, 1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -1,9 +1,12 @@
 """Ingestion and persistence of benchmark-run performance histories.
 
 A history CSV carries one row per (trial, model, task) execution with the
-recorded quality, accuracy and metadata columns.  Parsing is strict: a file
-either yields fully validated records or a located error, never a partial
-result.  Validated records collapse into per-context profile stores (one
+recorded quality, accuracy and metadata columns.  Parsing is strict and
+streamed: ``iter_history`` validates each row as it reads it and yields it,
+so the first bad row raises a located error, and ``parse_history_csv`` is
+its list.  A consumer such as ``build_profiles`` keeps only the fields it
+reads, and the CLI writes nothing before the last row has passed.
+Validated records collapse into per-context profile stores (one
 (quality, accuracy) profile per model) that feed the rest of the pipeline.
 """
 
@@ -16,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from operator import itemgetter, le
 from pathlib import Path
-from typing import Iterable, Literal, NamedTuple
+from typing import Iterable, Iterator, Literal, NamedTuple
 
 from .core import ModelProfile, ModelSet
 from .errors import DomainError, ParseError, StoreVersionError
@@ -102,17 +105,19 @@ def _parse_numeric(raw: str, column: str, path: str | Path, row_number: int) -> 
         )
 
 
-def parse_history_csv(*paths: str | Path) -> list[HistoryRecord]:
-    """Parse and validate history CSVs as one history; reject them all on any error.
+def iter_history(*paths: str | Path) -> Iterator[HistoryRecord]:
+    """Yield the validated records of history CSVs, read as one history, in order.
 
-    Returns the records of every file, in order.  A ``(trial, model, id)``
-    key may appear once in all of them; a repeat in a later file also names
-    the file that held the key first.  Each row's numeric fields are converted
-    and range-checked together; only a row that fails goes through
+    Each row is checked as it is read, so a caller that consumes the records
+    one by one holds no more of the history than it keeps itself, and reaches
+    a bad row's ``ParseError`` before it returns.  A ``(trial, model, id)``
+    key may appear once in all the files; a repeat in a later file also names
+    the file that held the key first.  Each row's numeric fields are
+    converted and range-checked together; only a row that fails goes through
     ``_parse_numeric`` column by column, which raises the row's first error.
     """
-    records: list[HistoryRecord] = []
     seen: dict[tuple[str, str, str], int] = {}  # key -> index of its file in ``paths``
+    names: dict[str, str] = {}  # one kept copy of each trial, model and id string
     for at, path in enumerate(paths):
         for number, row in read_csv(path, HISTORY_COLUMNS):
             if not row[1]:
@@ -131,10 +136,14 @@ def parse_history_csv(*paths: str | Path) -> list[HistoryRecord]:
                 where = "" if first == at else f", first read from {paths[first]}"
                 raise ParseError(f"duplicate (trial, model, id) key {key!r}{where}",
                                  path=path, row=number, field="id")
-            seen[key] = at
+            seen[tuple(map(names.setdefault, key, key))] = at
             row[3], row[4], row[7], row[8], row[9], row[10], row[11] = values  # _NUMERIC_INDEX
-            records.append(HistoryRecord._make(row))
-    return records
+            yield HistoryRecord._make(row)
+
+
+def parse_history_csv(*paths: str | Path) -> list[HistoryRecord]:
+    """Every record of ``iter_history(*paths)``, or its first error."""
+    return list(iter_history(*paths))
 
 
 def write_history_csv(records: Iterable[HistoryRecord], path: str | Path) -> None:
@@ -178,6 +187,9 @@ def build_profiles(
     model and group, quality and accuracy aggregate by arithmetic mean (or
     median behind the flag); record counts land in the provenance so the raw
     rows stay re-aggregatable.  Output order is deterministic (sorted keys).
+    Only each record's quality and accuracy are kept, so ``records`` may be
+    a stream (``iter_history``) that is never held whole.  No records give
+    no stores.
     """
     if grouping not in ("trial", "task", "all"):
         raise DomainError(f"unknown grouping {grouping!r}")
@@ -190,9 +202,15 @@ def build_profiles(
     }[grouping]
     reduce = statistics.fmean if aggregate == "mean" else statistics.median
 
-    grouped: dict[str, dict[str, list[HistoryRecord]]] = {}
+    # context -> model -> (qualities, accuracies), each in record order
+    grouped: dict[str, dict[str, tuple[list[float], list[float]]]] = {}
     for record in records:
-        grouped.setdefault(key_of(record), {}).setdefault(record.model, []).append(record)
+        models = grouped.setdefault(key_of(record), {})
+        values = models.get(record.model)
+        if values is None:
+            values = models[record.model] = ([], [])
+        values[0].append(record.quality)
+        values[1].append(record.accuracy)
 
     stores: list[ProfileStore] = []
     for context in sorted(grouped):
@@ -200,13 +218,11 @@ def build_profiles(
         profiles: dict[str, ModelProfile] = {}
         counts: dict[str, int] = {}
         for model in sorted(models):
-            rows = models[model]
+            qualities, accuracies = models[model]
             profiles[model] = ModelProfile(
-                model=model,
-                quality=reduce([r.quality for r in rows]),
-                accuracy=reduce([r.accuracy for r in rows]),
+                model=model, quality=reduce(qualities), accuracy=reduce(accuracies)
             )
-            counts[model] = len(rows)
+            counts[model] = len(qualities)
         stores.append(
             ProfileStore(
                 context_key=context,
@@ -243,6 +259,9 @@ def _store_from_obj(obj: dict, path: str | Path) -> ProfileStore:
         entries = obj["profiles"]
         if not isinstance(entries, list) or not entries:
             raise TypeError("'profiles' must be a non-empty list")
+        context = obj["context_key"]
+        if not isinstance(context, str):
+            raise TypeError(f"context_key {context!r} is not a string")
         profiles: dict[str, ModelProfile] = {}
         for entry in entries:
             model = entry["model"]
@@ -250,17 +269,21 @@ def _store_from_obj(obj: dict, path: str | Path) -> ProfileStore:
                 raise TypeError(f"model name {model!r} is not a string")
             if model in profiles:
                 raise ValueError(f"model {model!r} is listed twice")
+            for field in ("quality", "accuracy"):
+                value = entry[field]
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise TypeError(f"{field} {value!r} of model {model!r} is not a number")
             profiles[model] = ModelProfile(
                 model=model,
                 quality=float(entry["quality"]),
                 accuracy=float(entry["accuracy"]),
             )
         store = ProfileStore(
-            context_key=str(obj["context_key"]),
+            context_key=context,
             profiles=profiles,
             provenance=dict(obj.get("provenance", {})),
         )
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError includes DomainError
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # DomainError is a ValueError
         raise ParseError(f"invalid profile-store payload: {exc}", path=path) from None
     if stray:
         logger.warning("ignoring unknown profile-store keys: %s", stray)

@@ -488,6 +488,22 @@ BAD_INPUTS = {
                                b'{"context_key": "all", "profiles": [{"model": "m", "quality": 5, '
                                b'"accuracy": 0.5}]}]}',
                                ["context 'all' has more than one store"]),
+    "store-context-null": ("chem --store {bad} --out {tmp}/c.csv", "s.json",
+                           b'{"version": 1, "stores": [{"context_key": null, "profiles": '
+                           b'[{"model": "m", "quality": 5, "accuracy": 0.5}]}]}',
+                           ["context_key None is not a string"]),
+    "store-quality-string": ("chem --store {bad} --out {tmp}/c.csv", "s.json",
+                             b'{"version": 1, "stores": [{"context_key": "all", "profiles": '
+                             b'[{"model": "m", "quality": "5", "accuracy": 0.5}]}]}',
+                             ["quality '5' of model 'm' is not a number"]),
+    "store-accuracy-bool": ("chem --store {bad} --out {tmp}/c.csv", "s.json",
+                            b'{"version": 1, "stores": [{"context_key": "all", "profiles": '
+                            b'[{"model": "m", "quality": 5, "accuracy": true}]}]}',
+                            ["accuracy True of model 'm' is not a number"]),
+    "store-quality-overflow": ("chem --store {bad} --out {tmp}/c.csv", "s.json",
+                               b'{"version": 1, "stores": [{"context_key": "all", "profiles": '
+                               b'[{"model": "m", "quality": 1' + b"0" * 400 + b', '
+                               b'"accuracy": 0.5}]}]}', ["int too large to convert to float"]),
     "store-model-type": ("chem --store {bad} --out {tmp}/c.csv", "s.json",
                          b'{"version": 1, "stores": [{"context_key": "all", "profiles": '
                          b'[{"model": 7, "quality": 5, "accuracy": 0.5}]}]}', ["model name 7"]),
@@ -748,3 +764,76 @@ def test_input_rules_are_checked_before_any_file_is_read(case, tmp_path, capsys)
     assert "No such file" not in captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def _stream_argv(command: str, histories: list[Path], store: Path, tmp: Path, out: Path) -> list[str]:
+    if command == "ingest":
+        return ["ingest", *map(str, histories), "--out", str(out)]
+    ensembles = tmp / "ensembles.json"
+    ensembles.write_text(json.dumps({"ensembles": [["gpt-4o", "o3-mini"]]}))
+    (history,) = histories
+    return ["eval", "--store", str(store), "--ensembles", str(ensembles),
+            "--metric", "effectiveness", "--history", str(history), "--out", str(out)]
+
+
+#: A history row after the fixture's ten valid ones: fault -> (row, message).
+#: ``{path}`` is the history file.
+LATE_FAULTS = {
+    "non-number": ("t9,o3-mini,q,1.0,0.7,o9,r,5.0,1.0,0.1,0.9,high,e,c",
+                   "accuracy is not a number: 'high' (in {path}, row 12, field 'accuracy')"),
+    "empty-model": ("t9,,q,1.0,0.7,o9,r,5.0,1.0,0.1,0.9,0.9,e,c",
+                    "model name is empty (in {path}, row 12, field 'model')"),
+    "repeated-key": ("liar-bench-01,o3-mini,q,1.0,0.7,out-002,r,5.0,1.0,0.1,0.9,0.9,e,c",
+                     "duplicate (trial, model, id) key ('liar-bench-01', 'o3-mini', 'out-002') "
+                     "(in {path}, row 12, field 'id')"),
+}
+
+
+@pytest.mark.parametrize("command", ["ingest", "eval"])
+@pytest.mark.parametrize("fault", sorted(LATE_FAULTS))
+def test_a_bad_row_after_valid_rows_exits_1_and_writes_nothing(
+    command, fault, store_path, history_fixture, tmp_path, capsys
+):
+    """The history is streamed, yet nothing is written before its last row passes."""
+    row, message = LATE_FAULTS[fault]
+    history = tmp_path / "history.csv"
+    history.write_text(history_fixture.read_text(encoding="utf-8") + row + "\n", encoding="utf-8")
+    out = tmp_path / "out" / "result"
+    out.parent.mkdir()
+    capsys.readouterr()
+    assert main(_stream_argv(command, [history], store_path, tmp_path, out)) == 1
+    assert capsys.readouterr().err == f"error: {message.format(path=history)}\n"
+    assert list(out.parent.iterdir()) == []
+
+
+def test_a_key_repeated_in_a_second_file_after_valid_rows_writes_nothing(
+    history_fixture, tmp_path, capsys
+):
+    second = tmp_path / "second.csv"
+    row, _ = LATE_FAULTS["repeated-key"]
+    second.write_text(
+        ",".join(HISTORY_COLUMNS) + "\nt9,o3-mini,q,1.0,0.7,o9,r,5.0,1.0,0.1,0.9,0.9,e,c\n"
+        + row + "\n", encoding="utf-8"
+    )
+    out = tmp_path / "out" / "store.json"
+    out.parent.mkdir()
+    assert main(["ingest", str(history_fixture), str(second), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: duplicate (trial, model, id) key ('liar-bench-01', 'o3-mini', 'out-002'), "
+        f"first read from {history_fixture} (in {second}, row 3, field 'id')\n"
+    )
+    assert list(out.parent.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["ingest", "eval"])
+def test_a_header_only_history_exits_1_and_writes_nothing(command, store_path, tmp_path, capsys):
+    history = tmp_path / "empty.csv"
+    history.write_text(",".join(HISTORY_COLUMNS) + "\n", encoding="utf-8")
+    out = tmp_path / "out" / "result"
+    out.parent.mkdir()
+    capsys.readouterr()
+    assert main(_stream_argv(command, [history], store_path, tmp_path, out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: a history CSV needs at least one record (in {history})\n"
+    )
+    assert list(out.parent.iterdir()) == []

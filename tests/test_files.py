@@ -6,6 +6,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from llmchem.cli import main
 from llmchem.errors import ParseError
-from llmchem.files import read_csv, read_json, write_csv, write_json
+from llmchem.files import read_csv, read_json, sha256_of, write_csv, write_json
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "llmchem"
 
@@ -101,6 +102,13 @@ class TestReadCsv:
         with pytest.raises(ParseError) as err:
             self._read(tmp_path, b"c,b,a\n1\n")
         assert (err.value.row, err.value.field) == (2, "b")
+
+
+@pytest.mark.parametrize("size", [0, 1, (1 << 16) - 1, 1 << 16, 5 * (1 << 16) + 7])
+def test_sha256_of_reads_in_chunks_to_the_digest_of_the_whole_file(tmp_path, size):
+    path = tmp_path / "in.bin"
+    path.write_bytes(bytes(i % 251 for i in range(size)))
+    assert sha256_of(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_read_json_faults_name_the_file(tmp_path):

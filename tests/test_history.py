@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
 from llmchem import (
     HistoryRecord,
     build_profiles,
+    iter_history,
     parse_history_csv,
     read_profiles,
     write_history_csv,
     write_profiles,
 )
+from llmchem.complementarity import task_accuracies
 from llmchem.errors import DomainError, ParseError, StoreVersionError
 from llmchem.history import HISTORY_COLUMNS
 
@@ -135,6 +138,51 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse_history_csv(path)
         assert err.value.field == "temperature"
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestStreaming:
+    def test_records_stream_before_a_later_bad_row(self, tmp_path):
+        path = tmp_path / "late.csv"
+        write_history_csv([sample_record(), sample_record(id="out-2", quality=11.0)], path)
+        records = iter_history(path)
+        assert next(records) == sample_record()
+        with pytest.raises(ParseError) as err:
+            next(records)
+        assert (err.value.row, err.value.field) == (3, "quality")
+
+    def test_consumers_of_the_stream_hold_a_fraction_of_the_list(self, tmp_path):
+        path = tmp_path / "big.csv"
+        write_history_csv(
+            (
+                sample_record(trial=f"t{trial}", model=f"m{model}", task=f"task {task}",
+                              id=f"out-{task}", quality=(n % 97) / 10, accuracy=(n % 101) / 100)
+                for n, (trial, task, model) in enumerate(
+                    (trial, task, model)
+                    for trial in range(10) for task in range(63) for model in range(8)
+                )
+                if n < 5000
+            ),
+            path,
+        )
+        records, listed = _traced_peak(lambda: parse_history_csv(path))
+        assert len(records) == 5000
+        stores, profiled = _traced_peak(lambda: build_profiles(iter_history(path), "trial"))
+        accuracies, reduced = _traced_peak(lambda: task_accuracies(iter_history(path)))
+        assert profiled < listed / 3
+        assert reduced < listed / 3
+        assert stores == build_profiles(records, "trial")
+        assert accuracies == task_accuracies(records)
 
 
 class TestCanonicalReemission:

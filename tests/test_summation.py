@@ -27,6 +27,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "llmchem"
 INTEGER_SUMS = {
     ("mig.py", "MIG.edge_count"): 1,  # children per node
     ("complementarity.py", "effectiveness_soft_vote"): 1,  # tasks answered correctly
+    ("cli.py", "cmd_ingest"): 1,  # records per store and model
 }
 
 
