@@ -3,15 +3,16 @@
 Usage, from the repository root (standard library only):
 
     python3 scripts/bench_pairs.py --parent REF --seeds 51-60 --out BENCH_N.json \\
-        [--workloads dense14,sparse15,bulk40k] [--pairs N] [--seconds S] \\
-        [--change TEXT] [--claim WORKLOAD:METRIC:TARGET]
+        [--workloads dense14,sparse15,bulk40k] [--pairs N] [--change TEXT] \\
+        [--claim WORKLOAD:METRIC:TARGET]
 
 The parent is checked out with ``git worktree add`` into a temporary directory
 (under ``TMPDIR``), and this checkout's ``perfbench/`` is copied over its own,
 so both sides run the same benchmark code.  For every workload, pair ``i``
-runs ``perfbench/run.py --workload W --seed S --seconds S --trace 0`` once on
-each side, on seed ``seeds[i % len(seeds)]``; the parent runs first in even
-pairs and the change in odd ones.  Before every pair, each ``__pycache__``
+runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once on
+each side, on seed ``seeds[i % len(seeds)]``, with ``T`` the ``run_seconds`` of
+``BENCHMARK.json``; the parent runs first in even pairs and the change in odd
+ones.  Before every pair, each ``__pycache__``
 under both sides' ``src/`` is removed, so neither side imports bytecode the
 other has to compile (under ``PYTHONDONTWRITEBYTECODE=1`` a stale cache on
 one side shows in ``setup_s``).  The worktree is removed at the end.
@@ -22,7 +23,9 @@ higher and the median change in %; the stages attempted and failed; and
 whether every pair's primary-output digests were identical.  With
 ``--claim``, the claim block states whether the change's median is at or
 below TARGET, lower in at least 9 of 10 pairs, and lower than the parent's
-median by more than the parent's interquartile range.
+median by more than the parent's interquartile range.  A claim whose workload
+is not among ``--workloads`` or whose metric is not an end-to-end metric of
+``BENCHMARK.json`` is a usage error, reported before anything runs.
 
 Exit status: 0 when the file is written (and the claim, if any, is met), 1
 when the claim is not met, 2 when a benchmark run fails.
@@ -180,6 +183,23 @@ def parse_seeds(text: str) -> list[int]:
     return [int(seed) for seed in text.split(",")]
 
 
+def parse_claim(text: str, workloads: list[str],
+                metrics: list[str]) -> tuple[str, str, float]:
+    """``WORKLOAD:METRIC:TARGET`` as its parts, checked against what will run."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"expected WORKLOAD:METRIC:TARGET, got {text!r}")
+    workload, metric, target = parts
+    if workload not in workloads:
+        raise ValueError(f"workload {workload!r} is not among --workloads {','.join(workloads)}")
+    if metric not in metrics:
+        raise ValueError(f"metric {metric!r} is not one of {', '.join(metrics)}")
+    try:
+        return workload, metric, float(target)
+    except ValueError:
+        raise ValueError(f"target {target!r} is not a number") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -187,7 +207,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
     parser.add_argument("--seeds", required=True, type=parse_seeds)
     parser.add_argument("--pairs", type=int, help="pairs per workload (default: one per seed)")
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--change", default="", help="one line describing the change")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC:TARGET")
     parser.add_argument("--out", required=True, type=Path)
@@ -196,8 +215,11 @@ def main(argv: list[str] | None = None) -> int:
     pairs = args.pairs or len(args.seeds)
     claim = None
     if args.claim:
-        workload, metric, target = args.claim.split(":")
-        claim = (workload, metric, float(target))
+        try:
+            claim = parse_claim(args.claim, workloads,
+                                [metric["name"] for metric in spec["end_to_end"]])
+        except ValueError as exc:
+            parser.error(f"--claim: {exc}")
 
     parent = Path(tempfile.mkdtemp(prefix="bench-parent-")) / "parent"
     roots = {"parent": parent, "change": ROOT}
@@ -207,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         shutil.rmtree(parent / "perfbench")
         shutil.copytree(ROOT / "perfbench", parent / "perfbench",
                         ignore=shutil.ignore_patterns("__pycache__"))
-        runner = perfbench_runner(roots, args.seconds)
+        runner = perfbench_runner(roots, spec["run_seconds"])
         hosts = []
 
         def recording(side: str, workload: str, seed: int) -> dict:
@@ -229,8 +251,8 @@ def main(argv: list[str] | None = None) -> int:
     host = hosts[0]
     record: dict = {
         "change": args.change,
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
-                   "--trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed S "
+                   f"--seconds {spec['run_seconds']:g} --trace 0",
         "method": (
             f"{pairs} pairs per workload on seeds {seeds}, made by scripts/bench_pairs.py: "
             f"the parent ({args.parent}, a git worktree with this checkout's perfbench/ copied "

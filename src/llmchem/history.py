@@ -118,6 +118,7 @@ def iter_history(*paths: str | Path) -> Iterator[HistoryRecord]:
     """
     seen: dict[tuple[str, str, str], int] = {}  # key -> index of its file in ``paths``
     names: dict[str, str] = {}  # one kept copy of each trial, model and id string
+    keep = names.setdefault
     for at, path in enumerate(paths):
         for number, row in read_csv(path, HISTORY_COLUMNS):
             if not row[1]:
@@ -136,7 +137,8 @@ def iter_history(*paths: str | Path) -> Iterator[HistoryRecord]:
                 where = "" if first == at else f", first read from {paths[first]}"
                 raise ParseError(f"duplicate (trial, model, id) key {key!r}{where}",
                                  path=path, row=number, field="id")
-            seen[tuple(map(names.setdefault, key, key))] = at
+            trial, model, id_ = key
+            seen[keep(trial, trial), keep(model, model), keep(id_, id_)] = at
             row[3], row[4], row[7], row[8], row[9], row[10], row[11] = values  # _NUMERIC_INDEX
             yield HistoryRecord._make(row)
 

@@ -92,3 +92,46 @@ def test_a_pair_with_other_digests_is_reported():
 def test_seed_ranges_and_lists():
     assert bench_pairs.parse_seeds("51-60") == list(range(51, 61))
     assert bench_pairs.parse_seeds("3,5") == [3, 5]
+
+
+METRICS = ["run_s", "peak_rss_mb"]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError(f"ran {args}")
+
+
+def test_claim_parts_are_checked_against_the_run():
+    assert bench_pairs.parse_claim("bulk40k:peak_rss_mb:40", ["bulk40k"], METRICS) == (
+        "bulk40k", "peak_rss_mb", 40.0)
+    for text, message in [
+        ("bulk40k:peak_rss_mb", "expected WORKLOAD:METRIC:TARGET"),
+        ("bulk40:peak_rss_mb:40", "workload 'bulk40' is not among --workloads bulk40k"),
+        ("bulk40k:peak_rss:40", "metric 'peak_rss' is not one of run_s, peak_rss_mb"),
+        ("bulk40k:peak_rss_mb:forty", "target 'forty' is not a number"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            bench_pairs.parse_claim(text, ["bulk40k"], METRICS)
+
+
+@pytest.mark.parametrize("claim", ["sparse15:peak_rss_mb:40", "bulk40k:peak_rss:40"])
+def test_a_bad_claim_is_a_usage_error_before_anything_runs(claim, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs.subprocess, "run", _refuse)
+    monkeypatch.setattr(bench_pairs.tempfile, "mkdtemp", _refuse)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", "HEAD", "--seeds", "1", "--workloads", "bulk40k",
+                          "--claim", claim, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "--claim: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_run_length_is_the_benchmarks(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs.subprocess, "run", _refuse)
+    monkeypatch.setattr(bench_pairs.tempfile, "mkdtemp", _refuse)
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", "HEAD", "--seeds", "1", "--seconds", "10",
+                          "--out", str(tmp_path / "bench.json")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seconds 10" in capsys.readouterr().err
