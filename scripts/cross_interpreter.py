@@ -16,8 +16,8 @@ each in a run directory of its own:
   ingest, score, chem (graph and exhaustive), recommend, map, eval (ci,
   correlation, effectiveness with ``--history``) and check;
 * ``dense14`` and ``sparse15``: the benchmark workloads' inputs at seed 1
-  (``perfbench/gen.py``), then the stages of ``perfbench/run.py`` with its
-  flags, and check.
+  (``perfbench/gen.py``), then the stages ``perfbench/run.py``'s
+  ``stage_plan`` runs, and check.
 
 The stages run in the run directory on relative paths, because ``store.json``
 records its history's path and every later sidecar records the digest of
@@ -37,7 +37,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import importlib.util
 import itertools
 import json
 import os
@@ -53,8 +52,9 @@ ENV_VAR = "LLMCHEM_INTERPRETERS"
 
 PIPELINES = ("sample", "dense14", "sparse15")
 
-#: Stage -> argument vector, on paths relative to the run directory: inputs
-#: in ``in/``, outputs in ``out/``; ``{ensemble}`` is the map's members.
+#: Sample pipeline stage -> argument vector, on paths relative to the run
+#: directory: inputs in ``in/``, outputs in ``out/``; ``{ensemble}`` is the
+#: map's members.
 STAGES = {
     "ingest": "ingest in/history.csv --out out/store.json",
     "score": "score --grades in/grades.csv --ground-truth in/ground_truth.csv "
@@ -72,10 +72,6 @@ STAGES = {
                  "--metric effectiveness --history in/history.csv --out out/eval_hist.csv",
     "check": "check --store out/store.json",
 }
-
-#: Stages the workload pipelines leave out: ``chem --brute-force`` takes
-#: seconds on them, and ``perfbench/run.py`` runs no ``eval --metric ci``.
-SAMPLE_ONLY = ("chem_exact", "eval_ci")
 
 
 def write_inputs(directory: Path) -> list[str]:
@@ -117,13 +113,17 @@ def write_inputs(directory: Path) -> list[str]:
     return models
 
 
-def _perfbench_gen():
-    """``perfbench/gen.py``, imported by path: perfbench is not a package."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses looks the module up by name
-    spec.loader.exec_module(module)
-    return module
+def _perfbench():
+    """``perfbench/gen.py`` and ``perfbench/run.py`` (standard library only at import).
+
+    perfbench is not a package and its modules import each other by name, so
+    its directory goes on the module path.
+    """
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import gen
+    import run
+
+    return gen, run
 
 
 def prepare(pipeline: str, run: Path) -> dict[str, list[str]]:
@@ -132,23 +132,13 @@ def prepare(pipeline: str, run: Path) -> dict[str, list[str]]:
     inputs.mkdir(parents=True)
     (run / "out").mkdir()
     if pipeline == "sample":
-        members = write_inputs(inputs)[:3]
-        flags = {}
-        names = list(STAGES)
-    else:
-        gen = _perfbench_gen()
-        workload = gen.WORKLOADS[pipeline]
-        members = gen.generate(workload, 1, inputs)["map_members"]
-        flags = {  # as perfbench/run.py's stage_plan passes them
-            "score": ["--consensus-max-iters", "5", "--consensus-tol", "1e-12"],
-            "recommend": ["--max-iters", "3"],
-            "map": ["--grid-size", str(workload.grid_size)],
-        }
-        names = [name for name in STAGES if name not in SAMPLE_ONLY]
-    return {
-        name: STAGES[name].format(ensemble=",".join(members)).split() + flags.get(name, [])
-        for name in names
-    }
+        ensemble = ",".join(write_inputs(inputs)[:3])
+        return {name: argv.format(ensemble=ensemble).split() for name, argv in STAGES.items()}
+    gen, bench = _perfbench()
+    workload = gen.WORKLOADS[pipeline]
+    sizes = gen.generate(workload, 1, inputs)
+    plan = bench.stage_plan(workload, sizes, Path("in"), Path("out"))
+    return {**{stage["id"]: stage["argv"] for stage in plan}, "check": STAGES["check"].split()}
 
 
 def run_pipeline(python: str, pipeline: str, run: Path) -> dict[str, bytes]:

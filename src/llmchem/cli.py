@@ -1,8 +1,9 @@
 """Command-line pipeline: ingest -> score -> chem -> recommend -> map / eval / check.
 
-Every run echoes its effective configuration, and every output file gets a
-``<name>.meta.json`` sidecar recording the configuration and the SHA-256 of
-each input, so identical inputs and flags reproduce identical bytes.
+A ``--config`` file holds the settings of the whole pipeline; each subcommand
+takes flags only for those it reads.  Every run echoes its effective settings,
+and every output file gets a ``<name>.meta.json`` sidecar recording them and the
+SHA-256 of each input, so identical inputs and flags reproduce identical bytes.
 
 Exit codes: 0 success, 1 validation or usage error, 2 internal invariant
 failure.
@@ -63,23 +64,26 @@ from .recommend import CandidatePool, LossParams, recommend
 
 logger = logging.getLogger(__name__)
 
-#: The settings every subcommand shares, echoed as ``config:`` and recorded in
-#: every sidecar: config key -> (default, help, range check).  Values the
+#: The settings of the whole pipeline, all echoed as ``config:`` and recorded in
+#: every sidecar: config key -> (default, help, range check, the subcommands
+#: that read it and so take its flag; ``--config`` may set any key).  Values the
 #: library uses take their default and their check from the type or function
 #: that uses them; ``tau`` and ``seed`` are used by the CLI alone.
 _SETTINGS = {
-    "alpha": (LossParams.alpha, "inter/intra loss balance", lambda v: LossParams(alpha=v)),
-    "beta": (LossParams.beta, "subset size penalty", lambda v: LossParams(beta=v)),
-    "lambda": (CIParams.lam, "coverage/diversity trade-off", lambda v: CIParams(lam=v)),
-    "tau": (0.0, "chemistry report threshold", check_tau),
+    "alpha": (LossParams.alpha, "inter/intra loss balance", lambda v: LossParams(alpha=v),
+              ("recommend",)),
+    "beta": (LossParams.beta, "subset size penalty", lambda v: LossParams(beta=v), ("recommend",)),
+    "lambda": (CIParams.lam, "coverage/diversity trade-off", lambda v: CIParams(lam=v),
+               ("map", "eval")),
+    "tau": (0.0, "chemistry report threshold", check_tau, ("chem",)),
     "used_threshold": (ModelSet.used_threshold, "accuracy cut-off for usable outputs",
-                       lambda v: check_cost_knobs(ModelSet.empty_cost, v)),
+                       lambda v: check_cost_knobs(ModelSet.empty_cost, v), ("chem", "check")),
     "empty_cost": (ModelSet.empty_cost, "cost of a configuration with no usable output",
-                   lambda v: check_cost_knobs(v, ModelSet.used_threshold)),
+                   lambda v: check_cost_knobs(v, ModelSet.used_threshold), ("chem", "check")),
     "max_iters": (LossParams.max_iters, "hill-climb budget per seed",
-                  lambda v: LossParams(max_iters=v)),
-    "grid_size": (DEFAULT_GRID_SIZE, "chemistry map resolution", check_grid_size),
-    "seed": (0, "seed for audits and diagnostics", lambda v: None),
+                  lambda v: LossParams(max_iters=v), ("recommend",)),
+    "grid_size": (DEFAULT_GRID_SIZE, "chemistry map resolution", check_grid_size, ("map",)),
+    "seed": (0, "seed for audits and diagnostics", lambda v: None, ("check",)),
 }
 
 #: Subcommand flags outside the shared settings: argparse dest -> range check.
@@ -119,14 +123,15 @@ def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
     parser.add_argument("--config", type=Path, help="JSON file of config defaults")
-    for key, (default, text, _) in _SETTINGS.items():
-        parser.add_argument(
-            _flag(key), dest=key, type=type(default),
-            metavar="LAM" if key == "lambda" else None,  # CIParams' name for it
-            help=f"{text} (default {default})",
-        )
+    for key, (default, text, _, readers) in _SETTINGS.items():
+        if command in readers:
+            parser.add_argument(
+                _flag(key), dest=key, type=type(default),
+                metavar="LAM" if key == "lambda" else None,  # CIParams' name for it
+                help=f"{text} (default {default})",
+            )
 
 
 def _reader(by: str, value: str | None) -> str:
@@ -189,11 +194,11 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         if stray:
             raise _UsageError(f"unknown config keys in {args.config}: {stray}")
         given += [(key, value, f"in {args.config}") for key, value in payload.items()]
-    given += [(key, getattr(args, key), "on the command line")
-              for key in _SETTINGS if getattr(args, key) is not None]
-    config = {key: default for key, (default, _, _) in _SETTINGS.items()}
+    given += [(key, getattr(args, key, None), "on the command line")
+              for key in _SETTINGS if getattr(args, key, None) is not None]
+    config = {key: default for key, (default, _, _, _) in _SETTINGS.items()}
     for key, value, where in given:
-        default, _, check = _SETTINGS[key]
+        default, _, check, _ = _SETTINGS[key]
         whole = isinstance(default, int)
         number = isinstance(value, int if whole else (int, float)) and not isinstance(value, bool)
         if not number or not -math.inf < value < math.inf:
@@ -339,8 +344,7 @@ def cmd_chem(args: argparse.Namespace, config: dict) -> int:
 
 def cmd_recommend(args: argparse.Namespace, config: dict) -> int:
     store = _select_store(args.store, args.context)
-    model_set = _model_set(store, config)
-    table = ChemistryTable.from_csv(args.chem, members=model_set.members)
+    table = ChemistryTable.from_csv(args.chem, members=frozenset(store.profiles))
     pool = CandidatePool.from_json(args.pool)
     unknown = sorted(frozenset().union(*pool.subsets) - table.members)
     if unknown:
@@ -363,12 +367,10 @@ def cmd_recommend(args: argparse.Namespace, config: dict) -> int:
 
 
 def _ensemble_arg(value: str) -> list[str]:
-    """``--ensemble``: comma-separated model names, at least one, none twice."""
-    names = [name for name in value.split(",") if name]
-    if not names:
-        raise argparse.ArgumentTypeError("needs at least one model name")
-    if len(set(names)) < len(names):
-        raise argparse.ArgumentTypeError(f"names a model twice: {value!r}")
+    """``--ensemble``: comma-separated model names, none empty, none twice."""
+    names = value.split(",")
+    if not all(names) or len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError(f"needs distinct, non-empty model names: {value!r}")
     return names
 
 
@@ -445,8 +447,7 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
             points = [EnsemblePoint.from_profile(store.profiles[m]) for m in group]
             rows.append(["|".join(group), repr(complementarity_index(points, params))])
     else:  # correlation
-        model_set = _model_set(store, config)
-        table = ChemistryTable.from_csv(args.chem, members=model_set.members)
+        table = ChemistryTable.from_csv(args.chem, members=frozenset(store.profiles))
         params = CIParams(lam=config["lambda"])
         header = ["ensemble", "chemistry", "ci"]
         chems, cis = [], []
@@ -584,8 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("check", cmd_check, "run the property audits and oracle cross-checks")
 
-    for p in sub.choices.values():
-        _add_config_flags(p)
+    for name, p in sub.choices.items():
+        _add_config_flags(p, name)
     return parser
 
 

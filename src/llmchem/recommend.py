@@ -68,7 +68,6 @@ class CandidatePool:
     """Non-empty candidate subsets drawn from past runs (deduplicated)."""
 
     subsets: tuple[Configuration, ...]
-    query_context: str = ""
 
     def __post_init__(self) -> None:
         deduped: dict[Configuration, None] = {}
@@ -89,8 +88,7 @@ class CandidatePool:
             raise ParseError(
                 "'subsets' must be a non-empty list of non-empty lists of model names", path=path
             )
-        context = str(obj.get("query_context", ""))
-        return cls(subsets=tuple(frozenset(s) for s in subsets), query_context=context)
+        return cls(subsets=tuple(frozenset(s) for s in subsets))
 
 
 @dataclass(frozen=True)

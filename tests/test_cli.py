@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import json
+import re
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from llmchem.cli import _INPUTS, main
+from llmchem.cli import _INPUTS, build_parser, main
 from llmchem.history import HISTORY_COLUMNS, HistoryRecord, write_history_csv
 
 
@@ -198,12 +200,16 @@ class TestMap:
         assert "--ensemble names model 'nope', which is not in the store" in err
         assert f"(in {store_path})" in err
 
-    @pytest.mark.parametrize("ensemble", ["o3-mini,o3-mini", ","])
+    @pytest.mark.parametrize(
+        "ensemble", ["o3-mini,o3-mini", ",", "o3-mini,,gpt-4o", "o3-mini,", ",o3-mini"]
+    )
     def test_ensemble_needs_distinct_names(self, ensemble, store_path, tmp_path, capsys):
         out = tmp_path / "m.csv"
         assert main(["map", "--store", str(store_path), "--ensemble", ensemble,
                      "--out", str(out)]) == 1
-        assert "--ensemble" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: argument --ensemble: ")
+        assert repr(ensemble) in err
         assert not out.exists()
 
 
@@ -313,17 +319,21 @@ class TestConfigAndErrors:
     def test_missing_required_flag_is_usage_error(self):
         assert main(["chem"]) == 1
 
-    def test_config_file_and_flag_precedence(self, history_fixture, tmp_path, capsys):
+    def test_config_file_and_flag_precedence(self, store_path, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"alpha": 0.9, "seed": 3}))
-        out = tmp_path / "store.json"
-        main(["ingest", str(history_fixture), "--out", str(out),
-              "--config", str(config), "--alpha", "0.25"])
+        chem, pool = tmp_path / "chem.csv", tmp_path / "pool.json"
+        main(["chem", "--store", str(store_path), "--out", str(chem)])
+        pool.write_text(json.dumps({"subsets": [["o3-mini", "gpt-4o"]]}))
+        capsys.readouterr()
+        assert main(["recommend", "--store", str(store_path), "--chem", str(chem),
+                     "--pool", str(pool), "--out", str(tmp_path / "rec.json"),
+                     "--config", str(config), "--alpha", "0.25"]) == 0
         echoed = json.loads(
             capsys.readouterr().out.splitlines()[0].removeprefix("config: ")
         )
         assert echoed["alpha"] == 0.25  # flag beats file
-        assert echoed["seed"] == 3  # file beats default
+        assert echoed["seed"] == 3  # file beats default, for a setting recommend does not read
 
     def test_unknown_config_key_rejected(self, history_fixture, tmp_path):
         config = tmp_path / "config.json"
@@ -542,9 +552,23 @@ def test_bad_input_exits_1_naming_the_file(fault, store_path, history_fixture, t
         assert fragment in err
 
 
+#: Subcommand -> arguments whose input files do not exist in ``{tmp}``.
+MISSING_INPUTS = {
+    "ingest": "ingest {tmp}/h.csv --out {tmp}/s.json",
+    "score": "score --grades {tmp}/g.csv --out {tmp}/s.json",
+    "chem": "chem --store {tmp}/s.json --out {tmp}/c.csv",
+    "recommend": "recommend --store {tmp}/s.json --chem {tmp}/c.csv --pool {tmp}/p.json "
+                 "--out {tmp}/r.json",
+    "map": "map --store {tmp}/s.json --ensemble a,b --out {tmp}/m.csv",
+    "eval": "eval --store {tmp}/s.json --ensembles {tmp}/e.json --metric ci --out {tmp}/e.csv",
+    "check": "check --store {tmp}/s.json",
+}
+
+
 @pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--empty-cost", "inf")])
-def test_non_finite_flag_exits_1_naming_the_key(history_fixture, tmp_path, capsys, flag, value):
-    rc = main(["ingest", str(history_fixture), "--out", str(tmp_path / "s.json"), flag, value])
+def test_non_finite_flag_exits_1_naming_the_key(tmp_path, capsys, flag, value):
+    command = {"--alpha": "recommend", "--empty-cost": "chem"}[flag]
+    rc = main(MISSING_INPUTS[command].format(tmp=tmp_path).split() + [flag, value])
     assert rc == 1
     key = flag.removeprefix("--").replace("-", "_")
     assert f"'{key}'" in capsys.readouterr().err
@@ -561,49 +585,46 @@ def test_integral_config_values_echo_unchanged(history_fixture, tmp_path, capsys
     assert meta["config"]["alpha"] == 1 and meta["config"]["lambda"] == 0.25
 
 
-#: Case -> (flags, config file payload or None, key, where the message says it came from).
+#: Case -> (subcommand, flags, config file payload or None, key, where the
+#: message says it came from).  A flag goes to a subcommand that reads it; the
+#: config file may set any key on any subcommand.
 OUT_OF_RANGE = {
-    "used-threshold-flag": (["--used-threshold", "7"], None, "used_threshold",
+    "used-threshold-flag": ("chem", ["--used-threshold", "7"], None, "used_threshold",
                             "on the command line"),
-    "used-threshold-file": ([], {"used_threshold": 7}, "used_threshold", "in {config}"),
-    "grid-size": (["--grid-size", "1"], None, "grid_size", "on the command line"),
-    "tau": (["--tau", "-1"], None, "tau", "on the command line"),
-    "beta": (["--beta", "0"], None, "beta", "on the command line"),
+    "used-threshold-file": ("ingest", [], {"used_threshold": 7}, "used_threshold",
+                            "in {config}"),
+    "grid-size": ("map", ["--grid-size", "1"], None, "grid_size", "on the command line"),
+    "tau": ("chem", ["--tau", "-1"], None, "tau", "on the command line"),
+    "beta": ("recommend", ["--beta", "0"], None, "beta", "on the command line"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
-def test_out_of_range_config_exits_1_naming_key_and_source(
-    case, history_fixture, tmp_path, capsys
-):
-    flags, payload, key, where = OUT_OF_RANGE[case]
+def test_out_of_range_config_exits_1_naming_key_and_source(case, tmp_path, capsys):
+    command, flags, payload, key, where = OUT_OF_RANGE[case]
     config = tmp_path / "config.json"
     if payload is not None:
         config.write_text(json.dumps(payload))
         flags = flags + ["--config", str(config)]
-    out = tmp_path / "s.json"
-    assert main(["ingest", str(history_fixture), "--out", str(out), *flags]) == 1
+    # The inputs do not exist: the range check must fail before any is read.
+    assert main(MISSING_INPUTS[command].format(tmp=tmp_path).split() + flags) == 1
     captured = capsys.readouterr()
     assert f"config key '{key}' {where.format(config=config)} is out of range" in captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == ([config] if payload is not None else [])
 
 
-@pytest.mark.parametrize("argv", [
-    "ingest {tmp}/h.csv --out {tmp}/s.json",
-    "score --grades {tmp}/g.csv --out {tmp}/s.json",
-    "chem --store {tmp}/s.json --out {tmp}/c.csv",
-    "recommend --store {tmp}/s.json --chem {tmp}/c.csv --pool {tmp}/p.json --out {tmp}/r.json",
-    "map --store {tmp}/s.json --ensemble a,b --out {tmp}/m.csv",
-    "eval --store {tmp}/s.json --ensembles {tmp}/e.json --metric ci --out {tmp}/e.csv",
-    "check --store {tmp}/s.json",
-])
+@pytest.mark.parametrize("argv", MISSING_INPUTS.values())
 def test_every_subcommand_checks_config_ranges_first(argv, tmp_path, capsys):
     # The inputs do not exist: the range check must fail before any is read.
-    assert main(argv.format(tmp=tmp_path).split() + ["--used-threshold", "7"]) == 1
-    assert "config key 'used_threshold' on the command line is out of range" in (
-        capsys.readouterr().err
-    )
+    # Every subcommand checks every key of the config file, read by it or not.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"used_threshold": 7}))
+    assert main(argv.format(tmp=tmp_path).split() + ["--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert f"config key 'used_threshold' in {config} is out of range" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def test_default_config_line_is_pinned(history_fixture, tmp_path, capsys):
@@ -615,20 +636,86 @@ def test_default_config_line_is_pinned(history_fixture, tmp_path, capsys):
 
 
 def test_shared_flag_defaults_in_help_are_pinned(capsys):
-    assert main(["chem", "--help"]) == 0
-    text = " ".join(capsys.readouterr().out.split())
-    for entry in (
-        "--alpha ALPHA inter/intra loss balance (default 0.5)",
-        "--beta BETA subset size penalty (default 0.5)",
-        "--lambda LAM coverage/diversity trade-off (default 0.5)",
-        "--tau TAU chemistry report threshold (default 0.0)",
-        "--used-threshold USED_THRESHOLD accuracy cut-off for usable outputs (default 0.5)",
-        "--empty-cost EMPTY_COST cost of a configuration with no usable output (default 1.0)",
-        "--max-iters MAX_ITERS hill-climb budget per seed (default 50)",
-        "--grid-size GRID_SIZE chemistry map resolution (default 50)",
-        "--seed SEED seed for audits and diagnostics (default 0)",
-    ):
-        assert entry in text
+    for entry, command in {
+        "--alpha ALPHA inter/intra loss balance (default 0.5)": "recommend",
+        "--beta BETA subset size penalty (default 0.5)": "recommend",
+        "--lambda LAM coverage/diversity trade-off (default 0.5)": "map",
+        "--tau TAU chemistry report threshold (default 0.0)": "chem",
+        "--used-threshold USED_THRESHOLD accuracy cut-off for usable outputs (default 0.5)": "chem",
+        "--empty-cost EMPTY_COST cost of a configuration with no usable output (default 1.0)":
+            "chem",
+        "--max-iters MAX_ITERS hill-climb budget per seed (default 50)": "recommend",
+        "--grid-size GRID_SIZE chemistry map resolution (default 50)": "map",
+        "--seed SEED seed for audits and diagnostics (default 0)": "check",
+    }.items():
+        assert main([command, "--help"]) == 0
+        assert entry in " ".join(capsys.readouterr().out.split())
+
+
+#: Subcommand -> the shared settings it reads, and so the only ones it takes as flags.
+READS = {
+    "ingest": set(),
+    "score": set(),
+    "chem": {"tau", "used_threshold", "empty_cost"},
+    "recommend": {"alpha", "beta", "max_iters"},
+    "map": {"lambda", "grid_size"},
+    "eval": {"lambda"},
+    "check": {"seed", "used_threshold", "empty_cost"},
+}
+SHARED = ("alpha", "beta", "lambda", "tau", "used_threshold", "empty_cost", "max_iters",
+          "grid_size", "seed")
+
+
+def _shared_flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def test_each_subcommand_declares_exactly_the_settings_it_reads():
+    (subparsers,) = (action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction))
+    declared = {}
+    for command, parser in subparsers.choices.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert "--config" in flags
+        declared[command] = {key for key in SHARED if _shared_flag(key) in flags}
+    assert declared == READS
+    assert sum(map(len, declared.values())) == 12
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_help_lists_exactly_the_settings_a_subcommand_reads(command, capsys):
+    assert main([command, "--help"]) == 0
+    listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert "--config" in listed
+    assert listed & {_shared_flag(key) for key in SHARED} == {
+        _shared_flag(key) for key in READS[command]
+    }
+
+
+@pytest.mark.parametrize("key", SHARED)
+@pytest.mark.parametrize("command", sorted(READS))
+def test_a_shared_flag_is_taken_only_by_a_subcommand_that_reads_it(command, key, tmp_path, capsys):
+    argv = MISSING_INPUTS[command].format(tmp=tmp_path).split() + [_shared_flag(key), "2"]
+    if key in READS[command]:
+        assert getattr(build_parser().parse_args(argv), key) == 2
+        return
+    # The inputs do not exist: the flag must be rejected before any is read.
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: unrecognized arguments: {_shared_flag(key)} 2\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_score_rejects_the_hill_climb_budget(tmp_path, capsys):
+    """``score`` counts consensus rounds with --consensus-max-iters; --max-iters is not its flag."""
+    grades, out = tmp_path / "g.csv", tmp_path / "c.json"
+    grades.write_text(GRADES)
+    assert main(["score", "--grades", str(grades), "--max-iters", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: unrecognized arguments: --max-iters 1\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [grades]
 
 
 #: Subcommand flag outside the config -> (argv template, out-of-range value, domain message).

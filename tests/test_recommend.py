@@ -250,7 +250,6 @@ class TestPoolAndJson:
             json.dumps({"query_context": "ctx", "subsets": [["a", "b"], ["b"]]})
         )
         pool = CandidatePool.from_json(path)
-        assert pool.query_context == "ctx"
         assert pool.subsets == (frozenset({"a", "b"}), frozenset({"b"}))
 
     def test_recommendation_json_obj(self):
