@@ -6,7 +6,7 @@ Usage, from the repository root (standard library only):
         [--workloads dense14,sparse15,bulk40k] [--pairs N] [--change TEXT] \\
         [--claim WORKLOAD:METRIC:TARGET]
 
-The parent is checked out with ``git worktree add`` into a temporary directory
+The parent's files are unpacked with ``git archive`` into a temporary directory
 (under ``TMPDIR``), and this checkout's ``perfbench/`` is copied over its own,
 so both sides run the same benchmark code.  For every workload, pair ``i``
 runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once on
@@ -15,7 +15,7 @@ each side, on seed ``seeds[i % len(seeds)]``, with ``T`` the ``run_seconds`` of
 ones.  Before every pair, each ``__pycache__``
 under both sides' ``src/`` is removed, so neither side imports bytecode the
 other has to compile (under ``PYTHONDONTWRITEBYTECODE=1`` a stale cache on
-one side shows in ``setup_s``).  The worktree is removed at the end.
+one side shows in ``setup_s``).  The directory is removed at the end.
 
 The output holds, per workload and end-to-end metric, each side's median and
 inclusive quartiles, its runs, the pairs in which the change read lower or
@@ -224,8 +224,10 @@ def main(argv: list[str] | None = None) -> int:
     parent = Path(tempfile.mkdtemp(prefix="bench-parent-")) / "parent"
     roots = {"parent": parent, "change": ROOT}
     try:
-        subprocess.run(["git", "worktree", "add", "--detach", str(parent), args.parent],
-                       cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
+        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, check=True,
+                                 stdout=subprocess.PIPE).stdout
+        parent.mkdir()
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
         shutil.rmtree(parent / "perfbench")
         shutil.copytree(ROOT / "perfbench", parent / "perfbench",
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -243,8 +245,6 @@ def main(argv: list[str] | None = None) -> int:
         print(exc, file=sys.stderr)
         return 2
     finally:
-        if parent.exists():
-            subprocess.run(["git", "worktree", "remove", "--force", str(parent)], cwd=ROOT)
         shutil.rmtree(parent.parent, ignore_errors=True)
 
     seeds = f"{args.seeds[0]}-{args.seeds[-1]}" if len(args.seeds) > 1 else str(args.seeds[0])
@@ -255,12 +255,13 @@ def main(argv: list[str] | None = None) -> int:
                    f"--seconds {spec['run_seconds']:g} --trace 0",
         "method": (
             f"{pairs} pairs per workload on seeds {seeds}, made by scripts/bench_pairs.py: "
-            f"the parent ({args.parent}, a git worktree with this checkout's perfbench/ copied "
-            "in) and the change run one after the other, the side that runs first alternating "
-            "from pair to pair, every __pycache__ under both sides' src/ removed before each "
-            "pair. Values are the benchmark's own medians per run (reference seconds, MB); "
-            "here medians and quartiles (inclusive method) over the runs of each side, and "
-            "the number of pairs in which the change read lower or higher."
+            f"the parent ({args.parent}, unpacked by git archive, with this checkout's "
+            "perfbench/ copied in) and the change run one after the other, the side that "
+            "runs first alternating from pair to pair, every __pycache__ under both sides' "
+            "src/ removed before each pair. Values are the benchmark's own medians per run "
+            "(reference seconds, MB); here medians and quartiles (inclusive method) over the "
+            "runs of each side, and the number of pairs in which the change read lower or "
+            "higher."
         ),
         "host": {
             "cpu_model": host["cpu_model"],

@@ -68,7 +68,8 @@ logger = logging.getLogger(__name__)
 #: every sidecar: config key -> (default, help, range check, the subcommands
 #: that read it and so take its flag; ``--config`` may set any key).  Values the
 #: library uses take their default and their check from the type or function
-#: that uses them; ``tau`` and ``seed`` are used by the CLI alone.
+#: that uses them; ``tau`` and ``seed`` are used by the CLI alone.  ``eval``
+#: reads ``lambda`` only by ``--metric ci`` or ``correlation`` (``_check_inputs``).
 _SETTINGS = {
     "alpha": (LossParams.alpha, "inter/intra loss balance", lambda v: LossParams(alpha=v),
               ("recommend",)),
@@ -153,7 +154,7 @@ def _add_inputs(parser: argparse.ArgumentParser, command: str) -> None:
 
 
 def _check_inputs(args: argparse.Namespace) -> None:
-    """Reject an input file given where it is not read, then one left out where it is required."""
+    """Reject an input or ``eval --lambda`` given where it is not read, then an input left out."""
     missing = []
     for dest, when in _INPUTS[args.command].items():
         if isinstance(when, str):
@@ -166,6 +167,9 @@ def _check_inputs(args: argparse.Namespace) -> None:
             raise _UsageError(f"{_flag(dest)} is read only {_reader(by, value)}{other}")
         if required and read and not given:
             missing.append(f"{_flag(by)} {value} requires {_flag(dest)}")
+    if getattr(args, "metric", None) == "effectiveness" and getattr(args, "lambda") is not None:
+        raise _UsageError("--lambda is read only by --metric ci or --metric correlation, "
+                          "not by --metric effectiveness")
     if missing:
         raise _UsageError(missing[0])
 
@@ -543,56 +547,67 @@ def cmd_check(args: argparse.Namespace, config: dict) -> int:
     return 0 if failures == 0 else 2
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: Subcommand -> (handler, help text, its own flags as (flag, add_argument
+#: keywords)).  Its inputs come first, from ``_INPUTS``, and ``--config`` with
+#: the settings it reads last, from ``_SETTINGS``.
+_OUT = ("--out", {"type": Path, "required": True})
+_COMMANDS = {
+    "ingest": (cmd_ingest, "parse history CSVs into a profile store", [
+        _OUT,
+        ("--grouping", {"choices": ["all", "trial", "task"], "default": "all"}),
+        ("--aggregate", {"choices": ["mean", "median"], "default": "mean"}),
+    ]),
+    "score": (cmd_score, "consensus grades and accuracy blending", [
+        _OUT,
+        ("--consensus-max-iters", {"type": int, "default": DEFAULT_MAX_ITERS}),
+        ("--consensus-tol", {"type": float, "default": DEFAULT_TOL}),
+    ]),
+    "chem": (cmd_chem, "compute the pairwise chemistry table", [
+        ("--brute-force", {"action": "store_true",
+                           "help": "use the exhaustive enumerator instead of the graph"}),
+        _OUT,
+        ("--json-out", {"type": Path, "help": "also dump the table as JSON"}),
+    ]),
+    "recommend": (cmd_recommend, "pick the best subset from a candidate pool", [
+        _OUT,
+        ("--size-cap", {"type": int, "default": LossParams.size_cap}),
+    ]),
+    "map": (cmd_map, "marginal-complementarity grid for an ensemble", [
+        ("--ensemble", {"required": True, "type": _ensemble_arg,
+                        "help": "comma-separated model names"}),
+        _OUT,
+    ]),
+    "eval": (cmd_eval, "ensemble metrics and correlations", [
+        ("--metric", {"choices": ["effectiveness", "ci", "correlation"], "required": True}),
+        _OUT,
+    ]),
+    "check": (cmd_check, "run the property audits and oracle cross-checks", []),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser: with ``command``'s subparser alone when given, else with all of them."""
     parser = _Parser(prog="llmchem", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, func, text: str) -> argparse.ArgumentParser:
+    for name, (func, text, flags) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=text)
         p.set_defaults(func=func)
         _add_inputs(p, name)
-        return p
-
-    p = command("ingest", cmd_ingest, "parse history CSVs into a profile store")
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--grouping", choices=["all", "trial", "task"], default="all")
-    p.add_argument("--aggregate", choices=["mean", "median"], default="mean")
-
-    p = command("score", cmd_score, "consensus grades and accuracy blending")
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--consensus-max-iters", type=int, default=DEFAULT_MAX_ITERS)
-    p.add_argument("--consensus-tol", type=float, default=DEFAULT_TOL)
-
-    p = command("chem", cmd_chem, "compute the pairwise chemistry table")
-    p.add_argument("--brute-force", action="store_true",
-                   help="use the exhaustive enumerator instead of the graph")
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--json-out", type=Path, help="also dump the table as JSON")
-
-    p = command("recommend", cmd_recommend, "pick the best subset from a candidate pool")
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--size-cap", type=int, default=LossParams.size_cap)
-
-    p = command("map", cmd_map, "marginal-complementarity grid for an ensemble")
-    p.add_argument("--ensemble", required=True, type=_ensemble_arg,
-                   help="comma-separated model names")
-    p.add_argument("--out", type=Path, required=True)
-
-    p = command("eval", cmd_eval, "ensemble metrics and correlations")
-    p.add_argument("--metric", choices=["effectiveness", "ci", "correlation"], required=True)
-    p.add_argument("--out", type=Path, required=True)
-
-    command("check", cmd_check, "run the property audits and oracle cross-checks")
-
-    for name, p in sub.choices.items():
+        for flag, options in flags:
+            p.add_argument(flag, **options)
         _add_config_flags(p, name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # A run parses one subcommand, so it builds that one's parser only; help,
+    # --version or an unknown name get them all, to list every choice.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from llmchem import __version__
 from llmchem.cli import _INPUTS, build_parser, main
 from llmchem.history import HISTORY_COLUMNS, HistoryRecord, write_history_csv
 
@@ -670,11 +671,15 @@ def _shared_flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def test_each_subcommand_declares_exactly_the_settings_it_reads():
-    (subparsers,) = (action for action in build_parser()._actions
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (subparsers,) = (action for action in parser._actions
                      if isinstance(action, argparse._SubParsersAction))
+    return subparsers.choices
+
+
+def test_each_subcommand_declares_exactly_the_settings_it_reads():
     declared = {}
-    for command, parser in subparsers.choices.items():
+    for command, parser in _subparsers(build_parser()).items():
         flags = {flag for action in parser._actions for flag in action.option_strings}
         assert "--config" in flags
         declared[command] = {key for key in SHARED if _shared_flag(key) in flags}
@@ -716,6 +721,73 @@ def test_score_rejects_the_hill_climb_budget(tmp_path, capsys):
     assert captured.err == "usage error: unrecognized arguments: --max-iters 1\n"
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == [grades]
+
+
+ALL_COMMANDS = ["ingest", "score", "chem", "recommend", "map", "eval", "check"]
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_subcommand_help_matches_the_full_parser(command, capsys):
+    help_text = _subparsers(build_parser())[command].format_help()
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr() == (help_text, "")
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["--version"], 0, f"llmchem {__version__}\n", ""),
+    ([], 1, "", "usage error: the following arguments are required: command\n"),
+    (["nope"], 1, "", "usage error: argument command: invalid choice: 'nope' (choose from "
+                      "'ingest', 'score', 'chem', 'recommend', 'map', 'eval', 'check')\n"),
+], ids=["version", "empty", "unknown"])
+def test_top_level_runs_are_pinned(argv, code, out, err, capsys):
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_top_level_help_matches_the_full_parser(capsys):
+    help_text = build_parser().format_help()
+    assert main(["--help"]) == 0
+    assert capsys.readouterr() == (help_text, "")
+    assert "{" + ",".join(ALL_COMMANDS) + "}" in help_text
+
+
+@pytest.fixture()
+def built(monkeypatch) -> list[str]:
+    """The names of the subparsers built from here on (list it after fixtures that run main)."""
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    return names
+
+
+def test_a_run_builds_only_its_own_subparser(store_path, built, tmp_path):
+    assert main(["chem", "--store", str(store_path), "--out", str(tmp_path / "c.csv")]) == 0
+    assert built == ["chem"]
+
+
+def test_main_takes_the_subcommand_from_sys_argv(store_path, built, tmp_path, monkeypatch):
+    out = tmp_path / "c.csv"
+    monkeypatch.setattr(sys, "argv", ["llmchem", "chem", "--store", str(store_path),
+                                      "--out", str(out)])
+    assert main() == 0
+    assert built == ["chem"]
+    assert out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], [], ["nope"]])
+def test_a_run_without_a_subcommand_builds_them_all(argv, built, capsys):
+    main(argv)
+    assert built == ALL_COMMANDS
+
+
+def test_build_parser_builds_every_subcommand_by_default():
+    assert list(_subparsers(build_parser())) == ALL_COMMANDS
+    assert list(_subparsers(build_parser("map"))) == ["map"]
 
 
 #: Subcommand flag outside the config -> (argv template, out-of-range value, domain message).
@@ -796,6 +868,45 @@ def test_eval_rejects_an_input_flag_its_metric_does_not_read(flag, metric, tmp_p
         f"usage error: {flag} is read only by --metric {reader}, not by --metric {metric}\n"
     )
     assert list(tmp_path.iterdir()) == []
+
+
+LAMBDA_WITH_EFFECTIVENESS = (
+    "usage error: --lambda is read only by --metric ci or --metric correlation, "
+    "not by --metric effectiveness\n"
+)
+
+
+@pytest.mark.parametrize("history", [False, True])
+def test_eval_effectiveness_rejects_lambda_before_any_file_is_read(history, tmp_path, capsys):
+    argv = (f"eval --store {tmp_path}/s.json --ensembles {tmp_path}/e.json "
+            f"--metric effectiveness --lambda 0.3 --out {tmp_path}/e.csv").split()
+    assert main(argv + ([f"--history={tmp_path}/h.csv"] if history else [])) == 1
+    assert capsys.readouterr() == ("", LAMBDA_WITH_EFFECTIVENESS)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eval_lambda_flag_goes_with_ci_or_correlation_and_the_config_key_with_any(
+        store_path, tmp_path, capsys):
+    ensembles, chem = tmp_path / "e.json", tmp_path / "chem.csv"
+    ensembles.write_text(json.dumps({"ensembles": [["o3-mini", "gpt-4o"]]}))
+    assert main(["chem", "--store", str(store_path), "--out", str(chem)]) == 0
+    argv = ["eval", "--store", str(store_path), "--ensembles", str(ensembles)]
+    for metric in ("ci", "correlation"):
+        out = tmp_path / f"{metric}.csv"
+        extra = ["--chem", str(chem)] if metric == "correlation" else []
+        assert main(argv + ["--metric", metric, "--lambda", "0.3", "--out", str(out)] + extra) == 0
+        assert json.loads(out.with_name(out.name + ".meta.json").read_text())["config"][
+            "lambda"] == 0.3
+    # The config file is pipeline-wide: effectiveness takes its lambda key.
+    config, out = tmp_path / "config.json", tmp_path / "eff.csv"
+    config.write_text(json.dumps({"lambda": 0.3}))
+    assert main(argv + ["--metric", "effectiveness", "--config", str(config),
+                        "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--metric", "effectiveness", "--lambda", "0.3",
+                        "--out", str(tmp_path / "flag.csv")]) == 1
+    assert capsys.readouterr() == ("", LAMBDA_WITH_EFFECTIVENESS)
+    assert not (tmp_path / "flag.csv").exists()
 
 
 #: (subcommand, input dest, case) -> (arguments with that input left out, or
