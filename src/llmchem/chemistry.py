@@ -157,6 +157,17 @@ class ChemistryTable:
         return obj
 
 
+def _finite_score(a: str, b: str, score: float) -> float:
+    """Return a pair's score, or raise if one of its context ratios overflowed to inf."""
+    if score == math.inf:
+        raise DomainError(
+            f"chemistry for {subset_key(pair_key(a, b))!r} overflowed to inf: a context's "
+            "benefit ratio exceeds the float range at a combined cost near zero next to "
+            "its benefit difference"
+        )
+    return score
+
+
 def _pair_score_bruteforce(
     backend: CostBackend,
     focus: str,
@@ -186,7 +197,7 @@ def _pair_score_bruteforce(
             d = abs(gain_alone - gain_with_partner) / denom
             if d > best:
                 best = d
-    return best
+    return _finite_score(focus, partner, best)
 
 
 def _check_brute_force_size(members: Configuration) -> None:
@@ -306,7 +317,8 @@ def cheme(source: CostBackend, graph: MIG) -> ChemistryTable:
             for mask, node in enumerate(covers):
                 if not mask & both and node is not None and (a in node.subset or b in node.subset):
                     table[mask] = math.nan
-        scores[pair_key(a, b)] = _pair_score(table, bit_a, bit_b, everyone ^ both)
+        score = _pair_score(table, bit_a, bit_b, everyone ^ both)
+        scores[pair_key(a, b)] = _finite_score(a, b, score)
     return ChemistryTable(scores=scores, members=graph.members, method="mig-cheme")
 
 

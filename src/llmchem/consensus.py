@@ -102,25 +102,6 @@ def check_consensus_knobs(max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAU
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
 
 
-def _weighted_mean(
-    terms: list[tuple[str, float, float]], exclude: str | None = None
-) -> float | None:
-    """Sum of ``weight * grade`` over sum of weights, skipping ``exclude``; None if none left.
-
-    ``terms`` holds one output's ``(grader, weight, weight * grade)`` in
-    sorted-grader order, and both sums run in that order.
-    """
-    total = 0.0
-    weight_sum = 0.0
-    for grader, weight, weighted in terms:
-        if grader != exclude:
-            total += weighted
-            weight_sum += weight
-    if weight_sum == 0.0:
-        return None
-    return total / weight_sum
-
-
 def vancouver_consensus(
     matrix: GradeMatrix,
     max_iters: int = DEFAULT_MAX_ITERS,
@@ -138,30 +119,50 @@ def vancouver_consensus(
     ``tol`` or after ``max_iters`` rounds.  Internal iteration follows sorted
     grader and output ids, so declaration order never affects the result.
 
-    The matrix is indexed once: each output's graders and each grader's
-    outputs, both sorted, so a round only visits the grades that exist.
+    The grades are indexed once by output (outputs sorted, each output's
+    graders sorted), and a round makes one pass per output: a left-to-right
+    prefix over its ``weight`` and ``weight * grade`` terms, where the
+    leave-grader-k-out sums continue prefix k over the terms after k.  Every
+    mean thus adds the same terms in the same order as a scan of the other
+    graders would, with about half the additions.
     """
     check_consensus_knobs(max_iters, tol)
 
-    graders_of: dict[str, list[tuple[str, float]]] = {o: [] for o in matrix.outputs}
-    graded_by: dict[str, list[tuple[str, float]]] = {g: [] for g in matrix.graders}
-    for (grader, output), grade in sorted(matrix.grades.items()):
-        graders_of[output].append((grader, grade))
-        graded_by[grader].append((output, grade))
+    position = {g: i for i, g in enumerate(matrix.graders)}
+    by_output: dict[str, tuple[list[int], list[float]]] = {}
+    ordered = sorted(matrix.grades.items(), key=lambda item: (item[0][1], item[0][0]))
+    for (grader, output), grade in ordered:  # by output, then grader
+        positions, grades = by_output.setdefault(output, ([], []))
+        positions.append(position[grader])
+        grades.append(grade)
 
-    variance: dict[str, float] = {g: PRIOR_VARIANCE for g in matrix.graders}
+    variance = [PRIOR_VARIANCE] * len(matrix.graders)  # in matrix.graders order
     consensus: dict[str, float] = {}
     converged = False
     iterations = 0
 
     for iterations in range(1, max_iters + 1):
-        weights = {g: 1.0 / v for g, v in variance.items()}
-        terms = {
-            output: [(g, weights[g], weights[g] * grade) for g, grade in pairs]
-            for output, pairs in graders_of.items()
-        }
-        # Every output has a grade (GradeMatrix checks it), so no mean is None.
-        new_consensus = {output: _weighted_mean(terms[output]) for output in matrix.outputs}
+        weights = [1.0 / v for v in variance]
+        # Outputs are visited in sorted order, so each grader's deviations are too.
+        deviations: list[list[float]] = [[] for _ in variance]
+        means: dict[str, float] = {}
+        for output, (positions, grades) in by_output.items():
+            w = [weights[p] for p in positions]
+            wg = [weight * grade for weight, grade in zip(w, grades)]
+            m = len(w)
+            prefix_total = prefix_weight = 0.0
+            for k in range(m):
+                total, weight_sum = prefix_total, prefix_weight
+                for j in range(k + 1, m):
+                    total += wg[j]
+                    weight_sum += w[j]
+                if weight_sum != 0.0:  # else grader k stands alone on this output
+                    deviations[positions[k]].append((grades[k] - total / weight_sum) ** 2)
+                prefix_total += wg[k]
+                prefix_weight += w[k]
+            # Every output has a grade (GradeMatrix checks it), so the weight is > 0.
+            means[output] = prefix_total / prefix_weight
+        new_consensus = {output: means[output] for output in matrix.outputs}
 
         change = (
             max(abs(new_consensus[o] - consensus[o]) for o in matrix.outputs)
@@ -169,30 +170,20 @@ def vancouver_consensus(
             else math.inf
         )
         consensus = new_consensus
-
-        new_variance: dict[str, float] = {}
-        for grader in matrix.graders:
-            deviations: list[float] = []
-            for output, grade in graded_by[grader]:
-                others = _weighted_mean(terms[output], exclude=grader)
-                if others is None:
-                    continue  # grader stands alone on this output
-                deviations.append((grade - others) ** 2)
-            if deviations:
-                estimate = left_sum(deviations) / len(deviations)
-                new_variance[grader] = max(VARIANCE_FLOOR, estimate)
-            else:
-                new_variance[grader] = variance[grader]
-        variance = new_variance
+        variance = [
+            max(VARIANCE_FLOOR, left_sum(own) / len(own)) if own else previous
+            for own, previous in zip(deviations, variance)
+        ]
 
         if change < tol:
             converged = True
             break
 
-    review = {g: review_accuracy_from_variance(v) for g, v in variance.items()}
+    by_grader = dict(zip(matrix.graders, variance))
+    review = {g: review_accuracy_from_variance(v) for g, v in by_grader.items()}
     return ConsensusResult(
         consensus=consensus,
-        variance=variance,
+        variance=by_grader,
         review_accuracy=review,
         iterations=iterations,
         converged=converged,
@@ -240,7 +231,8 @@ def load_grades_csv(path: str | Path) -> GradeMatrix:
     """Read a ``grader,output_id,grade`` CSV into a grade matrix.
 
     Each grade is range-checked and each ``(grader, output_id)`` must be new as
-    its row is read, so the error names the row.
+    its row is read, so the error names the row; a file with no grade is an
+    error.
     """
     rows: list[tuple[str, str, float]] = []
     seen: set[tuple[str, str]] = set()
@@ -263,16 +255,20 @@ def load_grades_csv(path: str | Path) -> GradeMatrix:
             ) from None
         seen.add(key)
         rows.append((grader, output, grade))
+    if not rows:
+        raise ParseError("a grades CSV needs at least one grade", path=path)
     return GradeMatrix.from_rows(rows)
 
 
 def load_ground_truth_csv(path: str | Path) -> dict[str, str]:
-    """Read an ``output_id,reference`` CSV into a reference map."""
+    """Read an ``output_id,reference`` CSV into a reference map; it needs at least one row."""
     references: dict[str, str] = {}
     for number, (output, reference) in read_csv(path, ("output_id", "reference")):
         if output in references:
             raise ParseError("duplicate output id", path=path, row=number, field="output_id")
         references[output] = reference
+    if not references:
+        raise ParseError("a ground-truth CSV needs at least one reference", path=path)
     return references
 
 

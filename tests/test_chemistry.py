@@ -300,7 +300,7 @@ class TestCoverKernelEquivalence:
         backend, graph = drawn
         expected = reference_cover_cheme(backend, graph)
         if math.inf in expected.values():  # a tiny denominator overflowed the ratio
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match="overflowed to inf"):
                 cheme(backend, graph)
         else:
             assert cheme(backend, graph).scores == expected

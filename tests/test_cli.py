@@ -95,6 +95,22 @@ class TestChem:
         assert payload["model_set_fingerprint"]
         assert len(payload["scores"]) == 10
 
+    @pytest.mark.parametrize("flags", [[], ["--brute-force"]])
+    def test_overflowed_ratio_names_the_pair_and_writes_nothing(
+        self, flags, store_path, tmp_path, capsys
+    ):
+        out = tmp_path / "out" / "chem.csv"
+        out.parent.mkdir()
+        capsys.readouterr()
+        argv = ["chem", "--store", str(store_path), "--empty-cost", "1e308", "--out", str(out)]
+        assert main(argv + flags) == 1
+        assert capsys.readouterr().err == (
+            "error: chemistry for 'gemini-2.0-flash,gpt-4o' overflowed to inf: a context's "
+            "benefit ratio exceeds the float range at a combined cost near zero next to "
+            "its benefit difference\n"
+        )
+        assert list(out.parent.iterdir()) == []
+
 
 class TestRecommend:
     def test_loss_matches_exhaustive_enumeration(self, store_path, tmp_path):
@@ -408,8 +424,8 @@ HISTORY = ",".join(HISTORY_COLUMNS).encode() + b"\nt,m,q,1.0,0.7,o1,r,5.0,1.0,0.
 
 #: Fault -> (CLI arguments, bad file name, its bytes (None: a directory),
 #: fragments the message must hold besides the file's path).  ``{bad}`` is the
-#: bad file, ``{tmp}`` the test's directory; the store, history, grades and
-#: ground truth there are valid.
+#: bad file, ``{tmp}`` the test's directory; the store, history, grades,
+#: ground truth and results there are valid.
 BAD_INPUTS = {
     "config-json": ("ingest {history} --out {tmp}/s.json --config {bad}", "c.json",
                     b'{"alpha": ', ["invalid JSON"]),
@@ -457,6 +473,11 @@ BAD_INPUTS = {
     "grades-out-of-range": ("score --grades {bad} --out {tmp}/s.json", "g.csv",
                             b"grader,output_id,grade\ng1,o1,10.5\ng2,o1,5\n",
                             ["got 10.5", "row 2, field 'grade'"]),
+    "grades-header-only": ("score --grades {bad} --out {tmp}/s.json", "g.csv",
+                           b"grader,output_id,grade\n", ["a grades CSV needs at least one grade"]),
+    "ground-truth-header-only": (
+        "score --grades {grades} --ground-truth {bad} --results {results} --out {tmp}/s.json",
+        "gt.csv", b"output_id,reference\n", ["a ground-truth CSV needs at least one reference"]),
     "grades-duplicate": ("score --grades {bad} --out {tmp}/s.json", "g.csv",
                          b"grader,output_id,grade\ng1,o1,5\ng2,o1,6\n\ng1,o1,7\n",
                          ["duplicate grade for ('g1', 'o1')", "row 4, field 'output_id'"]),
@@ -541,16 +562,22 @@ def test_bad_input_exits_1_naming_the_file(fault, store_path, history_fixture, t
         bad.write_bytes(data)
     (tmp_path / "grades.csv").write_text(GRADES)
     (tmp_path / "gt.csv").write_text("output_id,reference\no1,true\n")
+    (tmp_path / "results.csv").write_text("model,output_id,result\ng1,o1,true\n")
     chem = tmp_path / "chem.csv"
     assert main(["chem", "--store", str(store_path), "--out", str(chem)]) == 0
     capsys.readouterr()
     paths = dict(bad=bad, tmp=tmp_path, store=store_path, history=history_fixture, chem=chem,
-                 grades=tmp_path / "grades.csv", gt=tmp_path / "gt.csv")
-    assert main(argv.format(**paths).split()) == 1
+                 grades=tmp_path / "grades.csv", gt=tmp_path / "gt.csv",
+                 results=tmp_path / "results.csv")
+    args = argv.format(**paths).split()
+    assert main(args) == 1
     err = capsys.readouterr().err
     assert str(bad) in err
     for fragment in fragments:
         assert fragment in err
+    out = Path(args[args.index("--out") + 1])
+    assert not out.exists()
+    assert not out.with_name(out.name + ".meta.json").exists()
 
 
 #: Subcommand -> arguments whose input files do not exist in ``{tmp}``.

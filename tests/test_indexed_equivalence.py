@@ -46,16 +46,20 @@ GRADES = st.one_of(
 def grade_rows(draw) -> list[tuple[str, str, float]]:
     """Rows of a grade matrix in arbitrary order, with the sparse corner cases mixed in.
 
-    Besides a random core, it may add lone graders (one grade each), outputs
-    with a single grade, and a grader with no estimable output (it alone
-    grades each of its outputs).
+    Besides a random core, it may add an output graded by every grader, lone
+    graders (one grade each), outputs with a single grade, and a grader with
+    no estimable output (it alone grades each of its outputs).  With up to 16
+    graders, ``g10`` sorts before ``g2``, so name order, numeric order and the
+    first-seen order of the shuffled rows all differ.
     """
-    graders = [f"g{i}" for i in range(draw(st.integers(1, 6)))]
+    graders = [f"g{i}" for i in range(draw(st.integers(1, 16)))]
     outputs = [f"o{i}" for i in range(draw(st.integers(1, 8)))]
     rows = []
     for output in outputs:
         chosen = draw(st.lists(st.sampled_from(graders), min_size=1, unique=True))
         rows += [(g, output, draw(GRADES)) for g in chosen]
+    if draw(st.booleans()):  # an output every grader graded
+        rows += [(g, "every", draw(GRADES)) for g in graders]
     for i in range(draw(st.integers(0, 2))):  # lone graders on shared outputs
         rows.append((f"lone{i}", draw(st.sampled_from(outputs)), draw(GRADES)))
     for i in range(draw(st.integers(0, 3))):  # single-grade outputs of a shared grader
