@@ -14,6 +14,13 @@ graph's cost table; on an explicit cost table or an explicitly given graph it
 holds each subset's covering-node cost, with NaN marking every context the
 covers cannot answer.  On a fully materialised graph either way agrees with
 the exact enumerator, term for term.
+
+On the cost table a float bound first tries to certify each pair's empty
+context, by branch and bound: every other context's ratio is at most
+``span[a] / low[ab]``, the span of a's gains over the non-empty contexts
+over the least cost of any superset of {a, b}.  A pair whose ratio at the
+empty context reaches that bound is scored there; every other pair walks
+every context in :func:`_pair_score`.
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, islice
+from operator import sub
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -269,20 +277,74 @@ def _pair_score(costs: list[float], bit_a: int, bit_b: int, rest: int) -> float:
     return best
 
 
+def _lattice_bounds(costs: list[float]) -> tuple[list[float], list[float]]:
+    """Each bit's gain span and each mask's superset-minimum cost.
+
+    ``spans[j]`` is max - min of the float gain ``costs[Y] - costs[Y | 1 << j]``
+    over every non-empty Y without bit j (0 when there is none), and
+    ``lows[mask]`` the least cost over every superset of ``mask``.  Each of
+    the n steps rotates the next bit to the top of the index with a perfect
+    unshuffle, so the two halves of the list pair every Y with Y plus that
+    bit.  The gains are consumed as they are made, never held in a list.
+    """
+    half = len(costs) >> 1
+    table, lows = costs, costs.copy()
+    spans = []
+    for _ in range(half.bit_length()):
+        table = table[0::2] + table[1::2]
+        lows = lows[0::2] + lows[1::2]
+        # A comprehension, not map(min, ...): the builtin's call costs four times as much.
+        lows[:half] = [y if y < x else x for x, y in zip(lows[:half], lows[half:])]
+        highest = max(map(sub, islice(table, 1, half), islice(table, half + 1, None)), default=0.0)
+        lowest = min(map(sub, islice(table, 1, half), islice(table, half + 1, None)), default=0.0)
+        spans.append(highest - lowest)
+    return spans, lows
+
+
+def _certified_score(
+    costs: list[float], spans: list[float], lows: list[float], bit_a: int, bit_b: int
+) -> float | None:
+    """The pair's ratio at the empty context when no other context can exceed it, else None.
+
+    For X non-empty both gains of the kernel's ratio are gains of a over a
+    non-empty context, so their float difference is at most ``span`` in
+    magnitude, and the ratio's denominator is at least ``low``.  Rounding is
+    monotone, so every such ratio is at most the float ``span / low``.  When
+    ``low`` is positive, the bound finite and the empty context's ratio,
+    computed with the kernel's operations, at least the bound, that ratio is
+    the value :func:`_pair_score` returns.
+    """
+    both = bit_a | bit_b
+    low = lows[both]
+    if not low > 0.0:
+        return None
+    bound = spans[bit_a.bit_length() - 1] / low
+    denom = costs[both]
+    at_empty = abs((costs[0] - costs[bit_a]) - (costs[bit_b] - denom)) / denom
+    return at_empty if bound < math.inf and at_empty >= bound else None
+
+
 def cheme(source: CostBackend, graph: MIG) -> ChemistryTable:
     """Chemistry for all pairs from the graph's node costs.
 
     On a :class:`~llmchem.mig.LatticeMIG` (the graph of a profile source)
     every context's costs are read from the graph's cost table, and a pair
     with an unusable member scores 0: it lies in every node, so no context
-    is admissible for it.  On any other graph each subset X is answered by
-    its smallest covering node, and a context is skipped for a pair when any
-    of the covers of X, X|{a}, X|{b}, X|{a,b} is missing, when the context's
-    own cover already contains a or b (it would violate the disjoint-context
-    premise), or when the combined cover has zero cost.  Benefits are
-    evaluated on the cover subsets, so on a fully materialised graph the
-    result equals the exhaustive enumerator exactly; on sparser graphs it is
-    the graph's best available approximation.
+    is admissible for it.  There a pair is scored at the empty context when
+    its ratio there is at least ``span[a] / low[ab]`` (see
+    :func:`_certified_score`), which bounds every other context's ratio in
+    floats; every other pair walks every context.  When the empty context's
+    ratio ties the bound exactly, the loop's first maximiser can be another
+    context, but the value is the same either way.
+
+    On any other graph each subset X is answered by its smallest covering
+    node, and a context is skipped for a pair when any of the covers of X,
+    X|{a}, X|{b}, X|{a,b} is missing, when the context's own cover already
+    contains a or b (it would violate the disjoint-context premise), or when
+    the combined cover has zero cost.  Benefits are evaluated on the cover
+    subsets, so on a fully materialised graph the result equals the
+    exhaustive enumerator exactly; on sparser graphs it is the graph's best
+    available approximation.
     """
     if source.members != graph.members:
         raise InvalidConfigurationError(
@@ -296,6 +358,7 @@ def cheme(source: CostBackend, graph: MIG) -> ChemistryTable:
     covers = None
     if isinstance(graph, LatticeMIG):
         names, costs = graph.ranked, graph.costs
+        spans, lows = _lattice_bounds(costs)
     else:
         names = sorted(graph.members)
         lookup = CoverLookup(graph)
@@ -309,15 +372,18 @@ def cheme(source: CostBackend, graph: MIG) -> ChemistryTable:
     for a, b in combinations(sorted(names), 2):
         bit_a, bit_b = bits[a], bits[b]
         both = bit_a | bit_b
-        table = costs
-        if covers is not None:
+        table, score = costs, None
+        if covers is None:
+            score = _certified_score(costs, spans, lows, bit_a, bit_b)
+        else:
             # A context whose cover holds a or b is inadmissible.  Marking it NaN,
             # not testing for it in the shared loop, keeps the lattice path fast.
             table = costs.copy()
             for mask, node in enumerate(covers):
                 if not mask & both and node is not None and (a in node.subset or b in node.subset):
                     table[mask] = math.nan
-        score = _pair_score(table, bit_a, bit_b, everyone ^ both)
+        if score is None:
+            score = _pair_score(table, bit_a, bit_b, everyone ^ both)
         scores[pair_key(a, b)] = _finite_score(a, b, score)
     return ChemistryTable(scores=scores, members=graph.members, method="mig-cheme")
 

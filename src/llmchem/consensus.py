@@ -275,7 +275,8 @@ def load_ground_truth_csv(path: str | Path) -> dict[str, str]:
 def load_results_csv(path: str | Path) -> dict[str, list[tuple[str, str]]]:
     """Read a ``model,output_id,result`` CSV into each model's (output id, result) rows.
 
-    Every row names a model, and no ``(model, output_id)`` appears twice.
+    Every row names a model, no ``(model, output_id)`` appears twice, and
+    there is at least one row.
     """
     outputs_by_model: dict[str, list[tuple[str, str]]] = {}
     seen: set[tuple[str, str]] = set()
@@ -287,4 +288,6 @@ def load_results_csv(path: str | Path) -> dict[str, list[tuple[str, str]]]:
                              path=path, row=number, field="output_id")
         seen.add((model, output))
         outputs_by_model.setdefault(model, []).append((output, result))
+    if not outputs_by_model:
+        raise ParseError("a results CSV needs at least one result", path=path)
     return outputs_by_model

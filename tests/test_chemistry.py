@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,8 @@ from llmchem import (
     penalty,
     used_subset,
 )
+from llmchem.chemistry import _certified_score, _lattice_bounds, _pair_score
+from llmchem.cli import main
 from llmchem.errors import (
     DomainError,
     InvalidConfigurationError,
@@ -32,6 +37,7 @@ from llmchem.errors import (
     ParseError,
     SizeLimitError,
 )
+from llmchem.history import read_profiles
 from llmchem.mig import MIG, LatticeMIG, MIGNode, TableBackend
 
 from helpers import (
@@ -43,6 +49,8 @@ from helpers import (
 )
 
 ABS = 1e-12
+
+GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 
 
 class TestBruteForce:
@@ -310,6 +318,167 @@ class TestCoverKernelEquivalence:
         backend = example_backend(members)
         graph = drawn_example_graph(members)
         assert cheme(backend, graph).scores == reference_cover_cheme(backend, graph)
+
+
+@st.composite
+def pruning_model_sets(draw) -> ModelSet:
+    """Profile sets on which the empty-context certificate both holds and fails.
+
+    ``empty_cost`` 0 or 1e-300 puts the empty context's ratio below the
+    bound, zero-penalty members (quality 10 or accuracy 1) make combined
+    costs 0 and so ``low`` 0, and ``empty_cost`` 1e300 makes the empty
+    context's ratio dwarf every other one, at times overflowing it.  Names
+    are shuffled against the rank order, so a pair's smaller name can hold
+    either bit.
+    """
+    size = draw(st.integers(2, 9))
+    names = draw(st.permutations(list("abcdefghi")))[:size]
+    qualities = st.one_of(st.just(10.0), st.floats(0.0, 10.0))
+    accuracies = st.one_of(st.just(1.0), st.floats(0.0, 1.0))
+    profiles = tuple(
+        ModelProfile(name, quality=draw(qualities), accuracy=draw(accuracies))
+        for name in names
+    )
+    empty_cost = draw(
+        st.one_of(st.sampled_from([0.0, 1e-300, 1.0, 1e300]), st.floats(0.0, 5.0))
+    )
+    return ModelSet(profiles=profiles, empty_cost=empty_cost)
+
+
+def lattice_pairs(graph: LatticeMIG) -> list[tuple[str, str, int, int]]:
+    """Every pair of usable members as in ``cheme``: (a, b, bit of a, bit of b), a < b."""
+    bits = {name: 1 << j for j, name in enumerate(graph.ranked)}
+    return [(a, b, bits[a], bits[b]) for a, b in combinations(sorted(graph.ranked), 2)]
+
+
+def dense14_seed1_model_set(directory: Path) -> ModelSet:
+    """The benchmark's dense14 store at seed 1: ``perfbench/gen.py`` inputs, then ``ingest``."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # dataclasses resolve the module by name
+    spec.loader.exec_module(gen)
+    gen.generate(gen.WORKLOADS["dense14"], 1, directory)
+    store = directory / "store.json"
+    assert main(["ingest", str(directory / "history.csv"), "--out", str(store)]) == 0
+    (profiles,) = read_profiles(store)
+    return profiles.to_model_set()
+
+
+class TestCertifiedPruning:
+    """``cheme`` scores a pair at the empty context only where a float bound proves it wins."""
+
+    def test_certified_or_fallback_scores_equal_the_full_kernel_bit_for_bit(self):
+        taken = {"certified": 0, "fallback": 0}
+
+        @settings(max_examples=400, deadline=None)
+        @given(ms=pruning_model_sets())
+        def check(ms):
+            graph = build_mig(ms)
+            costs = graph.costs
+            spans, lows = _lattice_bounds(costs)
+            everyone = len(costs) - 1
+            # A pair with an unusable member has no bit and scores 0.
+            expected = dict.fromkeys(map(frozenset, combinations(ms.members, 2)), 0.0)
+            for a, b, bit_a, bit_b in lattice_pairs(graph):
+                full = _pair_score(costs, bit_a, bit_b, everyone ^ bit_a ^ bit_b)
+                certified = _certified_score(costs, spans, lows, bit_a, bit_b)
+                if certified is None:
+                    taken["fallback"] += 1
+                else:
+                    taken["certified"] += 1
+                    assert certified == full
+                expected[frozenset((a, b))] = full
+            if math.inf in expected.values():
+                with pytest.raises(DomainError, match="overflowed to inf"):
+                    cheme(ms, graph)
+            else:
+                assert cheme(ms, graph).scores == expected
+
+        check()
+        assert taken["certified"] > 0 and taken["fallback"] > 0, taken
+
+    @settings(max_examples=200, deadline=None)
+    @given(ms=pruning_model_sets())
+    def test_the_bound_is_never_below_any_non_empty_context(self, ms):
+        graph = build_mig(ms)
+        costs = graph.costs
+        spans, lows = _lattice_bounds(costs)
+        everyone = len(costs) - 1
+        for j in range(len(graph.ranked)):
+            bit = 1 << j
+            gains = [costs[y] - costs[y | bit] for y in range(1, everyone + 1) if not y & bit]
+            assert spans[j] == (max(gains) - min(gains) if gains else 0.0)
+        for mask in range(everyone + 1):
+            supersets, free = [], everyone ^ mask
+            extra = free
+            while True:
+                supersets.append(costs[mask | extra])
+                if not extra:
+                    break
+                extra = (extra - 1) & free
+            assert lows[mask] == min(supersets)
+        for _, _, bit_a, bit_b in lattice_pairs(graph):
+            both = bit_a | bit_b
+            if not lows[both] > 0.0:
+                continue
+            bound = spans[bit_a.bit_length() - 1] / lows[both]
+            context = rest = everyone ^ both
+            while context:
+                denom = costs[context | both]
+                gain_alone = costs[context] - costs[context | bit_a]
+                gain_with_partner = costs[context | bit_b] - denom
+                assert abs(gain_alone - gain_with_partner) / denom <= bound
+                context = (context - 1) & rest
+
+    def test_the_bound_divides_by_the_least_cost_of_any_superset(self):
+        # cost({a, b}) = 0.28 but cost({a, b, c}) = 0.198: context {c} scores
+        # 0.336, above the empty context's 0.286, which clears the span over
+        # cost({a, b}) alone (0.238) but not over the superset minimum.
+        ms = ModelSet(
+            profiles=(
+                ModelProfile("a", quality=0.0, accuracy=0.6),
+                ModelProfile("b", quality=2.0, accuracy=0.9),
+                ModelProfile("c", quality=9.0, accuracy=0.75),
+            ),
+            empty_cost=0.28,
+        )
+        graph = build_mig(ms)
+        costs = graph.costs
+        spans, lows = _lattice_bounds(costs)
+        _, _, bit_a, bit_b = lattice_pairs(graph)[0]
+        both = bit_a | bit_b
+        assert lows[both] < costs[both]
+        assert _certified_score(costs, spans, lows, bit_a, bit_b) is None
+        full = _pair_score(costs, bit_a, bit_b, (len(costs) - 1) ^ both)
+        assert cheme(ms, graph).score("a", "b") == full == pytest.approx(0.336134453781513)
+
+    @pytest.mark.parametrize("quality, accuracy", [(8.0, 0.8), (0.0, 0.5), (5.0, 0.6), (9.9, 0.99)])
+    def test_every_homogeneous_positive_penalty_pair_is_certified(self, quality, accuracy):
+        # Criterion 04's regime: a context of k >= 1 models gains -p / (k + 1),
+        # so span < p/2 over low = 1.5p bounds every other context below 1/3,
+        # while the empty context scores |E - p/2| / 1.5p >= 1/3.
+        for size in range(2, 11):
+            graph = build_mig(homogeneous_model_set(size, quality, accuracy))
+            spans, lows = _lattice_bounds(graph.costs)
+            for _, _, bit_a, bit_b in lattice_pairs(graph):
+                both = bit_a | bit_b
+                assert spans[bit_a.bit_length() - 1] / lows[both] < 1.0 / 3.0
+                score = _certified_score(graph.costs, spans, lows, bit_a, bit_b)
+                assert score is not None and score >= 1.0 / 3.0
+
+    def test_every_dense14_seed1_pair_is_certified(self, tmp_path, capsys):
+        ms = dense14_seed1_model_set(tmp_path)
+        graph = build_mig(ms)
+        spans, lows = _lattice_bounds(graph.costs)
+        pairs = lattice_pairs(graph)
+        assert len(pairs) == 91
+        certified = [
+            _certified_score(graph.costs, spans, lows, bit_a, bit_b) for _, _, bit_a, bit_b in pairs
+        ]
+        assert None not in certified
+        assert cheme(ms, graph).scores == {
+            frozenset((a, b)): score for (a, b, _, _), score in zip(pairs, certified)
+        }
 
 
 class TestLlmcpFilter:

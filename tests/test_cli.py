@@ -478,6 +478,8 @@ BAD_INPUTS = {
     "ground-truth-header-only": (
         "score --grades {grades} --ground-truth {bad} --results {results} --out {tmp}/s.json",
         "gt.csv", b"output_id,reference\n", ["a ground-truth CSV needs at least one reference"]),
+    "results-header-only": ("score --grades {grades} --results {bad} --out {tmp}/s.json", "r.csv",
+                            b"model,output_id,result\n", ["a results CSV needs at least one result"]),
     "grades-duplicate": ("score --grades {bad} --out {tmp}/s.json", "g.csv",
                          b"grader,output_id,grade\ng1,o1,5\ng2,o1,6\n\ng1,o1,7\n",
                          ["duplicate grade for ('g1', 'o1')", "row 4, field 'output_id'"]),
