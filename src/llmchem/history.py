@@ -17,7 +17,6 @@ import math
 import statistics
 import sys
 from dataclasses import dataclass
-from operator import itemgetter, le
 from pathlib import Path
 from typing import Iterable, Iterator, Literal, NamedTuple
 
@@ -81,13 +80,8 @@ _NUMERIC_RANGES: dict[str, tuple[float, float]] = {
 }
 
 
-#: Positions of the numeric columns in a row, and their bounds with infinite
-#: ones replaced by the largest finite float, so that ``lo <= value <= hi``
-#: also rejects NaN and infinity.
+#: Positions of the numeric columns in a row, in ``_NUMERIC_RANGES`` order.
 _NUMERIC_INDEX = tuple(HISTORY_COLUMNS.index(column) for column in _NUMERIC_RANGES)
-_NUMERIC_FIELDS = itemgetter(*_NUMERIC_INDEX)
-_LOWS = tuple(max(lo, -sys.float_info.max) for lo, _ in _NUMERIC_RANGES.values())
-_HIGHS = tuple(min(hi, sys.float_info.max) for _, hi in _NUMERIC_RANGES.values())
 
 
 def _parse_numeric(raw: str, column: str, path: str | Path, row_number: int) -> None:
@@ -112,35 +106,52 @@ def iter_history(*paths: str | Path) -> Iterator[HistoryRecord]:
     one by one holds no more of the history than it keeps itself, and reaches
     a bad row's ``ParseError`` before it returns.  A ``(trial, model, id)``
     key may appear once in all the files; a repeat in a later file also names
-    the file that held the key first.  Each row's numeric fields are
-    converted and range-checked together; only a row that fails goes through
-    ``_parse_numeric`` column by column, which raises the row's first error.
+    the file that held the key first, and the records share that index's
+    one copy of each trial and model name.  A row's seven numeric fields are
+    converted with ``float`` and range-checked in one comparison against the
+    bounds of ``_NUMERIC_RANGES``, with an infinite bound replaced by the
+    largest finite float, so that NaN and infinity fail too.  Only a row that
+    fails goes through ``_parse_numeric`` column by column, which raises the
+    row's first error.
     """
+    top = sys.float_info.max
     seen: dict[tuple[str, str, str], int] = {}  # key -> index of its file in ``paths``
     names: dict[str, str] = {}  # one kept copy of each trial, model and id string
     keep = names.setdefault
     for at, path in enumerate(paths):
         for number, row in read_csv(path, HISTORY_COLUMNS):
-            if not row[1]:
+            (trial, model, task, latency, temperature, id_, result, quality, gen_accuracy,
+             variance, review_accuracy, accuracy, elapsed, created) = row
+            if not model:
                 raise ParseError("model name is empty", path=path, row=number, field="model")
             try:
-                values = tuple(map(float, _NUMERIC_FIELDS(row)))
-                valid = all(map(le, _LOWS, values)) and all(map(le, values, _HIGHS))
+                latency = float(latency)
+                temperature = float(temperature)
+                quality = float(quality)
+                gen_accuracy = float(gen_accuracy)
+                variance = float(variance)
+                review_accuracy = float(review_accuracy)
+                accuracy = float(accuracy)
             except ValueError:
                 valid = False
+            else:  # the bounds of _NUMERIC_RANGES
+                valid = (0.0 <= latency <= top and -top <= temperature <= top
+                         and 0.0 <= quality <= 10.0 and 0.0 <= gen_accuracy <= 1.0
+                         and 0.0 <= variance <= top and 0.0 <= review_accuracy <= 1.0
+                         and 0.0 <= accuracy <= 1.0)
             if not valid:
                 for column, index in zip(_NUMERIC_RANGES, _NUMERIC_INDEX):
                     _parse_numeric(row[index], column, path, number)
-            key = (row[0], row[1], row[5])
+            trial, model = keep(trial, trial), keep(model, model)
+            key = trial, model, keep(id_, id_)
             if key in seen:
                 first = seen[key]
                 where = "" if first == at else f", first read from {paths[first]}"
                 raise ParseError(f"duplicate (trial, model, id) key {key!r}{where}",
                                  path=path, row=number, field="id")
-            trial, model, id_ = key
-            seen[keep(trial, trial), keep(model, model), keep(id_, id_)] = at
-            row[3], row[4], row[7], row[8], row[9], row[10], row[11] = values  # _NUMERIC_INDEX
-            yield HistoryRecord._make(row)
+            seen[key] = at
+            yield HistoryRecord(trial, model, task, latency, temperature, id_, result, quality,
+                                gen_accuracy, variance, review_accuracy, accuracy, elapsed, created)
 
 
 def parse_history_csv(*paths: str | Path) -> list[HistoryRecord]:

@@ -161,6 +161,14 @@ class TestStreaming:
             next(records)
         assert (err.value.row, err.value.field) == (3, "quality")
 
+    def test_records_share_one_copy_of_each_trial_and_model_name(self, tmp_path):
+        # A consumer that keys on the names, such as task_accuracies, then
+        # keeps one string per name instead of one per record.
+        path = tmp_path / "names.csv"
+        write_history_csv([sample_record(id=f"out-{n}", task=f"task {n}") for n in range(3)], path)
+        first, *rest = iter_history(path)
+        assert all(r.trial is first.trial and r.model is first.model for r in rest)
+
     def test_consumers_of_the_stream_hold_a_fraction_of_the_list(self, tmp_path):
         path = tmp_path / "big.csv"
         write_history_csv(

@@ -17,6 +17,7 @@ from helpers import reference_parse_history_csv, reference_read_csv
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from llmchem import history
 from llmchem.errors import ParseError
 from llmchem.files import read_csv
 from llmchem.history import (
@@ -215,7 +216,11 @@ def test_history_fixture_parses_to_the_same_records(history_fixture):
 
 
 @pytest.mark.parametrize("column", list(_NUMERIC_RANGES))
-@pytest.mark.parametrize("text", ["-1", "11", "1.0000001", "inf", "-inf", "nan", "1e400", "x"])
+@pytest.mark.parametrize(
+    "text",
+    ["-1", "11", "1.0000001", "inf", "-inf", "nan", "1e400", "x",
+     "-5e-324", "10.000000000000002", "1.0000000000000002", "0", "1", "10"],
+)
 def test_each_column_out_of_range_names_it(workdir, column, text):
     row = {c: "0.5" for c in _NUMERIC_RANGES}
     row.update(trial="t", model="m", task="q", id="o", result="r", elapsed="e", created="c")
@@ -227,9 +232,47 @@ def test_each_column_out_of_range_names_it(workdir, column, text):
     assert error is None or error[1:] == (2, column)
 
 
+#: The lowest and highest values each numeric column accepts, with the
+#: smallest subnormal and -0.0 next to a bound of 0.
+RANGE_EDGES = {
+    "latency": ["0", "-0.0", "5e-324", "1.7976931348623157e308"],
+    "temperature": ["-1.7976931348623157e308", "-5e-324", "-0.0", "0", "1.7976931348623157e308"],
+    "quality": ["0", "-0.0", "5e-324", "10"],
+    "gen_accuracy": ["0", "-0.0", "5e-324", "1"],
+    "variance": ["0", "-0.0", "5e-324", "1.7976931348623157e308"],
+    "review_accuracy": ["0", "-0.0", "5e-324", "1"],
+    "accuracy": ["0", "-0.0", "5e-324", "1"],
+}
+
+
+def test_the_row_check_accepts_every_range_edge(workdir, monkeypatch):
+    # A row the one-comparison check rejects goes through _parse_numeric, so
+    # a bound that is too strict changes no output; with the fallback made to
+    # raise, every row at an accepted edge must pass the row check itself.
+    def fallback(raw, column, path, row_number):
+        raise AssertionError(f"{column}={raw!r} failed the row check")
+
+    rows = [{c: edges[0] for c, edges in RANGE_EDGES.items()},
+            {c: edges[-1] for c, edges in RANGE_EDGES.items()}]
+    for column, edges in RANGE_EDGES.items():
+        rows += [{**{c: "0.5" for c in RANGE_EDGES}, column: text} for text in edges]
+    body = _line(HISTORY_COLUMNS, "\n")
+    for i, row in enumerate(rows):
+        row.update(trial="t", model="m", task="q", id=f"o{i}", result="r", elapsed="e",
+                   created="c")
+        body += _line([row[c] for c in HISTORY_COLUMNS], "\n")
+    path = _write(workdir, body.encode("utf-8"))
+    expected = _parse(reference_parse_history_csv, path)
+    monkeypatch.setattr(history, "_parse_numeric", fallback)
+    records, error = _parse(parse_history_csv, path)
+    assert error is None and len(records) == len(rows)
+    assert (records, error) == expected
+
+
 def test_the_parser_reads_the_record_positions_of_the_history_columns():
-    # parse_history_csv builds each record from the row in place, so the two
-    # orders must be one, and the numeric positions those it assigns.
+    # iter_history unpacks each row into locals in HISTORY_COLUMNS order and
+    # builds the record from them in that order, so the two orders must be
+    # one; a failing row's fallback reads its numbers at _NUMERIC_INDEX.
     assert HistoryRecord._fields == HISTORY_COLUMNS
     assert _NUMERIC_INDEX == (3, 4, 7, 8, 9, 10, 11)
     assert [HISTORY_COLUMNS[i] for i in (0, 1, 5)] == ["trial", "model", "id"]
