@@ -6,11 +6,15 @@ Usage, from the repository root (standard library only):
         [--workloads dense14,sparse15,bulk40k] [--pairs N] [--change TEXT] \\
         [--claim WORKLOAD:METRIC:TARGET]
 
-The parent's files are unpacked with ``git archive`` into a temporary directory
-(under ``TMPDIR``), and this checkout's ``perfbench/`` is copied over its own,
-so both sides run the same benchmark code.  For every workload, pair ``i``
-runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once on
-each side, on seed ``seeds[i % len(seeds)]``, with ``T`` the ``run_seconds`` of
+Both sides run from sibling directories of one temporary directory (under
+``TMPDIR``), so their paths have the same length and neither runs from the
+checkout: ``change/`` holds a copy of this checkout's working-tree files (the
+files ``git ls-files --cached --others --exclude-standard`` lists that exist
+on disk), and ``parent/`` the parent's files, unpacked with ``git archive``,
+with ``change/perfbench/`` copied over its own, so both sides run the same
+benchmark code.  For every workload, pair ``i`` runs ``perfbench/run.py
+--workload W --seed S --seconds T --trace 0`` once on each side, on seed
+``seeds[i % len(seeds)]``, with ``T`` the ``run_seconds`` of
 ``BENCHMARK.json``; the parent runs first in even pairs and the change in odd
 ones.  Before every pair, each ``__pycache__``
 under both sides' ``src/`` is removed, so neither side imports bytecode the
@@ -169,6 +173,20 @@ def perfbench_runner(roots: dict[str, Path], seconds: float) -> Runner:
     return run
 
 
+def checkout_files(root: Path) -> list[str]:
+    """The working-tree files of the checkout at ``root``: tracked or not ignored, and on disk."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=root, check=True, stdout=subprocess.PIPE).stdout.decode()
+    return [name for name in listed.split("\0") if name and (root / name).is_file()]
+
+
+def copy_checkout(root: Path, dest: Path) -> None:
+    """Copy :func:`checkout_files` of ``root`` to the same relative paths under ``dest``."""
+    for name in checkout_files(root):
+        (dest / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(root / name, dest / name)
+
+
 def clear_bytecode(roots: dict[str, Path]) -> None:
     for root in roots.values():
         for cache in list((root / "src").rglob("__pycache__")):
@@ -221,16 +239,17 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             parser.error(f"--claim: {exc}")
 
-    parent = Path(tempfile.mkdtemp(prefix="bench-parent-")) / "parent"
-    roots = {"parent": parent, "change": ROOT}
+    tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    roots = {side: tmp / side for side in SIDES}
+    parent = roots["parent"]
     try:
+        copy_checkout(ROOT, roots["change"])
         archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, check=True,
                                  stdout=subprocess.PIPE).stdout
         parent.mkdir()
         subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
         shutil.rmtree(parent / "perfbench")
-        shutil.copytree(ROOT / "perfbench", parent / "perfbench",
-                        ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(roots["change"] / "perfbench", parent / "perfbench")
         runner = perfbench_runner(roots, spec["run_seconds"])
         hosts = []
 
@@ -245,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
         print(exc, file=sys.stderr)
         return 2
     finally:
-        shutil.rmtree(parent.parent, ignore_errors=True)
+        shutil.rmtree(tmp, ignore_errors=True)
 
     seeds = f"{args.seeds[0]}-{args.seeds[-1]}" if len(args.seeds) > 1 else str(args.seeds[0])
     host = hosts[0]
@@ -255,13 +274,14 @@ def main(argv: list[str] | None = None) -> int:
                    f"--seconds {spec['run_seconds']:g} --trace 0",
         "method": (
             f"{pairs} pairs per workload on seeds {seeds}, made by scripts/bench_pairs.py: "
-            f"the parent ({args.parent}, unpacked by git archive, with this checkout's "
-            "perfbench/ copied in) and the change run one after the other, the side that "
-            "runs first alternating from pair to pair, every __pycache__ under both sides' "
-            "src/ removed before each pair. Values are the benchmark's own medians per run "
-            "(reference seconds, MB); here medians and quartiles (inclusive method) over the "
-            "runs of each side, and the number of pairs in which the change read lower or "
-            "higher."
+            f"the parent ({args.parent}, unpacked by git archive, with the change's "
+            "perfbench/ copied in) and the change (a copy of the checkout's working-tree "
+            "files), each in a sibling directory of one temporary directory, run one after "
+            "the other, the side that runs first alternating from pair to pair, every "
+            "__pycache__ under both sides' src/ removed before each pair. Values are the "
+            "benchmark's own medians per run (reference seconds, MB); here medians and "
+            "quartiles (inclusive method) over the runs of each side, and the number of "
+            "pairs in which the change read lower or higher."
         ),
         "host": {
             "cpu_model": host["cpu_model"],

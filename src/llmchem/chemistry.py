@@ -6,14 +6,15 @@ disjoint contexts X, in a's marginal benefit caused by b's presence:
     chem(a, b) = max over X of |benefit({a}, X) - benefit({a}, X | {b})|
                  divided by cost(X | {a, b})
 
-Two scorers are provided: an exact enumerator over every context subset, and
-a graph-based scorer.  The graph scorer evaluates the ratio in one kernel,
-:func:`_pair_score`, over a list of costs indexed by bitmask.  On the graph
-of a profile source (a :class:`~llmchem.mig.LatticeMIG`) that list is the
-graph's cost table; on an explicit cost table or an explicitly given graph it
-holds each subset's covering-node cost, with NaN marking every context the
-covers cannot answer.  On a fully materialised graph either way agrees with
-the exact enumerator, term for term.
+Two scorers are provided: an exact enumerator over every context subset of a
+cost backend, and a graph-based scorer that reads only the graph.  The graph
+scorer evaluates the ratio in one kernel, :func:`_pair_score`, over a list of
+costs indexed by bitmask.  On the graph of a profile source (a
+:class:`~llmchem.mig.LatticeMIG`) that list is the graph's cost table; on an
+explicit cost table or an explicitly given graph it holds each subset's
+covering-node cost, with NaN marking every context the covers cannot answer.
+On a fully materialised graph either way agrees with the exact enumerator,
+term for term.
 
 On the cost table a float bound first tries to certify each pair's empty
 context, by branch and bound: every other context's ratio is at most
@@ -31,7 +32,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations, islice
 from operator import sub
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .core import (
     Configuration,
@@ -324,8 +325,11 @@ def _certified_score(
     return at_empty if bound < math.inf and at_empty >= bound else None
 
 
-def cheme(source: CostBackend, graph: MIG) -> ChemistryTable:
-    """Chemistry for all pairs from the graph's node costs.
+def cheme(graph: MIG) -> ChemistryTable:
+    """Chemistry for all pairs, read from the graph alone.
+
+    The graph holds every cost it is scored on, so a cost backend is scored
+    as ``cheme(build_mig(backend))``.
 
     On a :class:`~llmchem.mig.LatticeMIG` (the graph of a profile source)
     every context's costs are read from the graph's cost table, and a pair
@@ -346,10 +350,6 @@ def cheme(source: CostBackend, graph: MIG) -> ChemistryTable:
     exhaustive enumerator exactly; on sparser graphs it is the graph's best
     available approximation.
     """
-    if source.members != graph.members:
-        raise InvalidConfigurationError(
-            "model set does not match the graph's member set"
-        )
     scores: dict[PairKey, float] = {
         pair_key(a, b): 0.0 for a, b in combinations(sorted(graph.members), 2)
     }

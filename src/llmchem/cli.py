@@ -221,7 +221,10 @@ def _echo_config(config: dict) -> None:
 
 
 def _write_meta(args: argparse.Namespace, config: dict, extra: dict | None = None) -> None:
-    """Write ``<out>.meta.json``: the config, each given input's path and SHA-256, and ``extra``."""
+    """Write ``<out>.meta.json``: the config, each given input's path and SHA-256, and ``extra``.
+
+    A store picked with ``--context`` is named under ``"context"``.
+    """
     inputs = {}
     for dest in _INPUTS[args.command]:
         value = getattr(args, dest)
@@ -238,6 +241,8 @@ def _write_meta(args: argparse.Namespace, config: dict, extra: dict | None = Non
             for label, path in sorted(inputs.items())
         },
     }
+    if getattr(args, "context", None) is not None:
+        meta["context"] = args.context
     if extra:
         meta.update(extra)
     write_json(args.out.with_name(args.out.name + ".meta.json"), meta)
@@ -328,8 +333,7 @@ def cmd_chem(args: argparse.Namespace, config: dict) -> int:
     if args.brute_force:
         table = chem_table_bruteforce(model_set)
     else:
-        graph = build_mig(model_set)
-        table = cheme(model_set, graph)
+        table = cheme(build_mig(model_set))
     table.to_csv(args.out)
     if args.json_out is not None:
         write_json(args.json_out, table.to_json_obj(model_set))
@@ -525,8 +529,7 @@ def cmd_check(args: argparse.Namespace, config: dict) -> int:
     sample = usable[: min(len(usable), 6)]
     if len(sample) >= 2:
         subset = restricted(model_set.profile(n) for n in sample)
-        graph = build_mig(subset)
-        fast = cheme(subset, graph)
+        fast = cheme(build_mig(subset))
         exact = chem_table_bruteforce(subset)
         mismatches = [
             (a, b)

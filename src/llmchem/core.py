@@ -16,9 +16,12 @@ import json
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import DomainError, InvalidConfigurationError, SizeLimitError
+
+if TYPE_CHECKING:  # mig imports core
+    from .mig import CostBackend
 
 ModelId = str
 Configuration = frozenset[str]
@@ -156,10 +159,10 @@ class RankedOutput:
         return penalty(self.quality_norm, self.accuracy)
 
 
-def validate_configuration(model_set: ModelSet, config: Iterable[ModelId]) -> Configuration:
-    """Normalise ``config`` to a frozenset and reject unknown models."""
+def validate_configuration(source: CostBackend, config: Iterable[ModelId]) -> Configuration:
+    """Normalise ``config`` to a frozenset and reject models not in ``source``."""
     members = frozenset(config)
-    unknown = members - model_set.members
+    unknown = members - source.members
     if unknown:
         raise InvalidConfigurationError(
             f"configuration references unknown models: {sorted(unknown)}"
@@ -225,16 +228,16 @@ def cost(model_set: ModelSet, config: Iterable[ModelId]) -> float:
     return total
 
 
-def benefit(model_set: ModelSet, x: Iterable[ModelId], y: Iterable[ModelId]) -> float:
-    """Cost reduction from selecting ``x`` in addition to ``y``.
+def benefit(backend: CostBackend, x: Iterable[ModelId], y: Iterable[ModelId]) -> float:
+    """Cost reduction from selecting ``x`` in addition to ``y``, on any cost backend.
 
     Defined as ``cost(y) - cost(x | y)``; negative when adding ``x`` raises
     the total cost.  The intended contract is disjoint ``x`` and ``y``; the
     formula is computed regardless, and callers enforce disjointness.
     """
-    xs = validate_configuration(model_set, x)
-    ys = validate_configuration(model_set, y)
-    return cost(model_set, ys) - cost(model_set, xs | ys)
+    xs = validate_configuration(backend, x)
+    ys = validate_configuration(backend, y)
+    return backend.cost(ys) - backend.cost(xs | ys)
 
 
 def model_set_fingerprint(model_set: ModelSet) -> str:

@@ -26,24 +26,6 @@ from .files import read_csv, read_json, write_csv, write_json
 
 logger = logging.getLogger(__name__)
 
-#: Exact history CSV columns, in canonical order.
-HISTORY_COLUMNS = (
-    "trial",
-    "model",
-    "task",
-    "latency",
-    "temperature",
-    "id",
-    "result",
-    "quality",
-    "gen_accuracy",
-    "variance",
-    "review_accuracy",
-    "accuracy",
-    "elapsed",
-    "created",
-)
-
 STORE_VERSION = 1
 
 Grouping = Literal["trial", "task", "all"]
@@ -51,7 +33,7 @@ Aggregate = Literal["mean", "median"]
 
 
 class HistoryRecord(NamedTuple):
-    """One benchmark-run row, fields in ``HISTORY_COLUMNS`` order; elapsed/created stay strings."""
+    """One history CSV row, a field per column in column order; elapsed/created stay strings."""
 
     trial: str
     model: str
@@ -68,6 +50,9 @@ class HistoryRecord(NamedTuple):
     elapsed: str
     created: str
 
+
+#: Exact history CSV columns, in canonical order: the record's fields.
+HISTORY_COLUMNS = HistoryRecord._fields
 
 _NUMERIC_RANGES: dict[str, tuple[float, float]] = {
     "latency": (0.0, math.inf),

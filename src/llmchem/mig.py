@@ -106,22 +106,6 @@ class TableBackend:
         return self._used.get(frozenset(config), frozenset())
 
 
-def backend_benefit(backend: CostBackend, x: Iterable[str], y: Iterable[str]) -> float:
-    """``cost(y) - cost(x | y)`` over any cost backend.
-
-    Mirrors :func:`llmchem.core.benefit` for explicit cost tables; disjoint
-    ``x`` and ``y`` is the intended contract.
-    """
-    xs = frozenset(x)
-    ys = frozenset(y)
-    for subset in (xs, ys):
-        if not subset <= backend.members:
-            raise InvalidConfigurationError(
-                f"configuration {subset_key(subset)!r} is not within the member set"
-            )
-    return backend.cost(ys) - backend.cost(xs | ys)
-
-
 @dataclass(frozen=True)
 class MIGNode:
     """One materialised subset with its usable members and cost."""

@@ -29,6 +29,7 @@ from llmchem import (
     ModelProfile,
     ModelSet,
     audit_cost_properties,
+    benefit,
     build_mig,
     build_profiles,
     chem_table_bruteforce,
@@ -47,7 +48,7 @@ from llmchem import (
     write_profiles,
 )
 from llmchem.consensus import VARIANCE_FLOOR
-from llmchem.mig import TableBackend, backend_benefit
+from llmchem.mig import TableBackend
 
 from helpers import (
     homogeneous_chemistry,
@@ -94,7 +95,7 @@ def test_criterion_01_cost_worked_example():
 
 def test_criterion_02_benefit_worked_value():
     backend = TableBackend(costs={("c",): 0.15, ("a", "c"): 0.07}, members=("a", "c"))
-    value = backend_benefit(backend, {"a"}, {"c"})
+    value = benefit(backend, {"a"}, {"c"})
     defining = backend.cost(frozenset("c")) - backend.cost(frozenset("ac"))
     ok = value == defining and abs(value - 0.08) <= ABS
     report(2, "benefit worked value", ok, f"benefit={value!r}")
@@ -204,7 +205,7 @@ def test_criterion_05_oracle_equivalence():
         ms = random_model_set(rng, size, min_accuracy=0.5)
         graph = build_mig(ms)
         assert graph.node_count == 2 ** size  # full lattice
-        fast = cheme(ms, graph)
+        fast = cheme(graph)
         slow = chem_table_bruteforce(ms)
         for a, b, value in fast.pairs():
             assert value == slow.score(a, b), (a, b, value, slow.score(a, b))
@@ -221,7 +222,7 @@ def test_criterion_06_recommend_optimality():
     for _ in range(20):
         size = rng.randint(3, 8)
         ms = random_model_set(rng, size, min_accuracy=0.5)
-        table = cheme(ms, build_mig(ms))
+        table = cheme(build_mig(ms))
         names = sorted(table.members)
         pool = CandidatePool(
             subsets=tuple(
@@ -360,7 +361,7 @@ def test_criterion_11_performance_envelope():
     ms = random_model_set(rng, 12, min_accuracy=0.5)
     started = time.perf_counter()
     graph = build_mig(ms)
-    table = cheme(ms, graph)
+    table = cheme(graph)
     elapsed = time.perf_counter() - started
     ok = elapsed < 60.0 and graph.node_count <= 2 ** 12
     report(11, "12-model performance envelope", ok,

@@ -1,9 +1,11 @@
-"""The pure parts of ``scripts/bench_pairs.py``: quartiles, pair counts, the claim
-check and the alternating pair loop, on a fake runner (no benchmark runs)."""
+"""The parts of ``scripts/bench_pairs.py`` that run no benchmark: quartiles, pair
+counts, the claim check, the alternating pair loop on a fake runner, and the
+working-tree files copied for the change side."""
 
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -135,3 +137,30 @@ def test_the_run_length_is_the_benchmarks(tmp_path, monkeypatch, capsys):
                           "--out", str(tmp_path / "bench.json")])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --seconds 10" in capsys.readouterr().err
+
+
+def _git(root: Path, *args: str) -> None:
+    subprocess.run(["git", *args], cwd=root, check=True, capture_output=True)
+
+
+def test_the_change_side_copies_the_working_tree_files(tmp_path):
+    root = tmp_path / "checkout"
+    (root / "src").mkdir(parents=True)
+    _git(root, "init", "-q")
+    files = {".gitignore": "*.log\nbuild/\n", "src/tracked.py": "x = 1\n", "gone.txt": "old\n"}
+    for name, text in files.items():
+        (root / name).write_text(text)
+    _git(root, "add", ".")
+    (root / "src/tracked.py").write_text("x = 2\n")  # edited, not staged
+    (root / "gone.txt").unlink()  # staged, then deleted
+    (root / "untracked.txt").write_text("new\n")
+    (root / "run.log").write_text("ignored\n")
+    (root / "build").mkdir()
+    (root / "build" / "out.bin").write_text("ignored\n")
+    assert sorted(bench_pairs.checkout_files(root)) == [
+        ".gitignore", "src/tracked.py", "untracked.txt"]
+    dest = tmp_path / "pairs" / "change"
+    bench_pairs.copy_checkout(root, dest)
+    copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "src/tracked.py", "untracked.txt"]
+    assert (dest / "src/tracked.py").read_text() == "x = 2\n"

@@ -137,20 +137,20 @@ class TestCheme:
         for _ in range(40):
             ms = random_model_set(rng, rng.randint(2, 6), min_accuracy=0.5)
             graph = build_mig(ms)
-            fast = cheme(ms, graph)
+            fast = cheme(graph)
             slow = chem_table_bruteforce(ms)
             for a, b, value in fast.pairs():
                 assert value == slow.score(a, b)
 
     def test_zero_penalty_homogeneous_gives_all_zero_table(self):
         ms = homogeneous_model_set(5, quality=10.0, accuracy=0.9)
-        table = cheme(ms, build_mig(ms))
+        table = cheme(build_mig(ms))
         assert table.max_score() == 0.0
 
     def test_scores_nonnegative_and_symmetric_by_construction(self):
         rng = random.Random(73)
         ms = random_model_set(rng, 5)
-        table = cheme(ms, build_mig(ms))
+        table = cheme(build_mig(ms))
         for a, b, value in table.pairs():
             assert value >= 0.0
             assert table.score(a, b) == table.score(b, a)
@@ -158,22 +158,14 @@ class TestCheme:
     def test_perturbing_one_quality_creates_chemistry(self):
         ms = homogeneous_model_set(4, quality=9.0, accuracy=0.8)
         bumped = ms.with_profile(ModelProfile("m00", quality=8.9, accuracy=0.8))
-        table = cheme(bumped, build_mig(bumped))
+        table = cheme(build_mig(bumped))
         assert table.max_score() > 0.0
-
-    def test_mismatched_model_set_rejected(self):
-        rng = random.Random(79)
-        ms = random_model_set(rng, 4)
-        other = random_model_set(rng, 5)
-        graph = build_mig(ms)
-        with pytest.raises(InvalidConfigurationError):
-            cheme(other, graph)
 
     def test_deterministic(self):
         rng = random.Random(83)
         ms = random_model_set(rng, 5)
         graph = build_mig(ms)
-        assert cheme(ms, graph).scores == cheme(ms, graph).scores
+        assert cheme(graph).scores == cheme(graph).scores
 
 
 class TestChemePartialGraph:
@@ -184,8 +176,7 @@ class TestChemePartialGraph:
         # pairs score through covers: for (b, c) at the empty context,
         # benefit({b}, {a}) = 0.010 - 0.012 against
         # benefit({b}, cover({c})={a,c}) = 0.07 - 0.006, over cost({b,c}).
-        backend = example_backend()
-        table = cheme(backend, drawn_example_graph())
+        table = cheme(drawn_example_graph())
         assert table.score("a", "b") == 0.0
         expected_bc = abs((0.010 - 0.012) - (0.07 - 0.006)) / 0.006
         assert table.score("b", "c") == pytest.approx(expected_bc, abs=ABS)
@@ -196,7 +187,7 @@ class TestChemePartialGraph:
         # The full-table oracle sees every context; the drawn graph answers
         # through covers and legitimately diverges (gap reported, not hidden).
         backend = example_backend()
-        table = cheme(backend, drawn_example_graph())
+        table = cheme(drawn_example_graph())
         exact = chem_pair_bruteforce(backend, "a", "b")
         assert exact == pytest.approx(3.225, abs=1e-9)
         assert table.score("a", "b") != exact
@@ -237,7 +228,7 @@ class TestCostTableKernel:
             subset = {name for j, name in enumerate(graph.ranked) if mask >> j & 1}
             assert value == cost(ms, subset)
             assert value == cost(ms, subset | unusable)
-        assert cheme(ms, graph).scores == chem_table_bruteforce(ms).scores
+        assert cheme(graph).scores == chem_table_bruteforce(ms).scores
 
     def test_cover_path_on_recorded_tables_equals_bruteforce(self):
         # A table of every subset's profile cost and used set takes the
@@ -259,7 +250,7 @@ class TestCostTableKernel:
             )
             graph = build_mig(backend)
             assert not isinstance(graph, LatticeMIG)
-            assert cheme(backend, graph).scores == chem_table_bruteforce(ms).scores
+            assert cheme(graph).scores == chem_table_bruteforce(ms).scores
             with_unusable += used_subset(ms, ms.members) != ms.members
         assert with_unusable > 0
 
@@ -309,15 +300,15 @@ class TestCoverKernelEquivalence:
         expected = reference_cover_cheme(backend, graph)
         if math.inf in expected.values():  # a tiny denominator overflowed the ratio
             with pytest.raises(DomainError, match="overflowed to inf"):
-                cheme(backend, graph)
+                cheme(graph)
         else:
-            assert cheme(backend, graph).scores == expected
+            assert cheme(graph).scores == expected
 
     @pytest.mark.parametrize("members", [None, ("a", "b", "c", "d")])
     def test_drawn_example_graph_equals_the_cover_loop(self, members):
         backend = example_backend(members)
         graph = drawn_example_graph(members)
-        assert cheme(backend, graph).scores == reference_cover_cheme(backend, graph)
+        assert cheme(graph).scores == reference_cover_cheme(backend, graph)
 
 
 @st.composite
@@ -390,9 +381,9 @@ class TestCertifiedPruning:
                 expected[frozenset((a, b))] = full
             if math.inf in expected.values():
                 with pytest.raises(DomainError, match="overflowed to inf"):
-                    cheme(ms, graph)
+                    cheme(graph)
             else:
-                assert cheme(ms, graph).scores == expected
+                assert cheme(graph).scores == expected
 
         check()
         assert taken["certified"] > 0 and taken["fallback"] > 0, taken
@@ -450,7 +441,7 @@ class TestCertifiedPruning:
         assert lows[both] < costs[both]
         assert _certified_score(costs, spans, lows, bit_a, bit_b) is None
         full = _pair_score(costs, bit_a, bit_b, (len(costs) - 1) ^ both)
-        assert cheme(ms, graph).score("a", "b") == full == pytest.approx(0.336134453781513)
+        assert cheme(graph).score("a", "b") == full == pytest.approx(0.336134453781513)
 
     @pytest.mark.parametrize("quality, accuracy", [(8.0, 0.8), (0.0, 0.5), (5.0, 0.6), (9.9, 0.99)])
     def test_every_homogeneous_positive_penalty_pair_is_certified(self, quality, accuracy):
@@ -476,7 +467,7 @@ class TestCertifiedPruning:
             _certified_score(graph.costs, spans, lows, bit_a, bit_b) for _, _, bit_a, bit_b in pairs
         ]
         assert None not in certified
-        assert cheme(ms, graph).scores == {
+        assert cheme(graph).scores == {
             frozenset((a, b)): score for (a, b, _, _), score in zip(pairs, certified)
         }
 
@@ -535,7 +526,7 @@ class TestChemistryTable:
     def test_csv_round_trip(self, tmp_path):
         rng = random.Random(89)
         ms = random_model_set(rng, 5)
-        table = cheme(ms, build_mig(ms))
+        table = cheme(build_mig(ms))
         path = tmp_path / "chem.csv"
         table.to_csv(path)
         loaded = ChemistryTable.from_csv(path, members=ms.members)

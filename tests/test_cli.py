@@ -230,6 +230,46 @@ class TestMap:
         assert not out.exists()
 
 
+@pytest.fixture()
+def trial_stores(history_fixture, tmp_path) -> Path:
+    """The sample ingested by trial: stores ``liar-bench-01`` and ``liar-bench-02``."""
+    out = tmp_path / "by_trial.json"
+    assert main(["ingest", str(history_fixture), "--out", str(out), "--grouping", "trial"]) == 0
+    return out
+
+
+#: Subcommands that read one store of the file and write ``{out}``.
+STORE_READERS = {
+    "chem": "chem --store {store} --out {out}",
+    "map": "map --store {store} --ensemble o3-mini,gpt-4o --out {out}",
+}
+
+
+class TestStoreSelection:
+    @pytest.mark.parametrize("command", sorted(STORE_READERS))
+    def test_the_sidecar_names_the_context_it_read(self, command, trial_stores, tmp_path):
+        for key in ("liar-bench-01", "liar-bench-02"):
+            out = tmp_path / key / "out.csv"
+            out.parent.mkdir()
+            argv = STORE_READERS[command].format(store=trial_stores, out=out).split()
+            assert main([*argv, "--context", key]) == 0
+            assert json.loads(out.with_name("out.csv.meta.json").read_text())["context"] == key
+
+    @pytest.mark.parametrize("context, message", [
+        (None, "holds 2 stores (['liar-bench-01', 'liar-bench-02']); pick one with --context"),
+        ("nope", "no store with context 'nope'"),
+    ], ids=["omitted", "unknown"])
+    @pytest.mark.parametrize("command", sorted(STORE_READERS))
+    def test_a_store_file_needs_one_known_context(
+            self, command, context, message, trial_stores, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = STORE_READERS[command].format(store=trial_stores, out=out).split()
+        assert main(argv + ([] if context is None else ["--context", context])) == 1
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["by_trial.json",
+                                                               "by_trial.json.meta.json"]
+
+
 class TestEval:
     @pytest.fixture()
     def ensembles_path(self, tmp_path) -> Path:

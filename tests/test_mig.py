@@ -9,12 +9,13 @@ from llmchem import (
     CoverLookup,
     ModelProfile,
     ModelSet,
+    benefit,
     build_mig,
     cost,
     subset_key,
 )
 from llmchem.errors import DomainError, InvalidConfigurationError, SizeLimitError
-from llmchem.mig import MIG, MIGNode, TableBackend, backend_benefit
+from llmchem.mig import MIG, LatticeMIG, MIGNode, TableBackend
 
 from helpers import drawn_example_graph, example_backend, random_model_set
 
@@ -49,6 +50,18 @@ class TestBuild:
             frozenset("c"),
             frozenset("b"),
         }
+
+    @pytest.mark.parametrize("make, nodes, edges", [
+        (lambda: build_mig(example_backend()), 5, 4),
+        (drawn_example_graph, 6, 7),
+    ], ids=["built", "drawn"])
+    def test_materialised_graph_counts(self, make, nodes, edges):
+        # LatticeMIG overrides both counts; these read the materialised graph's.
+        graph = make()
+        assert not isinstance(graph, LatticeMIG)
+        assert (graph.node_count, graph.edge_count) == (nodes, edges)
+        assert graph.node_count == len(graph.nodes)
+        assert graph.edge_count == sum(len(children) for children in graph.edges.values())
 
     def test_singleton(self):
         ms = ModelSet(profiles=(ModelProfile("a", 5.0, 0.9),))
@@ -177,7 +190,7 @@ class TestTableBackend:
 
     def test_backend_benefit_matches_recorded_values(self):
         backend = example_backend()
-        value = backend_benefit(backend, {"a"}, {"c"})
+        value = benefit(backend, {"a"}, {"c"})
         assert value == backend.cost(frozenset("c")) - backend.cost(frozenset("ac"))
         assert value == pytest.approx(0.08, abs=1e-12)
 
