@@ -107,8 +107,7 @@ class ChemistryTable:
         return max(self.scores.values(), default=0.0)
 
     def to_csv(self, path: str | Path) -> None:
-        rows = ([a, b, repr(value)] for a, b, value in self.pairs())
-        write_csv(path, ("model_a", "model_b", "chemistry"), rows)
+        write_csv(path, ("model_a", "model_b", "chemistry"), self.pairs())
 
     @classmethod
     def from_csv(
@@ -119,7 +118,6 @@ class ChemistryTable:
     ) -> "ChemistryTable":
         known = frozenset(members) if members is not None else None
         scores: dict[PairKey, float] = {}
-        seen: set[str] = set()
         for number, (a, b, raw) in read_csv(path, ("model_a", "model_b", "chemistry")):
             try:
                 value = float(raw)
@@ -145,8 +143,7 @@ class ChemistryTable:
             if key in scores:
                 raise ParseError(f"duplicate pair {subset_key(key)!r}", path=path, row=number)
             scores[key] = value
-            seen |= {a, b}
-        table_members = known if known is not None else frozenset(seen)
+        table_members = known if known is not None else frozenset().union(*scores)
         try:
             return cls(scores=scores, members=table_members, method="loaded")
         except MissingPairError as exc:

@@ -56,8 +56,15 @@ from .core import (
     model_set_fingerprint,
     used_subset,
 )
-from .errors import DomainError, LLMChemError, ParseError, UndefinedCorrelationError
-from .files import read_json, sha256_of, write_csv, write_json
+from .errors import (
+    DomainError,
+    InvalidConfigurationError,
+    LLMChemError,
+    ParseError,
+    SizeLimitError,
+    UndefinedCorrelationError,
+)
+from .files import read_json, read_name_lists, sha256_of, write_csv, write_json
 from .history import build_profiles, iter_history, read_profiles, write_profiles
 from .mig import build_mig
 from .recommend import CandidatePool, LossParams, recommend
@@ -238,7 +245,7 @@ def _write_meta(args: argparse.Namespace, config: dict, extra: dict | None = Non
         "config": config,
         "inputs": {
             label: {"path": str(path), "sha256": sha256_of(path)}
-            for label, path in sorted(inputs.items())
+            for label, path in inputs.items()
         },
     }
     if getattr(args, "context", None) is not None:
@@ -290,9 +297,9 @@ def cmd_score(args: argparse.Namespace, config: dict) -> int:
         matrix, max_iters=args.consensus_max_iters, tol=args.consensus_tol
     )
     payload: dict = {
-        "consensus": dict(sorted(result.consensus.items())),
-        "variance": dict(sorted(result.variance.items())),
-        "review_accuracy": dict(sorted(result.review_accuracy.items())),
+        "consensus": result.consensus,
+        "variance": result.variance,
+        "review_accuracy": result.review_accuracy,
         "iterations": result.iterations,
         "converged": result.converged,
     }
@@ -300,9 +307,9 @@ def cmd_score(args: argparse.Namespace, config: dict) -> int:
         references = load_ground_truth_csv(args.ground_truth) if args.ground_truth else None
         outputs_by_model = load_results_csv(args.results)
         models: dict[str, dict] = {}
-        for model in sorted(outputs_by_model):
+        for model, outputs in outputs_by_model.items():
             scores = []
-            for output_id, text in outputs_by_model[model]:
+            for output_id, text in outputs:
                 reference = references.get(output_id) if references else None
                 scores.append(generation_accuracy(text, reference))
             gen = left_sum(scores) / len(scores)
@@ -330,10 +337,13 @@ def cmd_score(args: argparse.Namespace, config: dict) -> int:
 def cmd_chem(args: argparse.Namespace, config: dict) -> int:
     store = _select_store(args.store, args.context)
     model_set = _model_set(store, config)
-    if args.brute_force:
-        table = chem_table_bruteforce(model_set)
-    else:
-        table = cheme(build_mig(model_set))
+    try:
+        if args.brute_force:
+            table = chem_table_bruteforce(model_set)
+        else:
+            table = cheme(build_mig(model_set))
+    except (InvalidConfigurationError, SizeLimitError) as exc:  # too few or too many models
+        raise ParseError(str(exc), path=args.store) from None
     table.to_csv(args.out)
     if args.json_out is not None:
         write_json(args.json_out, table.to_json_obj(model_set))
@@ -404,15 +414,7 @@ def cmd_map(args: argparse.Namespace, config: dict) -> int:
 
 
 def _load_ensembles(path: Path) -> list[list[str]]:
-    payload = read_json(path)
-    ensembles = payload.get("ensembles") if isinstance(payload, dict) else None
-    if not isinstance(ensembles, list) or not ensembles or not all(
-        isinstance(group, list) and group and all(isinstance(name, str) for name in group)
-        for group in ensembles
-    ):
-        raise ParseError(
-            "'ensembles' must be a non-empty list of non-empty lists of model names", path=path
-        )
+    ensembles = read_name_lists(path, "ensembles")
     for number, group in enumerate(ensembles, start=1):
         if len(set(group)) < len(group):
             raise ParseError(f"ensemble {number} names a model twice: {group}", path=path)
@@ -427,7 +429,7 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
             if name not in store.profiles:
                 raise ParseError(f"model {name!r} is not in the store", path=args.ensembles)
     extra: dict = {"metric": args.metric}
-    rows: list[list[str]] = []
+    rows: list[list] = []
 
     if args.metric == "effectiveness":
         accuracies = task_accuracies(iter_history(args.history)) if args.history else None
@@ -447,13 +449,13 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
             else:
                 # Single pseudo-task over the stored profile accuracies.
                 matrix = [[store.profiles[m].accuracy for m in group]]
-            rows.append(["|".join(group), repr(effectiveness_soft_vote(matrix))])
+            rows.append(["|".join(group), effectiveness_soft_vote(matrix)])
     elif args.metric == "ci":
         header = ["ensemble", "ci"]
         params = CIParams(lam=config["lambda"])
         for group in ensembles:
             points = [EnsemblePoint.from_profile(store.profiles[m]) for m in group]
-            rows.append(["|".join(group), repr(complementarity_index(points, params))])
+            rows.append(["|".join(group), complementarity_index(points, params)])
     else:  # correlation
         table = ChemistryTable.from_csv(args.chem, members=frozenset(store.profiles))
         params = CIParams(lam=config["lambda"])
@@ -470,7 +472,7 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
             ci = complementarity_index(points, params)
             chems.append(chem)
             cis.append(ci)
-            rows.append(["|".join(group), repr(chem), repr(ci)])
+            rows.append(["|".join(group), chem, ci])
         try:
             extra["pearson_r"] = pearson_r(chems, cis)
         except UndefinedCorrelationError as exc:

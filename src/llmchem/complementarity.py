@@ -152,9 +152,7 @@ class ChemistryMap:
         return self.max_abs_delta < SATURATION_THRESHOLD
 
     def to_csv(self, path: str | Path) -> None:
-        rows = (
-            [i, j, repr(value)] for i, row in enumerate(self.cells) for j, value in enumerate(row)
-        )
+        rows = ([i, j, value] for i, row in enumerate(self.cells) for j, value in enumerate(row))
         write_csv(path, ("accuracy_bin", "quality_bin", "delta_ci"), rows)
 
     def summary(self) -> dict:

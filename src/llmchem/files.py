@@ -6,11 +6,13 @@ order, and each data row one field per column.  The header is the first row
 and row 1; blank lines are skipped, and the records are numbered from 2 in
 order, however many lines each spans.  Undecodable bytes, malformed CSV or
 JSON, a bad header and a short or long row raise ``ParseError`` naming the
-file (and the row and field), so callers only check values.  Each output is
-written to a temporary file beside its target and moved over it with
-``os.replace``, so a failed write leaves the previous file and no partial one.
-JSON output is indented, key-sorted, strict (no NaN or infinity) and ends in a
-newline, so equal payloads give equal bytes.
+file (and the row and field), so callers only check values; ``read_name_lists``
+checks the pool and ensemble files' shared schema.  Each output is written to
+a temporary file beside its target and moved over it with ``os.replace``, so
+a failed write leaves the previous file and no partial one.  A CSV float is
+written as its ``repr``; JSON is indented, key-sorted at every level, strict
+(no NaN or infinity) and ends in a newline, so equal payloads give equal bytes
+and callers neither format floats nor sort keys.
 """
 
 from __future__ import annotations
@@ -72,6 +74,20 @@ def read_json(path: str | Path) -> Any:
         raise ParseError(f"invalid JSON: {exc}", path=path) from None
 
 
+def read_name_lists(path: str | Path, key: str) -> list[list[str]]:
+    """The non-empty list of non-empty lists of model names under ``key`` in a JSON object."""
+    payload = read_json(path)
+    lists = payload.get(key) if isinstance(payload, dict) else None
+    if not isinstance(lists, list) or not lists or not all(
+        isinstance(names, list) and names and all(isinstance(name, str) for name in names)
+        for names in lists
+    ):
+        raise ParseError(
+            f"{key!r} must be a non-empty list of non-empty lists of model names", path=path
+        )
+    return lists
+
+
 def sha256_of(path: str | Path) -> str:
     """The SHA-256 hex digest of a file's bytes, read in 64 KiB chunks."""
     digest = hashlib.sha256()
@@ -82,7 +98,7 @@ def sha256_of(path: str | Path) -> str:
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Replace ``path`` with the header and rows as LF-terminated CSV."""
+    """Replace ``path`` with the header and rows as LF-terminated CSV, a float as its ``repr``."""
     with _replacing(path, newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)

@@ -146,11 +146,7 @@ def parse_history_csv(*paths: str | Path) -> list[HistoryRecord]:
 
 def write_history_csv(records: Iterable[HistoryRecord], path: str | Path) -> None:
     """Write records in canonical form: fixed column order, shortest float reprs."""
-    rows = (
-        [repr(value) if index in _NUMERIC_INDEX else value for index, value in enumerate(record)]
-        for record in records
-    )
-    write_csv(path, HISTORY_COLUMNS, rows)
+    write_csv(path, HISTORY_COLUMNS, records)
 
 
 @dataclass(frozen=True)

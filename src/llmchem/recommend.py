@@ -33,13 +33,8 @@ from typing import Iterable
 
 from .chemistry import ChemistryTable, pair_key
 from .core import Configuration, left_sum
-from .errors import (
-    DomainError,
-    InvalidConfigurationError,
-    NoCandidatesError,
-    ParseError,
-)
-from .files import read_json
+from .errors import DomainError, InvalidConfigurationError, NoCandidatesError
+from .files import read_name_lists
 from .mig import subset_key
 
 
@@ -80,15 +75,7 @@ class CandidatePool:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "CandidatePool":
-        obj = read_json(path)
-        subsets = obj.get("subsets") if isinstance(obj, dict) else None
-        if not isinstance(subsets, list) or not subsets or not all(
-            isinstance(s, list) and s and all(isinstance(m, str) for m in s) for s in subsets
-        ):
-            raise ParseError(
-                "'subsets' must be a non-empty list of non-empty lists of model names", path=path
-            )
-        return cls(subsets=tuple(frozenset(s) for s in subsets))
+        return cls(subsets=tuple(frozenset(s) for s in read_name_lists(path, "subsets")))
 
 
 @dataclass(frozen=True)

@@ -532,6 +532,13 @@ class TestChemistryTable:
         loaded = ChemistryTable.from_csv(path, members=ms.members)
         assert loaded.scores == table.scores
 
+    def test_from_csv_without_members_takes_them_from_the_pairs(self, tmp_path):
+        table = cheme(build_mig(random_model_set(random.Random(89), 5)))
+        path = tmp_path / "chem.csv"
+        table.to_csv(path)
+        loaded = ChemistryTable.from_csv(path)
+        assert (loaded.members, loaded.scores) == (table.members, table.scores)
+
     def test_from_csv_detects_missing_pairs(self, tmp_path):
         path = tmp_path / "chem.csv"
         path.write_text("model_a,model_b,chemistry\na,b,0.5\n")

@@ -3,16 +3,19 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from llmchem import __version__
+from llmchem import __version__, cli
+from llmchem.chemistry import pair_key
 from llmchem.cli import _INPUTS, build_parser, main
 from llmchem.history import HISTORY_COLUMNS, HistoryRecord, write_history_csv
 
@@ -462,10 +465,18 @@ def test_check_output_does_not_depend_on_the_hash_seed(store_path):
 GRADES = "grader,output_id,grade\ng1,o1,5.0\ng2,o1,6.0\n"
 HISTORY = ",".join(HISTORY_COLUMNS).encode() + b"\nt,m,q,1.0,0.7,o1,r,5.0,1.0,0.1,0.9,0.9,e,c\n"
 
+
+def _store_of(count: int) -> bytes:
+    """A valid profile-store file holding one store of ``count`` models."""
+    profiles = [{"model": f"m{i:02d}", "quality": 5.0, "accuracy": 0.9} for i in range(count)]
+    store = {"context_key": "all", "profiles": profiles}
+    return json.dumps({"version": 1, "stores": [store]}).encode()
+
+
 #: Fault -> (CLI arguments, bad file name, its bytes (None: a directory),
 #: fragments the message must hold besides the file's path).  ``{bad}`` is the
 #: bad file, ``{tmp}`` the test's directory; the store, history, grades,
-#: ground truth and results there are valid.
+#: ground truth, results and ensembles there are valid.
 BAD_INPUTS = {
     "config-json": ("ingest {history} --out {tmp}/s.json --config {bad}", "c.json",
                     b'{"alpha": ', ["invalid JSON"]),
@@ -590,6 +601,29 @@ BAD_INPUTS = {
     "pool-empty": (
         "recommend --store {store} --chem {chem} --pool {bad} --out {tmp}/r.json",
         "p.json", b'{"subsets": []}', ["'subsets'"]),
+    "store-one-model": ("chem --store {bad} --out {tmp}/c.csv", "s.json", _store_of(1),
+                        ["error: chemistry needs at least two models (in "]),
+    "store-one-model-brute-force": (
+        "chem --store {bad} --brute-force --out {tmp}/c.csv", "s.json", _store_of(1),
+        ["error: chemistry needs at least two models (in "]),
+    "store-17-models-brute-force": (
+        "chem --store {bad} --brute-force --out {tmp}/c.csv", "s.json", _store_of(17),
+        ["error: exhaustive scoring supports at most 16 models, got 17 (in "]),
+    "store-21-models": ("chem --store {bad} --out {tmp}/c.csv", "s.json", _store_of(21),
+                        ["error: graph construction supports 1..20 models, got 21 (in "]),
+    "store-not-object": ("chem --store {bad} --out {tmp}/c.csv", "s.json", b"[]",
+                         ["not a profile-store file"]),
+    "store-no-version": ("chem --store {bad} --out {tmp}/c.csv", "s.json", b'{"stores": []}',
+                         ["not a profile-store file"]),
+    "chem-reversed-pair": (
+        "recommend --store {store} --chem {bad} --pool {tmp}/p.json --out {tmp}/r.json",
+        "c.csv", b"model_a,model_b,chemistry\ngpt-4o,o3-mini,0.5\no3-mini,gpt-4o,0.5\n",
+        ["duplicate pair 'gpt-4o,o3-mini'", "row 3)"]),
+    "chem-reversed-pair-eval": (
+        "eval --store {store} --ensembles {ensembles} --metric correlation --chem {bad} "
+        "--out {tmp}/e.csv",
+        "c.csv", b"model_a,model_b,chemistry\ngpt-4o,o3-mini,0.5\no3-mini,gpt-4o,0.5\n",
+        ["duplicate pair 'gpt-4o,o3-mini'", "row 3)"]),
 }
 
 
@@ -605,12 +639,13 @@ def test_bad_input_exits_1_naming_the_file(fault, store_path, history_fixture, t
     (tmp_path / "grades.csv").write_text(GRADES)
     (tmp_path / "gt.csv").write_text("output_id,reference\no1,true\n")
     (tmp_path / "results.csv").write_text("model,output_id,result\ng1,o1,true\n")
+    (tmp_path / "ensembles.json").write_text('{"ensembles": [["gpt-4o", "o3-mini"]]}')
     chem = tmp_path / "chem.csv"
     assert main(["chem", "--store", str(store_path), "--out", str(chem)]) == 0
     capsys.readouterr()
     paths = dict(bad=bad, tmp=tmp_path, store=store_path, history=history_fixture, chem=chem,
                  grades=tmp_path / "grades.csv", gt=tmp_path / "gt.csv",
-                 results=tmp_path / "results.csv")
+                 results=tmp_path / "results.csv", ensembles=tmp_path / "ensembles.json")
     args = argv.format(**paths).split()
     assert main(args) == 1
     err = capsys.readouterr().err
@@ -620,6 +655,73 @@ def test_bad_input_exits_1_naming_the_file(fault, store_path, history_fixture, t
     out = Path(args[args.index("--out") + 1])
     assert not out.exists()
     assert not out.with_name(out.name + ".meta.json").exists()
+
+
+def test_an_internal_fault_exits_2_and_writes_nothing(store_path, tmp_path, capsys, monkeypatch):
+    def boom(graph):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("llmchem.cli.cheme", boom)
+    out = tmp_path / "out" / "chem.csv"
+    out.parent.mkdir()
+    capsys.readouterr()
+    assert main(["chem", "--store", str(store_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+    assert list(out.parent.iterdir()) == []
+
+
+def _one_ulp_up(table):
+    """``table`` with its first pair's score raised to the next float."""
+    a, b, value = table.pairs()[0]
+    return replace(table, scores={**table.scores, pair_key(a, b): math.nextafter(value, math.inf)})
+
+
+def _one_monotonicity_violation(real):
+    def patched(*args, **kwargs):
+        report = real(*args, **kwargs)
+        return replace(report, monotonicity=replace(report.monotonicity, violations=1))
+    return patched
+
+
+def _nonzero_if_homogeneous(real):
+    def patched(backend):
+        table = real(backend)
+        homogeneous = len({(p.quality, p.accuracy) for p in backend.profiles}) == 1
+        return _one_ulp_up(table) if homogeneous else table
+    return patched
+
+
+#: Name patched in ``llmchem.cli`` -> (wrapper of the real function, the one
+#: FAIL line that ``check`` must then print on the fixture store).
+CHECK_FAULTS = {
+    "audit_cost_properties": (_one_monotonicity_violation,
+                              "FAIL monotonicity: 1/1000 violations"),
+    "chem_table_bruteforce": (_nonzero_if_homogeneous,
+                              "FAIL homogeneity probe: max chemistry 5e-324"),
+    "cheme": (lambda real: lambda graph: _one_ulp_up(real(graph)),
+              "FAIL graph-vs-exhaustive on 4 usable models: 1 mismatch(es)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_FAULTS))
+def test_a_failed_check_section_exits_2(name, store_path, capsys, monkeypatch):
+    wrap, line = CHECK_FAULTS[name]
+    monkeypatch.setattr(f"llmchem.cli.{name}", wrap(getattr(cli, name)))
+    capsys.readouterr()
+    assert main(["check", "--store", str(store_path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [text for text in lines if text.startswith("FAIL")] == [line]
+    assert lines[-1] == "check: 1 failure(s)"
+
+
+def test_check_on_one_model_skips_both_pair_sections(tmp_path, capsys):
+    store = tmp_path / "store.json"
+    store.write_bytes(_store_of(1))
+    assert main(["check", "--store", str(store)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "SKIP homogeneity probe: needs at least 2 models" in lines
+    assert "SKIP graph-vs-exhaustive: needs at least 2 usable models" in lines
+    assert lines[-1] == "check: all asserted sections passed"
 
 
 #: Subcommand -> arguments whose input files do not exist in ``{tmp}``.
@@ -666,6 +768,8 @@ OUT_OF_RANGE = {
     "grid-size": ("map", ["--grid-size", "1"], None, "grid_size", "on the command line"),
     "tau": ("chem", ["--tau", "-1"], None, "tau", "on the command line"),
     "beta": ("recommend", ["--beta", "0"], None, "beta", "on the command line"),
+    "alpha": ("recommend", ["--alpha", "1.5"], None, "alpha", "on the command line"),
+    "max-iters": ("recommend", ["--max-iters", "0"], None, "max_iters", "on the command line"),
 }
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from llmchem.cli import main
 from llmchem.errors import ParseError
-from llmchem.files import read_csv, read_json, sha256_of, write_csv, write_json
+from llmchem.files import read_csv, read_json, read_name_lists, sha256_of, write_csv, write_json
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "llmchem"
 
@@ -119,6 +119,26 @@ def test_read_json_faults_name_the_file(tmp_path):
             read_json(path)
 
 
+def test_read_name_lists_returns_the_lists_under_the_key(tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text('{"groups": [["a", "b"], ["c"]], "other": 1}')
+    assert read_name_lists(path, "groups") == [["a", "b"], ["c"]]
+
+
+@pytest.mark.parametrize("data", [
+    b"[]", b'{"other": [["a"]]}', b'{"groups": []}', b'{"groups": [[]]}',
+    b'{"groups": [["a", 1]]}', b'{"groups": ["a"]}', b'{"groups": {"a": ["b"]}}',
+])
+def test_read_name_lists_names_the_key_and_the_file(tmp_path, data):
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as raised:
+        read_name_lists(path, "groups")
+    assert str(raised.value) == (
+        f"'groups' must be a non-empty list of non-empty lists of model names (in {path})"
+    )
+
+
 class TestAtomicWrites:
     def test_csv_bytes(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -129,6 +149,19 @@ class TestAtomicWrites:
         path = tmp_path / "out.json"
         write_json(path, {"b": [1, 2], "a": 0.1})
         assert path.read_bytes() == b'{\n  "a": 0.1,\n  "b": [\n    1,\n    2\n  ]\n}\n'
+
+    def test_csv_float_is_its_repr(self, tmp_path):
+        path = tmp_path / "out.csv"
+        values = [0.1, 1 / 3, 5e-324, 1e16, 1e22, -0.0, 2.5e-7, 123456789.123, 10.0]
+        write_csv(path, ("v",), [[v] for v in values])
+        assert path.read_text().splitlines()[1:] == [repr(v) for v in values]
+
+    def test_json_keys_are_sorted_at_every_level(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json(path, {"b": {"z": 1, "y": {"q": 0, "p": 1}}, "a": 0})
+        assert json.loads(path.read_text(), object_pairs_hook=list) == [
+            ("a", 0), ("b", [("y", [("p", 1), ("q", 0)]), ("z", 1)]),
+        ]
 
     def test_failed_csv_write_keeps_previous_bytes(self, tmp_path):
         path = tmp_path / "out.csv"

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -195,7 +197,47 @@ class TestTableBackend:
         assert value == pytest.approx(0.08, abs=1e-12)
 
 
+def _node(subset: str, used: str = "", cost: float = 0.05) -> MIGNode:
+    return MIGNode(frozenset(subset), frozenset(used), cost)
+
+
+def _graph(nodes: str, edges: dict[str, str], root: str = "abc") -> MIG:
+    """A graph over the example backend; ``nodes`` and edge targets space-separated."""
+    return MIG(
+        example_backend(),
+        {frozenset(s): _node(s) for s in nodes.split()},
+        {frozenset(parent): tuple(map(frozenset, children.split()))
+         for parent, children in edges.items()},
+        frozenset(root),
+    )
+
+
+#: Case -> (library input that must be rejected, error type, message).
+GRAPH_FAULTS = {
+    "root-not-a-node": (lambda: _graph("abc", {}, root="ab"), InvalidConfigurationError,
+                        "root subset is not a node"),
+    "node-outside-members": (lambda: _graph("abc abd", {}), InvalidConfigurationError,
+                             "node 'a,b,d' is outside the member universe"),
+    "edge-source-not-a-node": (lambda: _graph("abc a", {"ab": "a"}), InvalidConfigurationError,
+                               "edge source 'a,b' is not a node"),
+    "edge-target-not-a-node": (lambda: _graph("abc", {"abc": "ab"}), InvalidConfigurationError,
+                               "edge target 'a,b' is not a node"),
+    "used-outside-subset": (lambda: _node("ab", used="c"), InvalidConfigurationError,
+                            "used set 'c' not within 'a,b'"),
+    "negative-cost": (lambda: _node("a", cost=-0.1), DomainError,
+                      "node cost must be finite and >= 0, got -0.1"),
+    "nan-cost": (lambda: _node("a", cost=math.nan), DomainError,
+                 "node cost must be finite and >= 0, got nan"),
+}
+
+
 class TestGraphValidation:
+    @pytest.mark.parametrize("case", sorted(GRAPH_FAULTS))
+    def test_invalid_input_is_rejected(self, case):
+        build, error, message = GRAPH_FAULTS[case]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
+
     def test_edge_must_remove_exactly_one(self):
         backend = example_backend()
         nodes = {
