@@ -14,6 +14,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -141,18 +142,23 @@ class ChemistryMap:
 
     @cached_property
     def max_delta(self) -> float:
-        return max(value for row in self.cells for value in row)
+        return max(map(max, self.cells))  # the first of tied maxima, as -0.0 before 0.0
 
     @cached_property
     def max_abs_delta(self) -> float:
-        return max(abs(value) for row in self.cells for value in row)
+        return max(map(abs, chain.from_iterable(self.cells)))
 
     @cached_property
     def saturated(self) -> bool:
         return self.max_abs_delta < SATURATION_THRESHOLD
 
     def to_csv(self, path: str | Path) -> None:
-        rows = ([i, j, value] for i, row in enumerate(self.cells) for j, value in enumerate(row))
+        size = self.grid_size
+        rows = zip(
+            chain.from_iterable(map(repeat, range(size), repeat(size))),
+            chain.from_iterable(repeat(range(size), size)),
+            chain.from_iterable(self.cells),
+        )
         write_csv(path, ("accuracy_bin", "quality_bin", "delta_ci"), rows)
 
     def summary(self) -> dict:
@@ -181,36 +187,63 @@ def delta_ci_map(
 
     Cell centres sample the open unit square (never exactly 0 or 1), so the
     grid stays clear of degenerate boundary candidates.
+
+    Each cell makes the floating-point operations of
+    :func:`complementarity_index` on the ensemble with the candidate appended,
+    in the same order, so it is bit-identical to scoring that ensemble from
+    scratch.  What does not depend on the candidate is computed once:
+
+    - the staircase's states (:func:`_staircase_states`).  A candidate joins
+      the sorted staircase where a stable sort would put it when appended
+      last, after its equal keys.  The walk resumes from the state at that
+      point, adds the candidate's step and goes on over the rest.  A
+      candidate whose quality does not rise above that state's best changes
+      nothing, so its coverage is the full staircase's area;
+    - the Rao terms between members.  In the i < j loop of
+      :func:`rao_entropy` the candidate comes last in every member's row, so
+      the sum is member row 0's terms, then per member its distance to the
+      candidate followed by the next member's row.
     """
     check_grid_size(grid_size)
     base = complementarity_index(ensemble, params)
     members = [(p.accuracy, p.quality_norm) for p in ensemble]
-    n = len(members) + 1
-    # The members are sorted once; a candidate joins the staircase where a
-    # stable sort would put it when appended last, i.e. after its equal keys.
     staircase = sorted(_dominating(ensemble), key=_staircase_key)
     keys = [_staircase_key(xy) for xy in staircase]
-    # Rao terms of each member row, then the candidate's term, which comes last
-    # in every row of the i < j loop of rao_entropy.
+    states = _staircase_states(staircase)
+    full_area = states[-1][0]
     rows = [
-        (xy, [2.0 * math.dist(xy, other) for other in members[i + 1 :]])
+        [2.0 * math.dist(xy, other) for other in members[i + 1 :]]
         for i, xy in enumerate(members)
     ]
+    head = 0.0  # member row 0, the same in every cell
+    for term in rows[0]:
+        head += term
+    steps = list(zip(members, rows[1:] + [[]]))
+    lam, n = params.lam, len(members) + 1
     cells: list[tuple[float, ...]] = []
     for i in range(grid_size):
         accuracy = (i + 0.5) / grid_size
         row: list[float] = []
         for j in range(grid_size):
-            candidate = (accuracy, (j + 0.5) / grid_size)
-            at = bisect_right(keys, _staircase_key(candidate))
-            coverage = _staircase_area(staircase[:at] + [candidate] + staircase[at:])
-            total = 0.0
-            for xy, terms in rows:
+            quality = (j + 0.5) / grid_size
+            candidate = (accuracy, quality)
+            coverage, best, rest = states[bisect_right(keys, (-accuracy, -quality))]
+            if quality > best:
+                coverage += accuracy * (quality - best)
+                best = quality
+                for member_accuracy, member_quality in rest:
+                    if member_quality > best:
+                        coverage += member_accuracy * (member_quality - best)
+                        best = member_quality
+            else:
+                coverage = full_area
+            total = head
+            for xy, terms in steps:
+                total += 2.0 * math.dist(xy, candidate)
                 for term in terms:
                     total += term
-                total += 2.0 * math.dist(xy, candidate)
             diversity = total / (n * n) / SQRT2
-            row.append(params.lam * coverage + (1.0 - params.lam) * diversity - base)
+            row.append(lam * coverage + (1.0 - lam) * diversity - base)
         cells.append(tuple(row))
     return ChemistryMap(
         grid_size=grid_size,
@@ -219,6 +252,26 @@ def delta_ci_map(
         params=params,
         base_index=base,
     )
+
+
+def _staircase_states(
+    staircase: list[tuple[float, float]],
+) -> list[tuple[float, float, list[tuple[float, float]]]]:
+    """``(area, best_quality, staircase[k:])`` after the first k points, for k = 0..len.
+
+    The last state's area is that of the whole staircase, as
+    :func:`_staircase_area` computes it.
+    """
+    states = []
+    area = 0.0
+    best_quality = 0.0
+    for k, (accuracy, quality) in enumerate(staircase):
+        states.append((area, best_quality, staircase[k:]))
+        if quality > best_quality:
+            area += accuracy * (quality - best_quality)
+            best_quality = quality
+    states.append((area, best_quality, []))
+    return states
 
 
 def effectiveness_soft_vote(member_accuracies_per_task: Sequence[Sequence[float]]) -> float:

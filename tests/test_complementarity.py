@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 import random
 
@@ -18,7 +19,9 @@ from llmchem import (
     pearson_r,
     rao_entropy,
 )
+from llmchem.complementarity import ChemistryMap
 from llmchem.errors import DomainError, UndefinedCorrelationError
+from llmchem.files import write_json
 
 ABS = 1e-12
 
@@ -172,6 +175,30 @@ class TestDeltaCiMap:
         assert summary["grid_size"] == 7
         assert summary["saturated"] is False
         assert summary["max_delta_ci"] == grid.max_delta
+
+
+    def test_max_delta_keeps_the_first_of_signed_zeros(self, tmp_path):
+        cells = ((-1.0, -0.0, 0.0), (0.0, -0.5, -0.0), (-0.25, -0.0, -0.75))
+        grid = ChemistryMap(
+            grid_size=3, cells=cells, ensemble=(pt(0.5, 0.5),), params=CIParams(), base_index=0.5
+        )
+        assert math.copysign(1.0, grid.max_delta) == -1.0
+        assert grid.max_abs_delta == 1.0
+        path = tmp_path / "map.csv.summary.json"
+        write_json(path, grid.summary())
+        assert '"max_delta_ci": -0.0,' in path.read_text(encoding="utf-8")
+
+    def test_csv_bytes_equal_a_writer_given_one_list_per_cell(self, tmp_path):
+        grid = delta_ci_map([pt(0.9, 0.2), pt(0.3, 0.8), pt(0.6, 0.6)], grid_size=7)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["accuracy_bin", "quality_bin", "delta_ci"])
+        for i, row in enumerate(grid.cells):
+            for j, value in enumerate(row):
+                writer.writerow([i, j, value])
+        path = tmp_path / "map.csv"
+        grid.to_csv(path)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 class TestEffectiveness:

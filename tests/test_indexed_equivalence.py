@@ -133,10 +133,10 @@ COORDINATES = st.one_of(
 
 @st.composite
 def ensembles(draw) -> list[EnsemblePoint]:
-    """Members with tied, duplicated and on-axis points."""
+    """Members with tied, duplicated and on-axis points, up to the benchmark's eight."""
     points = [
         EnsemblePoint(f"m{i}", accuracy=draw(COORDINATES), quality_norm=draw(COORDINATES))
-        for i in range(draw(st.integers(1, 6)))
+        for i in range(draw(st.integers(1, 8)))
     ]
     for i in range(draw(st.integers(0, 2))):  # exact duplicates of earlier members
         twin = draw(st.sampled_from(points))
@@ -165,3 +165,46 @@ def test_map_candidate_ties_a_member_on_the_grid():
     ]
     grid = delta_ci_map(ensemble, CIParams(lam=0.3), grid_size=4)
     assert (grid.base_index, grid.cells) == reference_delta_ci_cells(ensemble, 0.3, 4)
+
+
+def _assert_map_equals_reference(ensemble, lam, grid_size):
+    grid = delta_ci_map(ensemble, CIParams(lam=lam), grid_size=grid_size)
+    assert (grid.base_index, grid.cells) == reference_delta_ci_cells(ensemble, lam, grid_size)
+
+
+def test_map_of_eight_distinct_members():
+    # The benchmark's map shape: eight members, no ties, a 30x30 grid.
+    coordinates = [
+        (0.715, 0.412), (0.818, 0.606), (0.598, 0.833), (0.867, 0.875),
+        (0.758, 0.736), (0.887, 0.705), (0.669, 0.417), (0.613, 0.291),
+    ]
+    ensemble = [EnsemblePoint(f"m{i}", a, q) for i, (a, q) in enumerate(coordinates)]
+    _assert_map_equals_reference(ensemble, 0.5, 30)
+
+
+def test_map_with_every_member_on_an_axis():
+    # No member dominates anything: the staircase is empty.
+    ensemble = [
+        EnsemblePoint("a", 0.0, 0.7),
+        EnsemblePoint("b", 0.4, 0.0),
+        EnsemblePoint("c", 0.0, 0.0),
+    ]
+    _assert_map_equals_reference(ensemble, 0.6, 9)
+
+
+def test_map_of_one_member():
+    # No member-to-member Rao term: each cell's sum is the candidate's distance.
+    _assert_map_equals_reference([EnsemblePoint("a", 0.3, 0.9)], 0.5, 12)
+
+
+def test_map_candidate_quality_equals_a_prefix_best():
+    # On a 4x4 grid the candidate (0.375, 0.875) sorts after "a" (0.625, 0.875),
+    # whose quality is then the walk's best: the full-area branch, hit exactly.
+    ensemble = [
+        EnsemblePoint("a", 0.625, 0.875),
+        EnsemblePoint("b", 0.25, 0.95),
+        EnsemblePoint("c", 0.9, 0.125),
+    ]
+    grid = delta_ci_map(ensemble, CIParams(lam=1.0), grid_size=4)
+    assert grid.cells[1][3] == 0.0  # coverage is unchanged, to the bit
+    _assert_map_equals_reference(ensemble, 0.4, 4)
