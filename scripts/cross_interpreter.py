@@ -8,15 +8,15 @@ Usage, from the repository root (standard library only):
 
 With no interpreter given they come from ``LLMCHEM_INTERPRETERS``, a list of
 interpreter paths separated by ``os.pathsep``, or else the one running this
-script.  Each interpreter runs three pipelines on the package in ``src/``,
+script.  Each interpreter runs four pipelines on the package in ``src/``,
 each in a run directory of its own:
 
 * ``sample``: inputs derived from ``tests/data/history_sample.csv`` (grades,
   references and results for ``score``, a candidate pool and ensembles), then
   ingest, score, chem (graph and exhaustive), recommend, map, eval (ci,
   correlation, effectiveness with ``--history``) and check;
-* ``dense14`` and ``sparse15``: the benchmark workloads' inputs at seed 1
-  (``perfbench/gen.py``), then the stages ``perfbench/run.py``'s
+* ``dense14``, ``sparse15`` and ``bulk40k``: the benchmark workloads' inputs
+  at seed 1 (``perfbench/gen.py``), then the stages ``perfbench/run.py``'s
   ``stage_plan`` runs, and check.
 
 The stages run in the run directory on relative paths, because ``store.json``
@@ -50,7 +50,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SAMPLE = ROOT / "tests" / "data" / "history_sample.csv"
 ENV_VAR = "LLMCHEM_INTERPRETERS"
 
-PIPELINES = ("sample", "dense14", "sparse15")
+PIPELINES = ("sample", "dense14", "sparse15", "bulk40k")
 
 #: Sample pipeline stage -> argument vector, on paths relative to the run
 #: directory: inputs in ``in/``, outputs in ``out/``; ``{ensemble}`` is the
