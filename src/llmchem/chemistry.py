@@ -49,7 +49,7 @@ from .errors import (
     SizeLimitError,
     UndefinedCorrelationError,
 )
-from .files import read_csv, write_csv
+from .files import parse_float, read_csv, write_csv
 from .mig import MIG, CostBackend, CoverLookup, LatticeMIG, subset_key
 
 #: Ceiling on |S| for exhaustive enumeration (2^(|S|-2) contexts per pair).
@@ -119,18 +119,7 @@ class ChemistryTable:
         known = frozenset(members) if members is not None else None
         scores: dict[PairKey, float] = {}
         for number, (a, b, raw) in read_csv(path, ("model_a", "model_b", "chemistry")):
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ParseError(
-                    f"chemistry is not a number: {raw!r}",
-                    path=path, row=number, field="chemistry",
-                ) from None
-            if not math.isfinite(value) or value < 0.0:
-                raise ParseError(
-                    f"chemistry must be finite and >= 0, got {value!r}",
-                    path=path, row=number, field="chemistry",
-                )
+            value = parse_float(raw, 0.0, math.inf, path=path, row=number, field="chemistry")
             for field, name in (("model_a", a), ("model_b", b)):
                 if not name or (known is not None and name not in known):
                     raise ParseError(f"unknown model {name!r}", path=path, row=number, field=field)

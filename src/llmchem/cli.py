@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .chemistry import ChemistryTable, check_tau, chem_table_bruteforce, cheme, llmcp_filter
@@ -360,13 +361,18 @@ def cmd_chem(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
+def _check_in_store(groups: Iterable[Iterable[str]], store, store_path: Path, path: Path) -> None:
+    """Reject the models that the groups read from ``path`` name but the store lacks."""
+    missing = frozenset().union(*groups) - store.profiles.keys()
+    if missing:
+        raise ParseError(f"models not in the store {store_path}: {sorted(missing)}", path=path)
+
+
 def cmd_recommend(args: argparse.Namespace, config: dict) -> int:
     store = _select_store(args.store, args.context)
     table = ChemistryTable.from_csv(args.chem, members=frozenset(store.profiles))
     pool = CandidatePool.from_json(args.pool)
-    unknown = sorted(frozenset().union(*pool.subsets) - table.members)
-    if unknown:
-        raise ParseError(f"models not in the store: {unknown}", path=args.pool)
+    _check_in_store(pool.subsets, store, args.store, args.pool)
     params = LossParams(
         alpha=config["alpha"],
         beta=config["beta"],
@@ -424,10 +430,7 @@ def _load_ensembles(path: Path) -> list[list[str]]:
 def cmd_eval(args: argparse.Namespace, config: dict) -> int:
     store = _select_store(args.store, args.context)
     ensembles = _load_ensembles(args.ensembles)
-    for group in ensembles:
-        for name in group:
-            if name not in store.profiles:
-                raise ParseError(f"model {name!r} is not in the store", path=args.ensembles)
+    _check_in_store(ensembles, store, args.store, args.ensembles)
     extra: dict = {"metric": args.metric}
     rows: list[list] = []
 

@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .core import left_sum
 from .errors import DomainError, MalformedMatrixError, ParseError
-from .files import read_csv
+from .files import parse_float, read_csv
 
 VARIANCE_FLOOR = 1e-10
 PRIOR_VARIANCE = 1.0
@@ -230,40 +230,39 @@ def combined_accuracy(gen: float, review: float, has_ground_truth: bool) -> floa
 def load_grades_csv(path: str | Path) -> GradeMatrix:
     """Read a ``grader,output_id,grade`` CSV into a grade matrix.
 
-    Each grade is range-checked and each ``(grader, output_id)`` must be new as
-    its row is read, so the error names the row; a file with no grade is an
-    error.
+    Each row names a grader and an output, its grade is in [0, 10] and its
+    ``(grader, output_id)`` is new, checked as the row is read so the error
+    names it; graders and outputs keep their first-seen order.  A file with no
+    grade is an error.
     """
-    rows: list[tuple[str, str, float]] = []
-    seen: set[tuple[str, str]] = set()
+    graders: dict[str, None] = {}
+    outputs: dict[str, None] = {}
+    grades: dict[tuple[str, str], float] = {}
     for number, (grader, output, raw) in read_csv(path, ("grader", "output_id", "grade")):
-        try:
-            grade = float(raw)
-        except ValueError:
-            raise ParseError("grade is not a number", path=path, row=number, field="grade") from None
+        if not grader:
+            raise ParseError("grader name is empty", path=path, row=number, field="grader")
+        if not output:
+            raise ParseError("output id is empty", path=path, row=number, field="output_id")
+        grade = parse_float(raw, 0.0, 10.0, path=path, row=number, field="grade")
         key = (grader, output)
-        if key in seen:
+        if key in grades:
             raise ParseError(
                 f"invalid grade matrix: duplicate grade for {key!r}",
                 path=path, row=number, field="output_id",
             )
-        try:
-            _check_grade(grader, output, grade)
-        except MalformedMatrixError as exc:
-            raise ParseError(
-                f"invalid grade matrix: {exc}", path=path, row=number, field="grade"
-            ) from None
-        seen.add(key)
-        rows.append((grader, output, grade))
-    if not rows:
+        graders[grader] = outputs[output] = None
+        grades[key] = grade
+    if not grades:
         raise ParseError("a grades CSV needs at least one grade", path=path)
-    return GradeMatrix.from_rows(rows)
+    return GradeMatrix(outputs=tuple(outputs), graders=tuple(graders), grades=grades)
 
 
 def load_ground_truth_csv(path: str | Path) -> dict[str, str]:
     """Read an ``output_id,reference`` CSV into a reference map; it needs at least one row."""
     references: dict[str, str] = {}
     for number, (output, reference) in read_csv(path, ("output_id", "reference")):
+        if not output:
+            raise ParseError("output id is empty", path=path, row=number, field="output_id")
         if output in references:
             raise ParseError("duplicate output id", path=path, row=number, field="output_id")
         references[output] = reference
@@ -283,6 +282,8 @@ def load_results_csv(path: str | Path) -> dict[str, list[tuple[str, str]]]:
     for number, (model, output, result) in read_csv(path, ("model", "output_id", "result")):
         if not model:
             raise ParseError("model name is empty", path=path, row=number, field="model")
+        if not output:
+            raise ParseError("output id is empty", path=path, row=number, field="output_id")
         if (model, output) in seen:
             raise ParseError(f"duplicate result for {(model, output)!r}",
                              path=path, row=number, field="output_id")

@@ -7,12 +7,15 @@ and row 1; blank lines are skipped, and the records are numbered from 2 in
 order, however many lines each spans.  Undecodable bytes, malformed CSV or
 JSON, a bad header and a short or long row raise ``ParseError`` naming the
 file (and the row and field), so callers only check values; ``read_name_lists``
-checks the pool and ensemble files' shared schema.  Each output is written to
-a temporary file beside its target and moved over it with ``os.replace``, so
-a failed write leaves the previous file and no partial one.  A CSV float is
-written as its ``repr``; JSON is indented, key-sorted at every level, strict
-(no NaN or infinity) and ends in a newline, so equal payloads give equal bytes
-and callers neither format floats nor sort keys.
+checks the pool and ensemble files' shared schema.  Every numeric CSV field is
+read by ``parse_float``: text that is not a number, and NaN, an infinity or a
+value outside the field's bounds, raise ``ParseError`` with the row and field.
+Each output is written to a temporary file beside its target and moved over
+it with ``os.replace``, so a failed write leaves the previous file and no
+partial one.  A CSV float is written as its ``repr``; JSON is indented,
+key-sorted at every level, strict (no NaN or infinity) and ends in a newline,
+so equal payloads give equal bytes and callers neither format floats nor sort
+keys.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from collections import Counter
 from contextlib import contextmanager
@@ -63,6 +67,20 @@ def read_csv(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, li
                 yield number, fields if in_order else [fields[i] for i in order]
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"unreadable CSV: {exc}", path=path) from None
+
+
+def parse_float(raw: str, low: float, high: float, *,
+                path: str | Path, row: int, field: str) -> float:
+    """The number in a CSV field, finite and in ``[low, high]``."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ParseError(
+            f"{field} is not a number: {raw!r}", path=path, row=row, field=field
+        ) from None
+    if not (math.isfinite(value) and low <= value <= high):
+        raise ParseError(f"{field} out of range: {value!r}", path=path, row=row, field=field)
+    return value
 
 
 def read_json(path: str | Path) -> Any:

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Literal, NamedTuple
 
 from .core import ModelProfile, ModelSet
 from .errors import DomainError, ParseError, StoreVersionError
-from .files import read_csv, read_json, write_csv, write_json
+from .files import parse_float, read_csv, read_json, write_csv, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -69,21 +69,6 @@ _NUMERIC_RANGES: dict[str, tuple[float, float]] = {
 _NUMERIC_INDEX = tuple(HISTORY_COLUMNS.index(column) for column in _NUMERIC_RANGES)
 
 
-def _parse_numeric(raw: str, column: str, path: str | Path, row_number: int) -> None:
-    """Raise the ``ParseError`` for a numeric field that is not a number or out of range."""
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ParseError(
-            f"{column} is not a number: {raw!r}", path=path, row=row_number, field=column
-        ) from None
-    lo, hi = _NUMERIC_RANGES[column]
-    if not math.isfinite(value) or not lo <= value <= hi:
-        raise ParseError(
-            f"{column} out of range: {value!r}", path=path, row=row_number, field=column
-        )
-
-
 def iter_history(*paths: str | Path) -> Iterator[HistoryRecord]:
     """Yield the validated records of history CSVs, read as one history, in order.
 
@@ -96,8 +81,8 @@ def iter_history(*paths: str | Path) -> Iterator[HistoryRecord]:
     converted with ``float`` and range-checked in one comparison against the
     bounds of ``_NUMERIC_RANGES``, with an infinite bound replaced by the
     largest finite float, so that NaN and infinity fail too.  Only a row that
-    fails goes through ``_parse_numeric`` column by column, which raises the
-    row's first error.
+    fails goes through ``files.parse_float`` column by column, which raises
+    the row's first error.
     """
     top = sys.float_info.max
     seen: dict[tuple[str, str, str], int] = {}  # key -> index of its file in ``paths``
@@ -126,7 +111,8 @@ def iter_history(*paths: str | Path) -> Iterator[HistoryRecord]:
                          and 0.0 <= accuracy <= 1.0)
             if not valid:
                 for column, index in zip(_NUMERIC_RANGES, _NUMERIC_INDEX):
-                    _parse_numeric(row[index], column, path, number)
+                    parse_float(row[index], *_NUMERIC_RANGES[column],
+                                path=path, row=number, field=column)
             trial, model = keep(trial, trial), keep(model, model)
             key = trial, model, keep(id_, id_)
             if key in seen:

@@ -476,7 +476,8 @@ def _store_of(count: int) -> bytes:
 #: Fault -> (CLI arguments, bad file name, its bytes (None: a directory),
 #: fragments the message must hold besides the file's path).  ``{bad}`` is the
 #: bad file, ``{tmp}`` the test's directory; the store, history, grades,
-#: ground truth, results and ensembles there are valid.
+#: ground truth, results and ensembles there are valid.  The same fields are
+#: filled into the arguments and the fragments.
 BAD_INPUTS = {
     "config-json": ("ingest {history} --out {tmp}/s.json --config {bad}", "c.json",
                     b'{"alpha": ', ["invalid JSON"]),
@@ -495,7 +496,7 @@ BAD_INPUTS = {
         "e.json", b'{"ensembles": [["o3-mini", "o3-mini"]]}', ["twice"]),
     "ensembles-unknown-model": (
         "eval --store {store} --ensembles {bad} --metric ci --out {tmp}/e.csv",
-        "e.json", b'{"ensembles": [["nope"]]}', ["'nope'"]),
+        "e.json", b'{"ensembles": [["nope"]]}', ["models not in the store {store}: ['nope']"]),
     "results-short-row": (
         "score --grades {grades} --ground-truth {gt} --results {bad} --out {tmp}/s.json",
         "r.csv", b"model,output_id,result\ng1,o1\n", ["row 2, field 'result'"]),
@@ -520,10 +521,26 @@ BAD_INPUTS = {
                            b"grader,output_id,grade\ng1,o1,5,extra\n", ["row 2)"]),
     "grades-nan": ("score --grades {bad} --out {tmp}/s.json", "g.csv",
                    b"grader,output_id,grade\ng1,o1,5\ng2,o1,nan\n",
-                   ["must be in [0, 10], got nan", "row 3, field 'grade'"]),
+                   ["grade out of range: nan", "row 3, field 'grade'"]),
     "grades-out-of-range": ("score --grades {bad} --out {tmp}/s.json", "g.csv",
                             b"grader,output_id,grade\ng1,o1,10.5\ng2,o1,5\n",
-                            ["got 10.5", "row 2, field 'grade'"]),
+                            ["grade out of range: 10.5", "row 2, field 'grade'"]),
+    "grades-not-a-number": ("score --grades {bad} --out {tmp}/s.json", "g.csv",
+                            b"grader,output_id,grade\ng1,o1,abc\n",
+                            ["grade is not a number: 'abc'", "row 2, field 'grade'"]),
+    "grades-empty-grader": ("score --grades {bad} --out {tmp}/s.json", "g.csv",
+                            b"grader,output_id,grade\ng1,o1,5\n,o1,6\n",
+                            ["grader name is empty", "row 3, field 'grader'"]),
+    "grades-empty-output": ("score --grades {bad} --out {tmp}/s.json", "g.csv",
+                            b"grader,output_id,grade\ng1,,6\n",
+                            ["output id is empty", "row 2, field 'output_id'"]),
+    "results-empty-output": (
+        "score --grades {grades} --ground-truth {gt} --results {bad} --out {tmp}/s.json",
+        "r.csv", b"model,output_id,result\nm1,o1,yes\nm1,,x\n",
+        ["output id is empty", "row 3, field 'output_id'"]),
+    "ground-truth-empty-output": (
+        "score --grades {grades} --ground-truth {bad} --results {results} --out {tmp}/s.json",
+        "gt.csv", b"output_id,reference\n,x\n", ["output id is empty", "row 2, field 'output_id'"]),
     "grades-header-only": ("score --grades {bad} --out {tmp}/s.json", "g.csv",
                            b"grader,output_id,grade\n", ["a grades CSV needs at least one grade"]),
     "ground-truth-header-only": (
@@ -551,6 +568,10 @@ BAD_INPUTS = {
     "chem-nan": ("recommend --store {store} --chem {bad} --pool {tmp}/p.json --out {tmp}/r.json",
                  "c.csv", b"model_a,model_b,chemistry\ngpt-4o,o3-mini,nan\n",
                  ["row 2, field 'chemistry'"]),
+    "chem-not-a-number": (
+        "recommend --store {store} --chem {bad} --pool {tmp}/p.json --out {tmp}/r.json",
+        "c.csv", b"model_a,model_b,chemistry\ngpt-4o,o3-mini,x\n",
+        ["chemistry is not a number: 'x'", "row 2, field 'chemistry'"]),
     "chem-negative": ("recommend --store {store} --chem {bad} --pool {tmp}/p.json --out {tmp}/r.json",
                       "c.csv", b"model_a,model_b,chemistry\ngpt-4o,o3-mini,-0.5\n",
                       ["row 2, field 'chemistry'"]),
@@ -594,7 +615,7 @@ BAD_INPUTS = {
                          b'[{"model": 7, "quality": 5, "accuracy": 0.5}]}]}', ["model name 7"]),
     "pool-unknown-model": (
         "recommend --store {store} --chem {chem} --pool {bad} --out {tmp}/r.json",
-        "p.json", b'{"subsets": [["zz"]]}', ["'zz'"]),
+        "p.json", b'{"subsets": [["zz"]]}', ["models not in the store {store}: ['zz']"]),
     "pool-schema": (
         "recommend --store {store} --chem {chem} --pool {bad} --out {tmp}/r.json",
         "p.json", b'{"subsets": [5]}', ["'subsets'"]),
@@ -651,7 +672,7 @@ def test_bad_input_exits_1_naming_the_file(fault, store_path, history_fixture, t
     err = capsys.readouterr().err
     assert str(bad) in err
     for fragment in fragments:
-        assert fragment in err
+        assert fragment.format(**paths) in err
     out = Path(args[args.index("--out") + 1])
     assert not out.exists()
     assert not out.with_name(out.name + ".meta.json").exists()

@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 from llmchem.cli import main
 from llmchem.errors import ParseError
-from llmchem.files import read_csv, read_json, read_name_lists, sha256_of, write_csv, write_json
+from llmchem.files import (
+    parse_float, read_csv, read_json, read_name_lists, sha256_of, write_csv, write_json,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "llmchem"
 
@@ -102,6 +104,36 @@ class TestReadCsv:
         with pytest.raises(ParseError) as err:
             self._read(tmp_path, b"c,b,a\n1\n")
         assert (err.value.row, err.value.field) == (2, "b")
+
+
+@pytest.mark.parametrize("raw, low, high, value", [
+    ("-0.0", 0.0, 10.0, -0.0),
+    ("5e-324", 0.0, 1.0, 5e-324),
+    ("0", 0.0, 10.0, 0.0),
+    ("10", 0.0, 10.0, 10.0),
+    ("-1e308", -math.inf, math.inf, -1e308),
+])
+def test_parse_float_accepts_a_finite_number_within_the_bounds(raw, low, high, value):
+    parsed = parse_float(raw, low, high, path="in.csv", row=7, field="grade")
+    assert parsed == value and math.copysign(1.0, parsed) == math.copysign(1.0, value)
+
+
+@pytest.mark.parametrize("raw, low, high, message", [
+    ("nan", -math.inf, math.inf, "grade out of range: nan"),
+    ("inf", -math.inf, math.inf, "grade out of range: inf"),
+    ("-inf", -math.inf, math.inf, "grade out of range: -inf"),
+    ("1e999", 0.0, math.inf, "grade out of range: inf"),
+    ("10.000000000000002", 0.0, 10.0, "grade out of range: 10.000000000000002"),
+    ("-5e-324", 0.0, 10.0, "grade out of range: -5e-324"),
+    ("", 0.0, 10.0, "grade is not a number: ''"),
+    ("abc", 0.0, 10.0, "grade is not a number: 'abc'"),
+])
+def test_parse_float_names_the_fault_the_file_the_row_and_the_field(raw, low, high, message):
+    with pytest.raises(ParseError) as raised:
+        parse_float(raw, low, high, path="in.csv", row=7, field="grade")
+    error = raised.value
+    assert (error.path, error.row, error.field) == ("in.csv", 7, "grade")
+    assert str(error) == f"{message} (in in.csv, row 7, field 'grade')"
 
 
 @pytest.mark.parametrize("size", [0, 1, (1 << 16) - 1, 1 << 16, 5 * (1 << 16) + 7])

@@ -246,11 +246,11 @@ RANGE_EDGES = {
 
 
 def test_the_row_check_accepts_every_range_edge(workdir, monkeypatch):
-    # A row the one-comparison check rejects goes through _parse_numeric, so
+    # A row the one-comparison check rejects goes through parse_float, so
     # a bound that is too strict changes no output; with the fallback made to
     # raise, every row at an accepted edge must pass the row check itself.
-    def fallback(raw, column, path, row_number):
-        raise AssertionError(f"{column}={raw!r} failed the row check")
+    def fallback(raw, low, high, *, path, row, field):
+        raise AssertionError(f"{field}={raw!r} failed the row check")
 
     rows = [{c: edges[0] for c, edges in RANGE_EDGES.items()},
             {c: edges[-1] for c, edges in RANGE_EDGES.items()}]
@@ -263,7 +263,7 @@ def test_the_row_check_accepts_every_range_edge(workdir, monkeypatch):
         body += _line([row[c] for c in HISTORY_COLUMNS], "\n")
     path = _write(workdir, body.encode("utf-8"))
     expected = _parse(reference_parse_history_csv, path)
-    monkeypatch.setattr(history, "_parse_numeric", fallback)
+    monkeypatch.setattr(history, "parse_float", fallback)
     records, error = _parse(parse_history_csv, path)
     assert error is None and len(records) == len(rows)
     assert (records, error) == expected
