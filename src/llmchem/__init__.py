@@ -48,6 +48,7 @@ from .history import (
     HistoryRecord,
     build_profiles,
     iter_history,
+    iter_history_rows,
     parse_history_csv,
     read_profiles,
     write_history_csv,
@@ -94,6 +95,7 @@ __all__ = [
     "heterogeneity_diagnostic",
     "hypervolume2d",
     "iter_history",
+    "iter_history_rows",
     "llmcp_filter",
     "model_set_fingerprint",
     "neighbors",

@@ -66,7 +66,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .files import read_json, read_name_lists, sha256_of, write_csv, write_json
-from .history import build_profiles, iter_history, read_profiles, write_profiles
+from .history import build_profiles, iter_history_rows, read_profiles, write_profiles
 from .mig import build_mig
 from .recommend import CandidatePool, LossParams, recommend
 
@@ -277,7 +277,7 @@ def _model_set(store, config: dict) -> ModelSet:
 
 def cmd_ingest(args: argparse.Namespace, config: dict) -> int:
     stores = build_profiles(
-        iter_history(*args.csv),
+        iter_history_rows(*args.csv),
         grouping=args.grouping,
         aggregate=args.aggregate,
         sources=[str(p) for p in args.csv],
@@ -435,7 +435,7 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
     rows: list[list] = []
 
     if args.metric == "effectiveness":
-        accuracies = task_accuracies(iter_history(args.history)) if args.history else None
+        accuracies = task_accuracies(iter_history_rows(args.history)) if args.history else None
         if accuracies == {}:
             raise ParseError("a history CSV needs at least one record", path=args.history)
         header = ["ensemble", "effectiveness"]

@@ -21,7 +21,6 @@ from typing import Iterable, Sequence
 from .core import ModelProfile, left_sum
 from .errors import DomainError, UndefinedCorrelationError
 from .files import write_csv
-from .history import HistoryRecord
 
 SQRT2 = math.sqrt(2.0)
 
@@ -291,16 +290,17 @@ def effectiveness_soft_vote(member_accuracies_per_task: Sequence[Sequence[float]
     return correct / len(tasks)
 
 
-def task_accuracies(records: Iterable[HistoryRecord]) -> dict[str, dict[str, float]]:
+def task_accuracies(records: Iterable[tuple]) -> dict[str, dict[str, float]]:
     """Mean accuracy of each model on each task, tasks in sorted order.
 
-    Each mean adds the task's records of that model in the order given.
+    ``records`` holds history row tuples in ``HISTORY_COLUMNS`` order, read
+    by position: the plain rows of ``history.iter_history_rows`` or
+    ``HistoryRecord``s.  Each mean adds the task's records of that model in
+    the order given.
     """
     by_task: dict[str, dict[str, list[float]]] = {}
-    for record in records:
-        by_task.setdefault(record.task, {}).setdefault(record.model, []).append(
-            record.accuracy
-        )
+    for row in records:  # task, model, accuracy
+        by_task.setdefault(row[2], {}).setdefault(row[1], []).append(row[11])
     return {
         task: {model: left_sum(values) / len(values) for model, values in by_task[task].items()}
         for task in sorted(by_task)

@@ -2,12 +2,16 @@
 
 A history CSV carries one row per (trial, model, task) execution with the
 recorded quality, accuracy and metadata columns.  Parsing is strict and
-streamed: ``iter_history`` validates each row as it reads it and yields it,
-so the first bad row raises a located error, and ``parse_history_csv`` is
-its list.  A consumer such as ``build_profiles`` keeps only the fields it
-reads, and the CLI writes nothing before the last row has passed.
-Validated records collapse into per-context profile stores (one
-(quality, accuracy) profile per model) that feed the rest of the pipeline.
+streamed: ``iter_history_rows`` validates each row as it reads it and yields
+it as a plain tuple in ``HISTORY_COLUMNS`` order, so the first bad row raises
+a located error.  ``iter_history`` is the same stream as ``HistoryRecord``s
+and ``parse_history_csv`` its list.  ``build_profiles`` and
+``complementarity.task_accuracies`` read each row by position, so they accept
+any row tuple in ``HISTORY_COLUMNS`` order, a record included, and keep only
+the fields they read; the CLI feeds them the plain rows and writes nothing
+before the last row has passed.  Validated rows collapse into per-context
+profile stores (one (quality, accuracy) profile per model) that feed the rest
+of the pipeline.
 """
 
 from __future__ import annotations
@@ -68,21 +72,35 @@ _NUMERIC_RANGES: dict[str, tuple[float, float]] = {
 #: Positions of the numeric columns in a row, in ``_NUMERIC_RANGES`` order.
 _NUMERIC_INDEX = tuple(HISTORY_COLUMNS.index(column) for column in _NUMERIC_RANGES)
 
+#: The columns a row may not leave empty, in column order, with their errors.
+_IDENTIFIERS = {
+    "trial": "trial name is empty",
+    "model": "model name is empty",
+    "task": "task text is empty",
+    "id": "output id is empty",
+}
 
-def iter_history(*paths: str | Path) -> Iterator[HistoryRecord]:
-    """Yield the validated records of history CSVs, read as one history, in order.
+#: Positions of the identifier columns in a row, in ``_IDENTIFIERS`` order.
+_IDENTIFIER_INDEX = tuple(HISTORY_COLUMNS.index(column) for column in _IDENTIFIERS)
 
-    Each row is checked as it is read, so a caller that consumes the records
-    one by one holds no more of the history than it keeps itself, and reaches
-    a bad row's ``ParseError`` before it returns.  A ``(trial, model, id)``
-    key may appear once in all the files; a repeat in a later file also names
-    the file that held the key first, and the records share that index's
-    one copy of each trial and model name.  A row's seven numeric fields are
-    converted with ``float`` and range-checked in one comparison against the
-    bounds of ``_NUMERIC_RANGES``, with an infinite bound replaced by the
-    largest finite float, so that NaN and infinity fail too.  Only a row that
-    fails goes through ``files.parse_float`` column by column, which raises
-    the row's first error.
+
+def iter_history_rows(*paths: str | Path) -> Iterator[tuple]:
+    """Yield the validated rows of history CSVs, read as one history, in order.
+
+    Each row is a plain tuple in ``HISTORY_COLUMNS`` order, with the numeric
+    columns as floats.  Each row is checked as it is read, so a caller that
+    consumes the rows one by one holds no more of the history than it keeps
+    itself, and reaches a bad row's ``ParseError`` before it returns.  The
+    trial, model, task and id must not be empty; the first empty one in
+    column order is the error.  A ``(trial, model, id)`` key may appear once
+    in all the files; a repeat in a later file also names the file that held
+    the key first, and the rows share that index's one copy of each trial and
+    model name.  A row's seven numeric fields are converted with ``float``
+    and range-checked in one comparison against the bounds of
+    ``_NUMERIC_RANGES``, with an infinite bound replaced by the largest finite
+    float, so that NaN and infinity fail too.  Only a row that fails goes
+    through ``files.parse_float`` column by column, which raises the row's
+    first error.
     """
     top = sys.float_info.max
     seen: dict[tuple[str, str, str], int] = {}  # key -> index of its file in ``paths``
@@ -92,8 +110,9 @@ def iter_history(*paths: str | Path) -> Iterator[HistoryRecord]:
         for number, row in read_csv(path, HISTORY_COLUMNS):
             (trial, model, task, latency, temperature, id_, result, quality, gen_accuracy,
              variance, review_accuracy, accuracy, elapsed, created) = row
-            if not model:
-                raise ParseError("model name is empty", path=path, row=number, field="model")
+            if not (trial and model and task and id_):
+                field = next(c for c, i in zip(_IDENTIFIERS, _IDENTIFIER_INDEX) if not row[i])
+                raise ParseError(_IDENTIFIERS[field], path=path, row=number, field=field)
             try:
                 latency = float(latency)
                 temperature = float(temperature)
@@ -121,8 +140,13 @@ def iter_history(*paths: str | Path) -> Iterator[HistoryRecord]:
                 raise ParseError(f"duplicate (trial, model, id) key {key!r}{where}",
                                  path=path, row=number, field="id")
             seen[key] = at
-            yield HistoryRecord(trial, model, task, latency, temperature, id_, result, quality,
-                                gen_accuracy, variance, review_accuracy, accuracy, elapsed, created)
+            yield (trial, model, task, latency, temperature, id_, result, quality,
+                   gen_accuracy, variance, review_accuracy, accuracy, elapsed, created)
+
+
+def iter_history(*paths: str | Path) -> Iterator[HistoryRecord]:
+    """The rows of ``iter_history_rows(*paths)`` as records, streamed the same way."""
+    return map(HistoryRecord._make, iter_history_rows(*paths))
 
 
 def parse_history_csv(*paths: str | Path) -> list[HistoryRecord]:
@@ -155,42 +179,43 @@ class ProfileStore:
 
 
 def build_profiles(
-    records: Iterable[HistoryRecord],
+    records: Iterable[tuple],
     grouping: Grouping = "all",
     *,
     aggregate: Aggregate = "mean",
     sources: Iterable[str] = (),
 ) -> list[ProfileStore]:
-    """Collapse records into one profile store per group.
+    """Collapse history rows into one profile store per group.
 
+    ``records`` holds row tuples in ``HISTORY_COLUMNS`` order, read by
+    position: the plain rows of ``iter_history_rows`` or ``HistoryRecord``s.
     Groups are keyed by trial name, task text, or a single shared key.  Per
     model and group, quality and accuracy aggregate by arithmetic mean (or
     median behind the flag); record counts land in the provenance so the raw
     rows stay re-aggregatable.  Output order is deterministic (sorted keys).
-    Only each record's quality and accuracy are kept, so ``records`` may be
-    a stream (``iter_history``) that is never held whole.  No records give
-    no stores.
+    Only each row's quality and accuracy are kept, so ``records`` may be a
+    stream that is never held whole.  No records give no stores.
     """
     if grouping not in ("trial", "task", "all"):
         raise DomainError(f"unknown grouping {grouping!r}")
     if aggregate not in ("mean", "median"):
         raise DomainError(f"unknown aggregate {aggregate!r}")
-    key_of = {
-        "trial": lambda r: r.trial,
-        "task": lambda r: r.task,
-        "all": lambda r: "all",
-    }[grouping]
+    at = {"trial": 0, "task": 2, "all": None}[grouping]  # the key's position in a row
     reduce = statistics.fmean if aggregate == "mean" else statistics.median
 
     # context -> model -> (qualities, accuracies), each in record order
     grouped: dict[str, dict[str, tuple[list[float], list[float]]]] = {}
-    for record in records:
-        models = grouped.setdefault(key_of(record), {})
-        values = models.get(record.model)
+    for row in records:
+        context = "all" if at is None else row[at]
+        models = grouped.get(context)
+        if models is None:
+            models = grouped[context] = {}
+        model = row[1]
+        values = models.get(model)
         if values is None:
-            values = models[record.model] = ([], [])
-        values[0].append(record.quality)
-        values[1].append(record.accuracy)
+            values = models[model] = ([], [])
+        values[0].append(row[7])  # quality
+        values[1].append(row[11])  # accuracy
 
     stores: list[ProfileStore] = []
     for context in sorted(grouped):

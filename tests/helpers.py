@@ -564,8 +564,14 @@ def reference_parse_history_csv(path: str | Path) -> list[ReferenceHistoryRecord
     records: list[ReferenceHistoryRecord] = []
     seen_keys: set[tuple[str, str, str]] = set()
     for number, row in reference_read_csv(path, HISTORY_COLUMNS):
+        if not row["trial"]:
+            raise ParseError("trial name is empty", path=path, row=number, field="trial")
         if not row["model"]:
             raise ParseError("model name is empty", path=path, row=number, field="model")
+        if not row["task"]:
+            raise ParseError("task text is empty", path=path, row=number, field="task")
+        if not row["id"]:
+            raise ParseError("output id is empty", path=path, row=number, field="id")
         numeric = {
             column: _reference_parse_numeric(row[column], column, path, number)
             for column in _REFERENCE_NUMERIC_RANGES

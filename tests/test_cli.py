@@ -515,6 +515,20 @@ BAD_INPUTS = {
         "ingest {bad} {bad} --out {tmp}/s.json", "h.csv", HISTORY,
         ["duplicate (trial, model, id) key ('t', 'm', 'o1'), first read from", "row 2, field 'id'"]),
     "store-encoding": ("chem --store {bad} --out {tmp}/c.csv", "s.json", b"\xff", ["utf-8"]),
+    **{
+        f"history-empty-{field}{suffix}": (
+            argv, "h.csv", HISTORY + row, [f"{message} (in {{bad}}, row 3, field '{field}')"])
+        for field, row, message in [
+            ("trial", b",m,q,1.0,0.7,o2,r,5.0,1.0,0.1,0.9,0.9,e,c\n", "trial name is empty"),
+            ("task", b"t,m,,1.0,0.7,o2,r,5.0,1.0,0.1,0.9,0.9,e,c\n", "task text is empty"),
+            ("id", b"t,m,q,1.0,0.7,,r,5.0,1.0,0.1,0.9,0.9,e,c\n", "output id is empty"),
+        ]
+        for suffix, argv in [
+            ("", "ingest {bad} --out {tmp}/s.json"),
+            ("-eval", "eval --store {store} --ensembles {ensembles} --metric effectiveness "
+                      "--history {bad} --out {tmp}/e.csv"),
+        ]
+    },
     "history-directory": ("ingest {bad} --out {tmp}/s.json", "h.csv", None, ["directory"]),
     "store-directory": ("chem --store {bad} --out {tmp}/c.csv", "s.json", None, ["directory"]),
     "grades-extra-field": ("score --grades {bad} --out {tmp}/s.json", "g.csv",

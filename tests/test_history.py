@@ -16,7 +16,7 @@ from llmchem import (
 )
 from llmchem.complementarity import task_accuracies
 from llmchem.errors import DomainError, ParseError, StoreVersionError
-from llmchem.history import HISTORY_COLUMNS
+from llmchem.history import HISTORY_COLUMNS, iter_history_rows
 
 HEADER = ",".join(HISTORY_COLUMNS)
 
@@ -185,12 +185,14 @@ class TestStreaming:
         )
         records, listed = _traced_peak(lambda: parse_history_csv(path))
         assert len(records) == 5000
-        stores, profiled = _traced_peak(lambda: build_profiles(iter_history(path), "trial"))
-        accuracies, reduced = _traced_peak(lambda: task_accuracies(iter_history(path)))
-        assert profiled < listed / 3
-        assert reduced < listed / 3
-        assert stores == build_profiles(records, "trial")
-        assert accuracies == task_accuracies(records)
+        # The record view, and the plain rows that the CLI passes.
+        for stream in (iter_history, iter_history_rows):
+            stores, profiled = _traced_peak(lambda: build_profiles(stream(path), "trial"))
+            accuracies, reduced = _traced_peak(lambda: task_accuracies(stream(path)))
+            assert profiled < listed / 3
+            assert reduced < listed / 3
+            assert stores == build_profiles(records, "trial")
+            assert accuracies == task_accuracies(records)
 
 
 class TestCanonicalReemission:

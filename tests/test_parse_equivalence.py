@@ -5,12 +5,16 @@ The references in ``tests/helpers.py`` are verbatim copies of ``read_csv`` on
 on its own and built frozen-dataclass records.  On every generated file the
 current code must yield the same rows and records, field by field, or raise a
 ``ParseError`` with the same message, row and field after the same rows.
+The plain row tuples of ``iter_history_rows`` must equal the reference's
+records position by position, and the consumers must give the same results
+on them as on ``parse_history_csv``'s records.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from functools import partial
 
 import pytest
 from helpers import reference_parse_history_csv, reference_read_csv
@@ -18,13 +22,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from llmchem import history
+from llmchem.complementarity import task_accuracies
 from llmchem.errors import ParseError
 from llmchem.files import read_csv
 from llmchem.history import (
+    _IDENTIFIER_INDEX,
     _NUMERIC_INDEX,
     _NUMERIC_RANGES,
     HISTORY_COLUMNS,
     HistoryRecord,
+    build_profiles,
+    iter_history_rows,
     parse_history_csv,
 )
 
@@ -75,13 +83,18 @@ def _line(fields, terminator: str) -> str:
 
 
 @st.composite
-def _encode(draw, rows: list[list[str]]) -> bytes:
-    """CSV bytes of ``rows`` with blank lines drawn before any row and maybe one bad byte."""
-    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+def _encode(draw, rows: list[list[str]], faults: bool = True) -> bytes:
+    """CSV bytes of ``rows`` with blank lines drawn before any row and maybe one bad byte.
+
+    Without ``faults``, no blank line precedes the header, no byte is bad, and
+    lines end in CR LF, so that ``csv.writer`` quotes a field's bare CR too.
+    """
+    terminator = draw(st.sampled_from(["\n", "\r\n"])) if faults else "\r\n"
     blanks = st.sampled_from([0, 0, 0, 0, 1, 2])
-    text = "".join(terminator * draw(blanks) + _line(row, terminator) for row in rows)
+    text = "".join(terminator * (draw(blanks) if faults or at else 0) + _line(row, terminator)
+                   for at, row in enumerate(rows))
     data = text.encode("utf-8")
-    if draw(st.integers(0, 7)) == 0:
+    if faults and draw(st.integers(0, 7)) == 0:
         at = draw(st.integers(0, len(data)))
         data = data[:at] + draw(BAD_BYTES) + data[at:]
     return data
@@ -141,20 +154,22 @@ def test_read_csv_equals_on_raw_text(workdir, text, header):
 
 
 @st.composite
-def history_files(draw) -> bytes:
+def history_files(draw, identifiers: tuple[str, ...] = ("model",), faults: bool = True) -> bytes:
     """A history file with faults from the parser's every branch mixed into valid rows.
 
-    Faults: an empty model, a numeric field from ``NUMBER_TEXT`` (not a number,
-    non-finite, out of range, or odd but valid spellings), a repeated
-    ``(trial, model, id)`` key, a short or a long row; several may land in one
-    row.  The header order, blank lines, multi-line fields and a bad byte vary.
+    Faults: an empty field among ``identifiers``, a numeric field from
+    ``NUMBER_TEXT`` (not a number, non-finite, out of range, or odd but valid
+    spellings), a repeated ``(trial, model, id)`` key, a short or a long row;
+    several may land in one row.  The header order, blank lines, multi-line
+    fields and a bad byte vary.  A task is empty only as a fault when it is
+    among ``identifiers``.  Without ``faults``, the file is valid if it is.
     """
     rows = []
     for i in range(draw(st.integers(0, 6))):
         row = {
             "trial": draw(st.sampled_from(["t0", "t1"])),
             "model": draw(st.sampled_from(["m0", "m1"])),
-            "task": draw(TEXT),
+            "task": draw(TEXT.filter(bool) if "task" in identifiers else TEXT),
             "id": f"o{i}",
             "result": draw(TEXT),
             "elapsed": draw(TEXT),
@@ -163,13 +178,13 @@ def history_files(draw) -> bytes:
         row.update({column: repr(draw(valid)) for column, valid in VALID_NUMBER.items()})
         rows.append(row)
     lengths = {}
-    kinds = st.sampled_from(["model", "number", "number", "number", "duplicate", "short", "long"])
-    for at, kind in draw(st.lists(st.tuples(st.integers(0, 5), kinds), max_size=3)):
+    kinds = st.sampled_from(["empty", "number", "number", "number", "duplicate", "short", "long"])
+    for at, kind in draw(st.lists(st.tuples(st.integers(0, 5), kinds), max_size=3 if faults else 0)):
         if at >= len(rows):
             continue
         row = rows[at]
-        if kind == "model":
-            row["model"] = ""
+        if kind == "empty":
+            row[draw(st.sampled_from(identifiers))] = ""
         elif kind == "number":
             row[draw(st.sampled_from(list(VALID_NUMBER)))] = draw(NUMBER_TEXT)
         elif kind == "duplicate":
@@ -186,7 +201,7 @@ def history_files(draw) -> bytes:
         elif lengths.get(at) == 1:
             fields.append("extra")
         lines.append(fields)
-    return draw(_encode(lines))
+    return draw(_encode(lines, faults))
 
 
 def _fields(record) -> list[tuple[type, str]]:
@@ -270,9 +285,102 @@ def test_the_row_check_accepts_every_range_edge(workdir, monkeypatch):
 
 
 def test_the_parser_reads_the_record_positions_of_the_history_columns():
-    # iter_history unpacks each row into locals in HISTORY_COLUMNS order and
-    # builds the record from them in that order, so the two orders must be
-    # one; a failing row's fallback reads its numbers at _NUMERIC_INDEX.
+    # iter_history_rows unpacks each row into locals in HISTORY_COLUMNS order
+    # and yields them in that order, and iter_history makes records of those
+    # tuples, so the two orders must be one; a failing row's fallback reads
+    # its numbers at _NUMERIC_INDEX and its identifiers at _IDENTIFIER_INDEX.
     assert HistoryRecord._fields == HISTORY_COLUMNS
     assert _NUMERIC_INDEX == (3, 4, 7, 8, 9, 10, 11)
+    assert _IDENTIFIER_INDEX == (0, 1, 2, 5)
     assert [HISTORY_COLUMNS[i] for i in (0, 1, 5)] == ["trial", "model", "id"]
+    # build_profiles and task_accuracies read a row's trial, model, task,
+    # quality and accuracy at these positions.
+    positions = {"trial": 0, "model": 1, "task": 2, "quality": 7, "accuracy": 11}
+    assert {column: HISTORY_COLUMNS.index(column) for column in positions} == positions
+    row = ("t", "m", "q", 0.1, 0.2, "o", "r", 0.3, 0.4, 0.5, 0.6, 0.7, "e", "c")
+    for grouping, context in [("trial", "t"), ("task", "q"), ("all", "all")]:
+        (store,) = build_profiles([row], grouping)
+        assert store.context_key == context
+        assert (store.profiles["m"].quality, store.profiles["m"].accuracy) == (0.3, 0.7)
+    assert task_accuracies([row]) == {"q": {"m": 0.7}}
+
+
+def _reference_history(paths):
+    """The reference's records of ``paths`` read as one history, or its first error.
+
+    Each file is parsed on its own by the reference parser; a key that an
+    earlier file held is the error at the first row that repeats it, unless
+    the file's own error comes first.
+    """
+    records: list = []
+    first_file: dict[tuple[str, str, str], int] = {}
+    for at, path in enumerate(paths):
+        try:
+            parsed, error = reference_parse_history_csv(path), None
+        except ParseError as exc:
+            parsed, error = None, exc
+        keys = []
+        try:
+            for number, row in reference_read_csv(path, HISTORY_COLUMNS):
+                keys.append((number, (row["trial"], row["model"], row["id"])))
+        except ParseError:
+            pass
+        for number, key in keys:
+            if error is not None and error.row is not None and number >= error.row:
+                break
+            if key in first_file:
+                error = ParseError(
+                    f"duplicate (trial, model, id) key {key!r}, first read from "
+                    f"{paths[first_file[key]]}", path=path, row=number, field="id")
+                break
+        if error is not None:
+            return None, (str(error), error.row, error.field)
+        for _, key in keys:
+            first_file.setdefault(key, at)
+        records += [_fields(record) for record in parsed]
+    return records, None
+
+
+def _rows(paths):
+    try:
+        rows = list(iter_history_rows(*paths))
+    except ParseError as exc:
+        return None, (str(exc), exc.row, exc.field)
+    assert all(type(row) is tuple for row in rows)
+    # Each field's type and repr, read by position, as _fields reads a record's.
+    return [[(type(value), repr(value)) for value in row] for row in rows], None
+
+
+def _consumed(consume, read):
+    try:
+        return repr(consume(read())), None
+    except ParseError as exc:
+        return None, (str(exc), exc.row, exc.field)
+
+
+#: ``build_profiles`` under every grouping and aggregate, and ``task_accuracies``.
+CONSUMERS = [
+    partial(build_profiles, grouping=grouping, aggregate=aggregate)
+    for grouping in ("trial", "task", "all") for aggregate in ("mean", "median")
+] + [task_accuracies]
+
+
+IDENTIFIERS = ("trial", "model", "task", "id")
+
+
+@settings(max_examples=300, deadline=None)
+@given(earlier=st.lists(history_files(IDENTIFIERS, faults=False), max_size=2),
+       last=history_files(IDENTIFIERS))
+@example(earlier=[], last=",".join(HISTORY_COLUMNS).encode() + b"\nt,m,,1,0,o,r,5,1,0,1,1,e,c\n")
+def test_the_row_stream_equals_the_reference_and_feeds_the_same_results(workdir, earlier, last):
+    # The earlier files are valid, so that the last one's rows are read and
+    # may repeat their keys; its ids count from o0 as theirs do.
+    paths = []
+    for number, data in enumerate(earlier + [last]):
+        path = workdir / f"part{number}.csv"
+        path.write_bytes(data)
+        paths.append(path)
+    assert _rows(paths) == _reference_history(paths)
+    for consume in CONSUMERS:
+        assert _consumed(consume, lambda: iter_history_rows(*paths)) == _consumed(
+            consume, lambda: parse_history_csv(*paths))
