@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -31,56 +32,41 @@ GEN_WEIGHT_WITH_GT = 0.75
 GEN_WEIGHT_WITHOUT_GT = 0.25
 
 
-def _check_grade(grader: str, output: str, grade: float) -> None:
-    if not math.isfinite(grade) or not 0.0 <= grade <= 10.0:
-        raise MalformedMatrixError(
-            f"grade for ({grader!r}, {output!r}) must be in [0, 10], got {grade!r}"
-        )
-
-
 @dataclass(frozen=True)
 class GradeMatrix:
-    """Sparse grader-by-output grade matrix, grades in [0, 10]."""
+    """Sparse grader-by-output grade matrix, grades in [0, 10].
 
-    outputs: tuple[str, ...]
-    graders: tuple[str, ...]
+    Its graders and outputs are those named by the keys of ``grades``, in
+    first-seen order.
+    """
+
     grades: dict[tuple[str, str], float]  # (grader, output) -> grade
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        object.__setattr__(self, "graders", tuple(self.graders))
-        if len(set(self.outputs)) != len(self.outputs):
-            raise MalformedMatrixError("duplicate output ids")
-        if len(set(self.graders)) != len(self.graders):
-            raise MalformedMatrixError("duplicate grader ids")
-        known_outputs = set(self.outputs)
-        known_graders = set(self.graders)
-        graded: set[str] = set()
         for (grader, output), grade in self.grades.items():
-            if grader not in known_graders:
-                raise MalformedMatrixError(f"grade from unknown grader {grader!r}")
-            if output not in known_outputs:
-                raise MalformedMatrixError(f"grade for unknown output {output!r}")
-            _check_grade(grader, output, grade)
-            graded.add(output)
-        ungraded = known_outputs - graded
-        if ungraded:
-            raise MalformedMatrixError(f"outputs without any grade: {sorted(ungraded)}")
+            if not math.isfinite(grade) or not 0.0 <= grade <= 10.0:
+                raise MalformedMatrixError(
+                    f"grade for ({grader!r}, {output!r}) must be in [0, 10], got {grade!r}"
+                )
+
+    @cached_property
+    def graders(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(grader for grader, _ in self.grades))
+
+    @cached_property
+    def outputs(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(output for _, output in self.grades))
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[str, str, float]]) -> "GradeMatrix":
         """Build from (grader, output, grade) rows, preserving first-seen order."""
-        graders: dict[str, None] = {}
-        outputs: dict[str, None] = {}
         grades: dict[tuple[str, str], float] = {}
         for grader, output, grade in rows:
-            graders[grader] = None
-            outputs[output] = None
             key = (grader, output)
             if key in grades:
                 raise MalformedMatrixError(f"duplicate grade for {key!r}")
             grades[key] = float(grade)
-        return cls(outputs=tuple(outputs), graders=tuple(graders), grades=grades)
+        return cls(grades=grades)
 
 
 @dataclass(frozen=True)
@@ -160,7 +146,7 @@ def vancouver_consensus(
                     deviations[positions[k]].append((grades[k] - total / weight_sum) ** 2)
                 prefix_total += wg[k]
                 prefix_weight += w[k]
-            # Every output has a grade (GradeMatrix checks it), so the weight is > 0.
+            # Every output is named by a grade's key, so it has a grade: the weight is > 0.
             means[output] = prefix_total / prefix_weight
         new_consensus = {output: means[output] for output in matrix.outputs}
 
@@ -235,8 +221,6 @@ def load_grades_csv(path: str | Path) -> GradeMatrix:
     names it; graders and outputs keep their first-seen order.  A file with no
     grade is an error.
     """
-    graders: dict[str, None] = {}
-    outputs: dict[str, None] = {}
     grades: dict[tuple[str, str], float] = {}
     for number, (grader, output, raw) in read_csv(path, ("grader", "output_id", "grade")):
         if not grader:
@@ -250,11 +234,10 @@ def load_grades_csv(path: str | Path) -> GradeMatrix:
                 f"invalid grade matrix: duplicate grade for {key!r}",
                 path=path, row=number, field="output_id",
             )
-        graders[grader] = outputs[output] = None
         grades[key] = grade
     if not grades:
         raise ParseError("a grades CSV needs at least one grade", path=path)
-    return GradeMatrix(outputs=tuple(outputs), graders=tuple(graders), grades=grades)
+    return GradeMatrix(grades=grades)
 
 
 def load_ground_truth_csv(path: str | Path) -> dict[str, str]:

@@ -19,8 +19,8 @@ per-member sums: each step gives every neighbour an approximate loss in O(1),
 then computes the exact loss (the same floats added in the same order as
 ``subset_loss``) only for the neighbours within a floating-point error bound
 of the approximate minimum.  The result equals exact re-scoring of every
-neighbour.  ``exhaustive_best`` screens all subsets the same way, walking
-them in Gray-code order.
+neighbour.  ``exhaustive_best``, the oracle the search is checked against,
+takes the exact loss of every subset and screens nothing.
 """
 
 from __future__ import annotations
@@ -160,13 +160,6 @@ class _LossKernel:
     def subset_of(self, mask: int) -> Configuration:
         return frozenset(name for i, name in enumerate(self.names) if mask >> i & 1)
 
-    def combine(self, intra: float, inter: float, size: int) -> float:
-        return (
-            self.alpha * (self.max_i - inter)
-            + (1.0 - self.alpha) * (self.max_t - intra)
-            + self.beta * size
-        )
-
     def loss(self, mask: int) -> float:
         """Exact loss: intra over sorted pairs, then inter per inside member."""
         n = len(self.names)
@@ -182,15 +175,14 @@ class _LossKernel:
             row = self.matrix[a]
             for b in outside:
                 inter += row[b]
-        return self.combine(intra, inter, len(inside))
+        return (
+            self.alpha * (self.max_i - inter)
+            + (1.0 - self.alpha) * (self.max_t - intra)
+            + self.beta * len(inside)
+        )
 
-    def tolerance(self, updates: int = 0) -> float:
-        """Bound on |screened loss - exact loss| of any one subset.
-
-        ``updates`` is the longest run of additions and subtractions that a
-        screened value's per-member sums have taken (0 when they are rebuilt
-        for every neighbourhood).
-        """
+    def tolerance(self) -> float:
+        """Bound on |screened loss - exact loss| of any move that ``best_move`` screens."""
         # With u the unit roundoff and S = maxI + maxT + beta * (n + 1): pair
         # values are finite and >= 0 and maxI = 2 * maxT, so S bounds every
         # loss, T = maxT <= S / 3 bounds any member's row total, and 2 * T any
@@ -206,10 +198,6 @@ class _LossKernel:
         #   <= 8 * T: the delta is off by at most (2 * n + 16) * u * S.  A
         #   neighbour's screened and exact loss thus differ by at most
         #   2 * (n**2 + 8) + 2 * n + 16 <= 2 * (n**2 + n + 16) times u * S.
-        # - Gray walk: each running sum to the inside members is off by at most
-        #   ``updates`` * u times its row total, so the screened loss is off by
-        #   at most (updates + 2 * n + 6) * u * S and differs from the exact
-        #   loss by at most 2 * (n**2 + n + 16 + updates) * u * S.
         # The tolerance doubles that bound, which covers the (1 - k * u)**-1
         # factors dropped above and maxT's own rounding.  If S is near
         # overflow, nothing is screened out.
@@ -217,7 +205,7 @@ class _LossKernel:
         scale = self.max_i + self.max_t + self.beta * (n + 1)
         if not math.isfinite(16.0 * scale):
             return math.inf
-        return 4.0 * (n * n + n + 16 + updates) * _UNIT_ROUNDOFF * scale
+        return 4.0 * (n * n + n + 16) * _UNIT_ROUNDOFF * scale
 
     def best_move(
         self, mask: int, loss: float, size_cap: int | None, tol: float, stats: dict[str, int]
@@ -383,46 +371,13 @@ def exhaustive_best(
 ) -> tuple[Configuration, float]:
     """Global minimum-loss subset by full enumeration (desk-scale sizes only).
 
-    Walks the non-empty subsets in Gray-code order, so each step adds or
-    removes one member and updates the per-member sums to the inside members
-    in O(n).  Subsets whose screened loss is within twice the kernel's
-    tolerance of the smallest are re-scored exactly; ties are broken by subset
-    key, matching the search's own reduction.
+    Takes the exact loss of every non-empty subset, in mask order, and keeps
+    the minimum by (loss, subset key), matching the search's own reduction.
+    Nothing is screened, so the search is checked against the exact loss alone.
     """
     kernel = _LossKernel(table, chem_totals(table), params)
-    n = len(kernel.names)
-    tol = kernel.tolerance(updates=1 << n)
-    row_totals = kernel.row_totals
-    to_inside = [0.0] * n
-    inside: list[int] = []
-    mask = 0
-    floor = math.inf
-    near: list[tuple[float, int]] = []
-    for rank in range(1, 1 << n):
-        bit = (rank & -rank).bit_length() - 1
-        row = kernel.matrix[bit]
-        mask ^= 1 << bit
-        if mask >> bit & 1:
-            inside.append(bit)
-            to_inside = [total + value for total, value in zip(to_inside, row)]
-        else:
-            inside.remove(bit)
-            to_inside = [total - value for total, value in zip(to_inside, row)]
-        paired = 0.0
-        rows = 0.0
-        for i in inside:
-            paired += to_inside[i]
-            rows += row_totals[i]
-        approx = kernel.combine(0.5 * paired, rows - paired, len(inside))
-        if approx > floor + 2.0 * tol:
-            continue
-        near.append((approx, mask))
-        if approx < floor:
-            floor = approx
     best: tuple[float, str, Configuration] | None = None
-    for approx, mask in near:
-        if approx > floor + 2.0 * tol:
-            continue
+    for mask in range(1, 1 << len(kernel.names)):
         subset = kernel.subset_of(mask)
         ranked = (kernel.loss(mask), subset_key(subset), subset)
         if best is None or ranked[:2] < best[:2]:

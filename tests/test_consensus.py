@@ -26,10 +26,6 @@ class TestGradeMatrix:
         with pytest.raises(MalformedMatrixError):
             GradeMatrix.from_rows([("g", "o", 10.5)])
 
-    def test_rejects_output_without_grades(self):
-        with pytest.raises(MalformedMatrixError):
-            GradeMatrix(outputs=("o1", "o2"), graders=("g",), grades={("g", "o1"): 5.0})
-
     def test_rejects_duplicate_grade(self):
         with pytest.raises(MalformedMatrixError):
             GradeMatrix.from_rows([("g", "o", 5.0), ("g", "o", 6.0)])

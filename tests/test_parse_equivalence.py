@@ -153,16 +153,26 @@ def test_read_csv_equals_on_raw_text(workdir, text, header):
     _assert_same_rows(_write(workdir, (("a,b,c\n" if header else "") + text).encode("utf-8")))
 
 
+#: Every identifier column of a history row.
+IDENTIFIERS = ("trial", "model", "task", "id")
+
+#: Row faults that ``history_files`` draws from; a numeric field is the likeliest.
+ROW_FAULTS = ("empty", "number", "number", "number", "duplicate", "short", "long")
+
+
 @st.composite
-def history_files(draw, identifiers: tuple[str, ...] = ("model",), faults: bool = True) -> bytes:
+def history_files(draw, identifiers: tuple[str, ...] = ("model",), faults: bool = True,
+                  row_faults: tuple[str, ...] = ROW_FAULTS) -> bytes:
     """A history file with faults from the parser's every branch mixed into valid rows.
 
-    Faults: an empty field among ``identifiers``, a numeric field from
-    ``NUMBER_TEXT`` (not a number, non-finite, out of range, or odd but valid
-    spellings), a repeated ``(trial, model, id)`` key, a short or a long row;
-    several may land in one row.  The header order, blank lines, multi-line
-    fields and a bad byte vary.  A task is empty only as a fault when it is
-    among ``identifiers``.  Without ``faults``, the file is valid if it is.
+    Row faults, drawn from ``row_faults``: an empty field among
+    ``identifiers``, a numeric field from ``NUMBER_TEXT`` (not a number,
+    non-finite, out of range, or odd but valid spellings), a repeated
+    ``(trial, model, id)`` key, a short or a long row; several may land in one
+    row.  The header order and multi-line fields vary, and with ``faults``
+    so do blank lines and a bad byte (see ``_encode``).  A task is empty only
+    as a fault when it is among ``identifiers``.  Without ``faults`` and
+    ``row_faults``, the file is valid.
     """
     rows = []
     for i in range(draw(st.integers(0, 6))):
@@ -178,8 +188,8 @@ def history_files(draw, identifiers: tuple[str, ...] = ("model",), faults: bool 
         row.update({column: repr(draw(valid)) for column, valid in VALID_NUMBER.items()})
         rows.append(row)
     lengths = {}
-    kinds = st.sampled_from(["empty", "number", "number", "number", "duplicate", "short", "long"])
-    for at, kind in draw(st.lists(st.tuples(st.integers(0, 5), kinds), max_size=3 if faults else 0)):
+    placed = st.lists(st.tuples(st.integers(0, 5), st.sampled_from(row_faults)), max_size=3)
+    for at, kind in draw(placed) if row_faults else ():
         if at >= len(rows):
             continue
         row = rows[at]
@@ -219,6 +229,15 @@ def _parse(parser, path):
 @settings(max_examples=400, deadline=None)
 @given(data=history_files())
 def test_history_parser_equals_the_per_field_parser(workdir, data):
+    path = _write(workdir, data)
+    assert _parse(parse_history_csv, path) == _parse(reference_parse_history_csv, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=history_files(IDENTIFIERS, faults=False, row_faults=("number",)))
+def test_every_numeric_field_reaches_the_same_check(workdir, data):
+    # Well-formed files whose only faults are numeric fields, so that the
+    # parse ends at a numeric check, or parses, in nearly every drawn file.
     path = _write(workdir, data)
     assert _parse(parse_history_csv, path) == _parse(reference_parse_history_csv, path)
 
@@ -365,11 +384,8 @@ CONSUMERS = [
 ] + [task_accuracies]
 
 
-IDENTIFIERS = ("trial", "model", "task", "id")
-
-
 @settings(max_examples=300, deadline=None)
-@given(earlier=st.lists(history_files(IDENTIFIERS, faults=False), max_size=2),
+@given(earlier=st.lists(history_files(IDENTIFIERS, faults=False, row_faults=()), max_size=2),
        last=history_files(IDENTIFIERS))
 @example(earlier=[], last=",".join(HISTORY_COLUMNS).encode() + b"\nt,m,,1,0,o,r,5,1,0,1,1,e,c\n")
 def test_the_row_stream_equals_the_reference_and_feeds_the_same_results(workdir, earlier, last):

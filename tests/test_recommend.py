@@ -361,6 +361,20 @@ class TestKernelEquivalence:
         assert subset == expected_subset
         assert repr(loss) == repr(expected_loss)
 
+    def test_exhaustive_best_breaks_a_loss_tie_by_subset_key(self):
+        # {b} and {a, b} both lose exactly 4.0; {b} comes first in mask order
+        # and by size, but "a,b" sorts before "b".
+        names = ["a", "b", "c", "d"]
+        entries = {("a", "b"): 0.5, ("a", "c"): 0.5, ("a", "d"): 0.5, ("b", "c"): 0.5,
+                   ("b", "d"): 1.0, ("c", "d"): 0.0}
+        table = table_from(entries, names)
+        totals = chem_totals(table)
+        params = LossParams()
+        assert subset_loss({"b"}, table, totals, params) == 4.0
+        assert subset_loss({"a", "b"}, table, totals, params) == 4.0
+        expected = (frozenset({"a", "b"}), 4.0)
+        assert exhaustive_best(table, params) == reference_exhaustive_best(table, params) == expected
+
     @settings(max_examples=200, deadline=None)
     @given(table=tables(), params=WEIGHTS, data=st.data())
     def test_subset_loss_keeps_its_bytes(self, table, params, data):
