@@ -18,10 +18,10 @@ term for term.
 
 On the cost table a float bound first tries to certify each pair's empty
 context, by branch and bound: every other context's ratio is at most
-``span[a] / low[ab]``, the span of a's gains over the non-empty contexts
-over the least cost of any superset of {a, b}.  A pair whose ratio at the
-empty context reaches that bound is scored there; every other pair walks
-every context in :func:`_pair_score`.
+``span[a] / max(low[a], low[b])``, the span of a's gains over the non-empty
+contexts over the least cost of a mask holding a (or b) and another member.
+A pair whose ratio at the empty context reaches that bound is scored there;
+every other pair walks every context in :func:`_pair_score`.
 """
 
 from __future__ import annotations
@@ -265,26 +265,23 @@ def _pair_score(costs: list[float], bit_a: int, bit_b: int, rest: int) -> float:
 
 
 def _lattice_bounds(costs: list[float]) -> tuple[list[float], list[float]]:
-    """Each bit's gain span and each mask's superset-minimum cost.
+    """Each bit's gain span and the least cost of a mask holding it and another bit.
 
     ``spans[j]`` is max - min of the float gain ``costs[Y] - costs[Y | 1 << j]``
     over every non-empty Y without bit j (0 when there is none), and
-    ``lows[mask]`` the least cost over every superset of ``mask``.  Each of
-    the n steps rotates the next bit to the top of the index with a perfect
-    unshuffle, so the two halves of the list pair every Y with Y plus that
-    bit.  The gains are consumed as they are made, never held in a list.
+    ``lows[j]`` the least cost of such a ``Y | 1 << j`` (inf when there is
+    none).  Step j rotates bit j to the top of the index with a perfect
+    unshuffle, so the two halves of the list pair every Y with Y plus bit j.
+    The gains are consumed as they are made, never held in a list.
     """
     half = len(costs) >> 1
-    table, lows = costs, costs.copy()
-    spans = []
+    table, spans, lows = costs, [], []
     for _ in range(half.bit_length()):
         table = table[0::2] + table[1::2]
-        lows = lows[0::2] + lows[1::2]
-        # A comprehension, not map(min, ...): the builtin's call costs four times as much.
-        lows[:half] = [y if y < x else x for x, y in zip(lows[:half], lows[half:])]
         highest = max(map(sub, islice(table, 1, half), islice(table, half + 1, None)), default=0.0)
         lowest = min(map(sub, islice(table, 1, half), islice(table, half + 1, None)), default=0.0)
         spans.append(highest - lowest)
+        lows.append(min(islice(table, half + 1, None), default=math.inf))
     return spans, lows
 
 
@@ -295,14 +292,15 @@ def _certified_score(
 
     For X non-empty both gains of the kernel's ratio are gains of a over a
     non-empty context, so their float difference is at most ``span`` in
-    magnitude, and the ratio's denominator is at least ``low``.  Rounding is
-    monotone, so every such ratio is at most the float ``span / low``.  When
-    ``low`` is positive, the bound finite and the empty context's ratio,
-    computed with the kernel's operations, at least the bound, that ratio is
-    the value :func:`_pair_score` returns.
+    magnitude.  The denominator, the cost of X | {a, b}, is at least ``low``,
+    the larger of ``lows[a]`` and ``lows[b]``.  Rounding is monotone, so every
+    such ratio is at most the float ``span / low``.  When ``low`` is positive,
+    the bound finite and the empty context's ratio, computed with the
+    kernel's operations, at least the bound, that ratio is the value
+    :func:`_pair_score` returns.
     """
     both = bit_a | bit_b
-    low = lows[both]
+    low = max(lows[bit_a.bit_length() - 1], lows[bit_b.bit_length() - 1])
     if not low > 0.0:
         return None
     bound = spans[bit_a.bit_length() - 1] / low
@@ -321,11 +319,10 @@ def cheme(graph: MIG) -> ChemistryTable:
     every context's costs are read from the graph's cost table, and a pair
     with an unusable member scores 0: it lies in every node, so no context
     is admissible for it.  There a pair is scored at the empty context when
-    its ratio there is at least ``span[a] / low[ab]`` (see
-    :func:`_certified_score`), which bounds every other context's ratio in
-    floats; every other pair walks every context.  When the empty context's
-    ratio ties the bound exactly, the loop's first maximiser can be another
-    context, but the value is the same either way.
+    its ratio there reaches :func:`_certified_score`'s float bound on every
+    other context's ratio, computed once per table over each member's masks;
+    every other pair walks every context.  On a tie with the bound the
+    loop's first maximiser can be another context, with the same value.
 
     On any other graph each subset X is answered by its smallest covering
     node, and a context is skipped for a pair when any of the covers of X,

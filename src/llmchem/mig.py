@@ -23,6 +23,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice, repeat
+from operator import add, mul
 from typing import Callable, Iterable, Mapping, Protocol
 
 from . import core
@@ -210,19 +212,20 @@ def profile_cost_table(model_set: ModelSet) -> tuple[tuple[str, ...], list[float
     Returns the usable members best-first by the rank key of
     :func:`llmchem.core.rank_outputs`, and a list whose entry ``mask`` is the
     cost of the members whose bits are set (bit j for the j-th ranked
-    member).  Unusable members never change a cost, so they get no bit.  The
-    highest set bit of a mask is its lowest-ranked member, whose term extends
-    the entry without it; this repeats the left-to-right sum of
-    :func:`llmchem.core.cost`, so every entry equals it bit for bit.
+    member).  Unusable members never change a cost, so they get no bit.  Each
+    member doubles the list: a mask whose highest bit is that member (ranked
+    last in it) extends the entry without it by ``(1 / rank) * penalty``.
+    This repeats the left-to-right sum of :func:`llmchem.core.cost` bit for bit.
     """
     ranked = core.rank_outputs(model_set, model_set.members)
-    penalties = [core.penalty(r.quality_norm, r.accuracy) for r in ranked]
-    costs = [model_set.empty_cost] * (1 << len(ranked))
-    for mask in range(1, len(costs)):
-        last = mask.bit_length() - 1
-        term = (1.0 / mask.bit_count()) * penalties[last]
-        rest = mask ^ (1 << last)
-        costs[mask] = costs[rest] + term if rest else term
+    weights = [1.0 / rank for rank in range(1, len(ranked) + 1)]
+    costs = [model_set.empty_cost]
+    for r in ranked:
+        top, term = len(costs), core.penalty(r.quality_norm, r.accuracy)
+        # Entry top + rest ranks this member at popcount(rest) + 1.
+        terms = map(mul, map(weights.__getitem__, map(int.bit_count, range(1, top))), repeat(term))
+        costs.append(term)
+        costs.extend(map(add, islice(costs, 1, top), terms))
     return tuple(r.model for r in ranked), costs
 
 

@@ -395,24 +395,20 @@ class TestCertifiedPruning:
         costs = graph.costs
         spans, lows = _lattice_bounds(costs)
         everyone = len(costs) - 1
+        assert len(spans) == len(lows) == len(graph.ranked)
         for j in range(len(graph.ranked)):
             bit = 1 << j
             gains = [costs[y] - costs[y | bit] for y in range(1, everyone + 1) if not y & bit]
             assert spans[j] == (max(gains) - min(gains) if gains else 0.0)
-        for mask in range(everyone + 1):
-            supersets, free = [], everyone ^ mask
-            extra = free
-            while True:
-                supersets.append(costs[mask | extra])
-                if not extra:
-                    break
-                extra = (extra - 1) & free
-            assert lows[mask] == min(supersets)
+            # Every mask that holds bit j and at least one other bit.
+            shared = [costs[mask] for mask in range(everyone + 1) if mask & bit and mask != bit]
+            assert lows[j] == min(shared, default=math.inf)
         for _, _, bit_a, bit_b in lattice_pairs(graph):
             both = bit_a | bit_b
-            if not lows[both] > 0.0:
+            low = max(lows[bit_a.bit_length() - 1], lows[bit_b.bit_length() - 1])
+            if not low > 0.0:
                 continue
-            bound = spans[bit_a.bit_length() - 1] / lows[both]
+            bound = spans[bit_a.bit_length() - 1] / low
             context = rest = everyone ^ both
             while context:
                 denom = costs[context | both]
@@ -424,7 +420,8 @@ class TestCertifiedPruning:
     def test_the_bound_divides_by_the_least_cost_of_any_superset(self):
         # cost({a, b}) = 0.28 but cost({a, b, c}) = 0.198: context {c} scores
         # 0.336, above the empty context's 0.286, which clears the span over
-        # cost({a, b}) alone (0.238) but not over the superset minimum.
+        # cost({a, b}) alone (0.238) but not over the least cost of a mask
+        # holding a or b and another member, at most that of any superset.
         ms = ModelSet(
             profiles=(
                 ModelProfile("a", quality=0.0, accuracy=0.6),
@@ -438,10 +435,63 @@ class TestCertifiedPruning:
         spans, lows = _lattice_bounds(costs)
         _, _, bit_a, bit_b = lattice_pairs(graph)[0]
         both = bit_a | bit_b
-        assert lows[both] < costs[both]
+        low = max(lows[bit_a.bit_length() - 1], lows[bit_b.bit_length() - 1])
+        assert low <= costs[7] < costs[both]
         assert _certified_score(costs, spans, lows, bit_a, bit_b) is None
         full = _pair_score(costs, bit_a, bit_b, (len(costs) - 1) ^ both)
         assert cheme(graph).score("a", "b") == full == pytest.approx(0.336134453781513)
+
+    def test_a_pair_only_the_superset_minimum_certifies_is_scanned(self):
+        # cost({a, c}) = 0.3447 and cost({a, b, c}) = 0.2938, so the empty
+        # context's 0.628 clears the span over the superset minimum.  But
+        # {a, b} (0.1648) and {b, c} (0.2207) cost less, and over 0.2207 the
+        # bound exceeds 0.628: the pair is left to the full scan.
+        ms = ModelSet(
+            profiles=(
+                ModelProfile("a", quality=6.4, accuracy=0.58),
+                ModelProfile("b", quality=3.2, accuracy=0.96),
+                ModelProfile("c", quality=1.0, accuracy=0.57),
+            ),
+            empty_cost=0.41,
+        )
+        graph = build_mig(ms)
+        costs = graph.costs
+        spans, lows = _lattice_bounds(costs)
+        (_, _, bit_a, bit_c), = [pair for pair in lattice_pairs(graph) if pair[:2] == ("a", "c")]
+        both = bit_a | bit_c
+        at_empty = abs((costs[0] - costs[bit_a]) - (costs[bit_c] - costs[both])) / costs[both]
+        span = spans[bit_a.bit_length() - 1]
+        assert span / min(costs[both], costs[7]) <= at_empty
+        assert span / max(lows[bit_a.bit_length() - 1], lows[bit_c.bit_length() - 1]) > at_empty
+        assert _certified_score(costs, spans, lows, bit_a, bit_c) is None
+        full = _pair_score(costs, bit_a, bit_c, 7 ^ both)
+        assert cheme(graph).score("a", "c") == full == at_empty
+        assert full == pytest.approx(0.628082390484479)
+
+    def test_the_bound_divides_by_the_larger_of_the_two_members_lows(self):
+        # Penalties a 0.4, b 0.03, c 0.025, ranked c, b, a.  Every mask
+        # holding a and another model costs at least cost({a, b, c}) = 0.1733,
+        # but {b, c} costs 0.04.  Over 0.1733 the bound certifies (a, b) at
+        # the empty context's 0.4348; over 0.04 it would not.
+        ms = ModelSet(
+            profiles=(
+                ModelProfile("a", quality=2.0, accuracy=0.5),
+                ModelProfile("b", quality=7.0, accuracy=0.9),
+                ModelProfile("c", quality=9.0, accuracy=0.75),
+            ),
+            empty_cost=0.1,
+        )
+        graph = build_mig(ms)
+        costs = graph.costs
+        spans, lows = _lattice_bounds(costs)
+        (_, _, bit_a, bit_b), = [pair for pair in lattice_pairs(graph) if pair[:2] == ("a", "b")]
+        low_a, low_b = lows[bit_a.bit_length() - 1], lows[bit_b.bit_length() - 1]
+        assert low_a == costs[7] and low_b == costs[7 ^ bit_a] < low_a
+        at_empty = _certified_score(costs, spans, lows, bit_a, bit_b)
+        assert spans[bit_a.bit_length() - 1] / low_b > at_empty
+        full = _pair_score(costs, bit_a, bit_b, 7 ^ bit_a ^ bit_b)
+        assert cheme(graph).score("a", "b") == at_empty == full
+        assert full == pytest.approx(0.4347826086956523)
 
     @pytest.mark.parametrize("quality, accuracy", [(8.0, 0.8), (0.0, 0.5), (5.0, 0.6), (9.9, 0.99)])
     def test_every_homogeneous_positive_penalty_pair_is_certified(self, quality, accuracy):
@@ -452,8 +502,8 @@ class TestCertifiedPruning:
             graph = build_mig(homogeneous_model_set(size, quality, accuracy))
             spans, lows = _lattice_bounds(graph.costs)
             for _, _, bit_a, bit_b in lattice_pairs(graph):
-                both = bit_a | bit_b
-                assert spans[bit_a.bit_length() - 1] / lows[both] < 1.0 / 3.0
+                low = max(lows[bit_a.bit_length() - 1], lows[bit_b.bit_length() - 1])
+                assert spans[bit_a.bit_length() - 1] / low < 1.0 / 3.0
                 score = _certified_score(graph.costs, spans, lows, bit_a, bit_b)
                 assert score is not None and score >= 1.0 / 3.0
 

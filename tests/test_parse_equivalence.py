@@ -162,10 +162,11 @@ ROW_FAULTS = ("empty", "number", "number", "number", "duplicate", "short", "long
 
 @st.composite
 def history_files(draw, identifiers: tuple[str, ...] = ("model",), faults: bool = True,
-                  row_faults: tuple[str, ...] = ROW_FAULTS) -> bytes:
+                  row_faults: tuple[str, ...] = ROW_FAULTS, min_faults: int = 0) -> bytes:
     """A history file with faults from the parser's every branch mixed into valid rows.
 
-    Row faults, drawn from ``row_faults``: an empty field among
+    Row faults, at least ``min_faults`` (then the file has a row) and each in
+    a drawn row, come from ``row_faults``: an empty field among
     ``identifiers``, a numeric field from ``NUMBER_TEXT`` (not a number,
     non-finite, out of range, or odd but valid spellings), a repeated
     ``(trial, model, id)`` key, a short or a long row; several may land in one
@@ -175,7 +176,7 @@ def history_files(draw, identifiers: tuple[str, ...] = ("model",), faults: bool 
     ``row_faults``, the file is valid.
     """
     rows = []
-    for i in range(draw(st.integers(0, 6))):
+    for i in range(draw(st.integers(min(min_faults, 1), 6))):
         row = {
             "trial": draw(st.sampled_from(["t0", "t1"])),
             "model": draw(st.sampled_from(["m0", "m1"])),
@@ -188,10 +189,9 @@ def history_files(draw, identifiers: tuple[str, ...] = ("model",), faults: bool 
         row.update({column: repr(draw(valid)) for column, valid in VALID_NUMBER.items()})
         rows.append(row)
     lengths = {}
-    placed = st.lists(st.tuples(st.integers(0, 5), st.sampled_from(row_faults)), max_size=3)
-    for at, kind in draw(placed) if row_faults else ():
-        if at >= len(rows):
-            continue
+    kinds = st.lists(st.sampled_from(row_faults), min_size=min_faults, max_size=3)
+    for kind in draw(kinds) if rows and row_faults else ():
+        at = draw(st.integers(0, len(rows) - 1))
         row = rows[at]
         if kind == "empty":
             row[draw(st.sampled_from(identifiers))] = ""
@@ -234,10 +234,10 @@ def test_history_parser_equals_the_per_field_parser(workdir, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=history_files(IDENTIFIERS, faults=False, row_faults=("number",)))
+@given(data=history_files(IDENTIFIERS, faults=False, row_faults=("number",), min_faults=1))
 def test_every_numeric_field_reaches_the_same_check(workdir, data):
-    # Well-formed files whose only faults are numeric fields, so that the
-    # parse ends at a numeric check, or parses, in nearly every drawn file.
+    # Well-formed files with one to three numeric faults, so that the parse
+    # ends at a numeric check unless every drawn spelling is valid.
     path = _write(workdir, data)
     assert _parse(parse_history_csv, path) == _parse(reference_parse_history_csv, path)
 
