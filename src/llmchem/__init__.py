@@ -47,7 +47,6 @@ from .core import (
 from .history import (
     HistoryRecord,
     build_profiles,
-    iter_history,
     iter_history_rows,
     parse_history_csv,
     read_profiles,
@@ -94,7 +93,6 @@ __all__ = [
     "generation_accuracy",
     "heterogeneity_diagnostic",
     "hypervolume2d",
-    "iter_history",
     "iter_history_rows",
     "llmcp_filter",
     "model_set_fingerprint",

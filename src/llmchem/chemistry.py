@@ -138,18 +138,16 @@ class ChemistryTable:
         except MissingPairError as exc:
             raise ParseError(str(exc), path=path) from None
 
-    def to_json_obj(self, model_set: ModelSet | None = None) -> dict:
-        obj: dict = {
+    def to_json_obj(self, model_set: ModelSet) -> dict:
+        return {
             "method": self.method,
             "members": sorted(self.members),
+            "model_set_fingerprint": model_set_fingerprint(model_set),
             "scores": [
                 {"model_a": a, "model_b": b, "chemistry": value}
                 for a, b, value in self.pairs()
             ],
         }
-        if model_set is not None:
-            obj["model_set_fingerprint"] = model_set_fingerprint(model_set)
-        return obj
 
 
 def _finite_score(a: str, b: str, score: float) -> float:
@@ -295,17 +293,16 @@ def _certified_score(
     magnitude.  The denominator, the cost of X | {a, b}, is at least ``low``,
     the larger of ``lows[a]`` and ``lows[b]``.  Rounding is monotone, so every
     such ratio is at most the float ``span / low``.  When ``low`` is positive,
-    the bound finite and the empty context's ratio, computed with the
-    kernel's operations, at least the bound, that ratio is the value
-    :func:`_pair_score` returns.
+    the bound finite and the empty context's ratio at least the bound, that
+    ratio is the value :func:`_pair_score` returns over every context; it is
+    read from the kernel itself, over the empty context alone, whose
+    combined cost is at least ``low``.
     """
-    both = bit_a | bit_b
     low = max(lows[bit_a.bit_length() - 1], lows[bit_b.bit_length() - 1])
     if not low > 0.0:
         return None
     bound = spans[bit_a.bit_length() - 1] / low
-    denom = costs[both]
-    at_empty = abs((costs[0] - costs[bit_a]) - (costs[bit_b] - denom)) / denom
+    at_empty = _pair_score(costs, bit_a, bit_b, 0)
     return at_empty if bound < math.inf and at_empty >= bound else None
 
 
@@ -393,36 +390,38 @@ def llmcp_filter(
     return hits
 
 
+#: The profile every :class:`DiversityFamily` is anchored at, and its member count.
+_ANCHOR = ModelProfile("anchor", quality=10.0, accuracy=0.9)
+_FAMILY_SIZE = 4
+
+
 @dataclass(frozen=True)
 class DiversityFamily:
-    """A family of model sets anchored at one profile and fanned out by spread.
+    """A family of four-model sets anchored at one profile and fanned out by spread.
 
-    ``spread = 0`` reproduces the base profile identically for every member.
+    ``spread = 0`` reproduces the anchor identically for every member.
     Larger spreads scatter quality (by up to ``10 * spread``) and accuracy
-    (by up to ``spread``) around the base, clamped to their valid ranges.
-    The default base has perfect quality, hence zero penalty; that is the
-    regime in which identical profiles provably carry zero chemistry (every
-    context cost vanishes, so no ratio is defined and every pair scores 0).
+    (by up to ``spread``) around the anchor, clamped to their valid ranges.
+    The anchor, quality 10 and accuracy 0.9, has perfect quality, hence zero
+    penalty; that is the regime in which identical profiles provably carry
+    zero chemistry (every context cost vanishes, so no ratio is defined and
+    every pair scores 0).
     """
 
-    base_profile: ModelProfile = ModelProfile("anchor", quality=10.0, accuracy=0.9)
     spread: float = 0.0
-    size: int = 4
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.spread) or self.spread < 0.0:
             raise DomainError(f"spread must be finite and >= 0, got {self.spread!r}")
-        if self.size < 2:
-            raise DomainError(f"a family needs at least 2 models, got {self.size}")
 
     def profiles(self) -> tuple[ModelProfile, ...]:
         rng = random.Random(self.seed)
-        offsets = [(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(self.size)]
+        offsets = [(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(_FAMILY_SIZE)]
         out = []
         for i, (dq, da) in enumerate(offsets):
-            quality = min(10.0, max(0.0, self.base_profile.quality + dq * self.spread * 10.0))
-            accuracy = min(1.0, max(0.0, self.base_profile.accuracy + da * self.spread))
+            quality = min(10.0, max(0.0, _ANCHOR.quality + dq * self.spread * 10.0))
+            accuracy = min(1.0, max(0.0, _ANCHOR.accuracy + da * self.spread))
             out.append(ModelProfile(f"m{i:02d}", quality=quality, accuracy=accuracy))
         return tuple(out)
 
@@ -437,8 +436,6 @@ class HeterogeneityReport:
     points: tuple[tuple[float, float], ...]  # (spread, max chemistry)
     trend: str  # "increasing" | "decreasing" | "flat" | "mixed"
     spearman: float | None
-    seed: int
-    size: int
 
 
 def _average_ranks(values: list[float]) -> list[float]:
@@ -499,10 +496,4 @@ def heterogeneity_diagnostic(
             trend = "decreasing"
         else:
             trend = "mixed"
-    return HeterogeneityReport(
-        points=tuple(points),
-        trend=trend,
-        spearman=spearman,
-        seed=family.seed,
-        size=family.size,
-    )
+    return HeterogeneityReport(points=tuple(points), trend=trend, spearman=spearman)

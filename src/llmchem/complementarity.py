@@ -135,7 +135,6 @@ class ChemistryMap:
 
     grid_size: int
     cells: tuple[tuple[float, ...], ...]  # [accuracy bin][quality bin]
-    ensemble: tuple[EnsemblePoint, ...]
     params: CIParams
     base_index: float
 
@@ -247,7 +246,6 @@ def delta_ci_map(
     return ChemistryMap(
         grid_size=grid_size,
         cells=tuple(cells),
-        ensemble=tuple(ensemble),
         params=params,
         base_index=base,
     )

@@ -262,7 +262,6 @@ class AuditSection:
     trials: int
     violations: int
     worst: float  # largest observed violation magnitude (or residual)
-    note: str = ""
 
     @property
     def clean(self) -> bool:
@@ -273,20 +272,9 @@ class AuditSection:
 class PropertyAuditReport:
     """Aggregated result of the cost-function property audit."""
 
-    seed: int
     monotonicity: AuditSection
     linearity: AuditSection
     submodularity: AuditSection
-
-    @property
-    def ok(self) -> bool:
-        """True when the asserted sections (monotonicity, linearity) are clean.
-
-        Submodularity is diagnostic only: rank re-weighting means the
-        diminishing-returns inequality genuinely fails for some profiles, so
-        its violation count is reported, never asserted.
-        """
-        return self.monotonicity.clean and self.linearity.clean
 
 
 def _random_subset(rng: random.Random, names: list[str], min_size: int = 0) -> Configuration:
@@ -381,15 +369,12 @@ def _submodularity_gap(rng: random.Random, model_set: ModelSet, names: list[str]
     return rhs - lhs
 
 
-#: The audited properties in the order they draw: (name, probe, note).  A probe
+#: The audited properties in the order they draw: (name, probe).  A probe
 #: returns one trial's violation, positive beyond ``_ABS_TOL`` when violated.
 _AUDITS = (
-    ("monotonicity", _monotonicity_probe,
-     "rank- and usage-preserving raises of a single quality or accuracy"),
-    ("linearity", _linearity_residual,
-     "cost equals the sum of per-output terms recomputed independently"),
-    ("submodularity", _submodularity_gap,
-     "diagnostic only; rank re-weighting can break diminishing returns"),
+    ("monotonicity", _monotonicity_probe),
+    ("linearity", _linearity_residual),
+    ("submodularity", _submodularity_gap),
 )
 
 
@@ -416,7 +401,7 @@ def audit_cost_properties(
     names = sorted(model_set.members)
     rng = random.Random(seed)
     sections = {}
-    for name, probe, note in _AUDITS:
+    for name, probe in _AUDITS:
         violations, worst = 0, 0.0
         for _ in range(trials):
             value = probe(rng, model_set, names)
@@ -424,5 +409,5 @@ def audit_cost_properties(
                 violations += 1
             if value > _ABS_TOL or name == "linearity":  # linearity: the largest residual
                 worst = max(worst, value)
-        sections[name] = AuditSection(name, trials, violations, worst, note)
-    return PropertyAuditReport(seed=seed, **sections)
+        sections[name] = AuditSection(name, trials, violations, worst)
+    return PropertyAuditReport(**sections)

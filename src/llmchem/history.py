@@ -4,8 +4,8 @@ A history CSV carries one row per (trial, model, task) execution with the
 recorded quality, accuracy and metadata columns.  Parsing is strict and
 streamed: ``iter_history_rows`` validates each row as it reads it and yields
 it as a plain tuple in ``HISTORY_COLUMNS`` order, so the first bad row raises
-a located error.  ``iter_history`` is the same stream as ``HistoryRecord``s
-and ``parse_history_csv`` its list.  ``build_profiles`` and
+a located error; ``parse_history_csv`` lists the same stream as
+``HistoryRecord``s.  ``build_profiles`` and
 ``complementarity.task_accuracies`` read each row by position, so they accept
 any row tuple in ``HISTORY_COLUMNS`` order, a record included, and keep only
 the fields they read; the CLI feeds them the plain rows and writes nothing
@@ -144,14 +144,9 @@ def iter_history_rows(*paths: str | Path) -> Iterator[tuple]:
                    gen_accuracy, variance, review_accuracy, accuracy, elapsed, created)
 
 
-def iter_history(*paths: str | Path) -> Iterator[HistoryRecord]:
-    """The rows of ``iter_history_rows(*paths)`` as records, streamed the same way."""
-    return map(HistoryRecord._make, iter_history_rows(*paths))
-
-
 def parse_history_csv(*paths: str | Path) -> list[HistoryRecord]:
-    """Every record of ``iter_history(*paths)``, or its first error."""
-    return list(iter_history(*paths))
+    """Every row of ``iter_history_rows(*paths)`` as a record, or its first error."""
+    return list(map(HistoryRecord._make, iter_history_rows(*paths)))
 
 
 def write_history_csv(records: Iterable[HistoryRecord], path: str | Path) -> None:

@@ -347,8 +347,3 @@ class CoverLookup:
             )
         self._memo[subset] = answer
         return answer
-
-    def cost(self, config: Iterable[str]) -> float | None:
-        """Cost of the covering node, or None when nothing covers the query."""
-        node = self.cover(config)
-        return None if node is None else node.cost

@@ -644,26 +644,22 @@ def reference_audit_cost_properties(model_set, trials: int, seed: int):
             sub_worst = max(sub_worst, gap)
 
     return PropertyAuditReport(
-        seed=seed,
         monotonicity=AuditSection(
             name="monotonicity",
             trials=trials,
             violations=mono_violations,
             worst=mono_worst,
-            note="rank- and usage-preserving raises of a single quality or accuracy",
         ),
         linearity=AuditSection(
             name="linearity",
             trials=trials,
             violations=lin_violations,
             worst=lin_worst,
-            note="cost equals the sum of per-output terms recomputed independently",
         ),
         submodularity=AuditSection(
             name="submodularity",
             trials=trials,
             violations=sub_violations,
             worst=sub_worst,
-            note="diagnostic only; rank re-weighting can break diminishing returns",
         ),
     )

@@ -179,9 +179,7 @@ class TestDeltaCiMap:
 
     def test_max_delta_keeps_the_first_of_signed_zeros(self, tmp_path):
         cells = ((-1.0, -0.0, 0.0), (0.0, -0.5, -0.0), (-0.25, -0.0, -0.75))
-        grid = ChemistryMap(
-            grid_size=3, cells=cells, ensemble=(pt(0.5, 0.5),), params=CIParams(), base_index=0.5
-        )
+        grid = ChemistryMap(grid_size=3, cells=cells, params=CIParams(), base_index=0.5)
         assert math.copysign(1.0, grid.max_delta) == -1.0
         assert grid.max_abs_delta == 1.0
         path = tmp_path / "map.csv.summary.json"

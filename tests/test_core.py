@@ -218,7 +218,6 @@ class TestAudit:
             assert report.monotonicity.violations == 0
             assert report.linearity.violations == 0
             assert report.linearity.worst <= ABS
-            assert report.ok
 
     def test_monotonicity_clean_with_exact_quality_ties(self):
         # A raise must never leapfrog a tied peer that wins the tie-break;

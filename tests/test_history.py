@@ -8,7 +8,6 @@ import pytest
 from llmchem import (
     HistoryRecord,
     build_profiles,
-    iter_history,
     parse_history_csv,
     read_profiles,
     write_history_csv,
@@ -155,19 +154,19 @@ class TestStreaming:
     def test_records_stream_before_a_later_bad_row(self, tmp_path):
         path = tmp_path / "late.csv"
         write_history_csv([sample_record(), sample_record(id="out-2", quality=11.0)], path)
-        records = iter_history(path)
-        assert next(records) == sample_record()
+        rows = iter_history_rows(path)
+        assert next(rows) == sample_record()
         with pytest.raises(ParseError) as err:
-            next(records)
+            next(rows)
         assert (err.value.row, err.value.field) == (3, "quality")
 
     def test_records_share_one_copy_of_each_trial_and_model_name(self, tmp_path):
         # A consumer that keys on the names, such as task_accuracies, then
-        # keeps one string per name instead of one per record.
+        # keeps one string per name instead of one per row.
         path = tmp_path / "names.csv"
         write_history_csv([sample_record(id=f"out-{n}", task=f"task {n}") for n in range(3)], path)
-        first, *rest = iter_history(path)
-        assert all(r.trial is first.trial and r.model is first.model for r in rest)
+        first, *rest = iter_history_rows(path)
+        assert all(r[0] is first[0] and r[1] is first[1] for r in rest)
 
     def test_consumers_of_the_stream_hold_a_fraction_of_the_list(self, tmp_path):
         path = tmp_path / "big.csv"
@@ -185,14 +184,13 @@ class TestStreaming:
         )
         records, listed = _traced_peak(lambda: parse_history_csv(path))
         assert len(records) == 5000
-        # The record view, and the plain rows that the CLI passes.
-        for stream in (iter_history, iter_history_rows):
-            stores, profiled = _traced_peak(lambda: build_profiles(stream(path), "trial"))
-            accuracies, reduced = _traced_peak(lambda: task_accuracies(stream(path)))
-            assert profiled < listed / 3
-            assert reduced < listed / 3
-            assert stores == build_profiles(records, "trial")
-            assert accuracies == task_accuracies(records)
+        # The plain rows that the CLI passes.
+        stores, profiled = _traced_peak(lambda: build_profiles(iter_history_rows(path), "trial"))
+        accuracies, reduced = _traced_peak(lambda: task_accuracies(iter_history_rows(path)))
+        assert profiled < listed / 3
+        assert reduced < listed / 3
+        assert stores == build_profiles(records, "trial")
+        assert accuracies == task_accuracies(records)
 
 
 class TestCanonicalReemission:

@@ -138,7 +138,6 @@ class TestCoverLookup:
         graph = drawn_example_graph(members=("a", "b", "c", "d"))
         lookup = CoverLookup(graph)
         assert lookup.cover(frozenset("d")) is None
-        assert lookup.cost(frozenset("d")) is None
 
     def test_query_outside_universe_rejected(self):
         graph = drawn_example_graph()
@@ -149,8 +148,8 @@ class TestCoverLookup:
     def test_node_costs_from_recorded_table(self):
         graph = drawn_example_graph()
         lookup = CoverLookup(graph)
-        assert lookup.cost(frozenset("ab")) == 0.08
-        assert lookup.cost(frozenset("abc")) == 0.05
+        assert lookup.cover(frozenset("ab")).cost == 0.08
+        assert lookup.cover(frozenset("abc")).cost == 0.05
 
     def test_memo_transparency(self):
         graph = build_mig(all_used_set(4))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from functools import partial
 
 import pytest
@@ -60,6 +61,22 @@ VALID_NUMBER = {
     "variance": st.floats(0.0, 1e3),
     "review_accuracy": st.floats(0.0, 1.0),
     "accuracy": st.floats(0.0, 1.0),
+}
+
+
+def _beyond(bound: float, away: float) -> str:
+    """The spelling of the first number past ``bound`` towards ``away``, an infinity."""
+    if math.isfinite(bound):
+        return repr(math.nextafter(bound, away))
+    return "1.8e308" if away > 0 else "-1.8e308"  # overflows to infinity
+
+
+#: Per numeric column, the spellings just outside its ``_NUMERIC_RANGES``
+#: bounds: -5e-324 below 0, 10.000000000000002 above quality's 10,
+#: 1.0000000000000002 above 1 and ±1.8e308 past an infinite bound.
+OUTSIDE_NUMBER = {
+    column: [_beyond(low, -math.inf), _beyond(high, math.inf)]
+    for column, (low, high) in _NUMERIC_RANGES.items()
 }
 
 BAD_BYTES = st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"])
@@ -168,7 +185,8 @@ def history_files(draw, identifiers: tuple[str, ...] = ("model",), faults: bool 
     Row faults, at least ``min_faults`` (then the file has a row) and each in
     a drawn row, come from ``row_faults``: an empty field among
     ``identifiers``, a numeric field from ``NUMBER_TEXT`` (not a number,
-    non-finite, out of range, or odd but valid spellings), a repeated
+    non-finite, out of range, or odd but valid spellings) or just outside
+    its column's bounds (``OUTSIDE_NUMBER``), a repeated
     ``(trial, model, id)`` key, a short or a long row; several may land in one
     row.  The header order and multi-line fields vary, and with ``faults``
     so do blank lines and a bad byte (see ``_encode``).  A task is empty only
@@ -196,7 +214,9 @@ def history_files(draw, identifiers: tuple[str, ...] = ("model",), faults: bool 
         if kind == "empty":
             row[draw(st.sampled_from(identifiers))] = ""
         elif kind == "number":
-            row[draw(st.sampled_from(list(VALID_NUMBER)))] = draw(NUMBER_TEXT)
+            column = draw(st.sampled_from(list(VALID_NUMBER)))
+            # The edges come first, as the branch Hypothesis draws more often.
+            row[column] = draw(st.one_of(st.sampled_from(OUTSIDE_NUMBER[column]), NUMBER_TEXT))
         elif kind == "duplicate":
             other = rows[draw(st.integers(0, len(rows) - 1))]
             row.update(trial=other["trial"], model=other["model"], id=other["id"])
@@ -305,9 +325,9 @@ def test_the_row_check_accepts_every_range_edge(workdir, monkeypatch):
 
 def test_the_parser_reads_the_record_positions_of_the_history_columns():
     # iter_history_rows unpacks each row into locals in HISTORY_COLUMNS order
-    # and yields them in that order, and iter_history makes records of those
-    # tuples, so the two orders must be one; a failing row's fallback reads
-    # its numbers at _NUMERIC_INDEX and its identifiers at _IDENTIFIER_INDEX.
+    # and yields them in that order, and parse_history_csv makes records of
+    # those tuples, so the two orders must be one; a failing row's fallback
+    # reads its numbers at _NUMERIC_INDEX and its identifiers at _IDENTIFIER_INDEX.
     assert HistoryRecord._fields == HISTORY_COLUMNS
     assert _NUMERIC_INDEX == (3, 4, 7, 8, 9, 10, 11)
     assert _IDENTIFIER_INDEX == (0, 1, 2, 5)
@@ -388,6 +408,7 @@ CONSUMERS = [
 @given(earlier=st.lists(history_files(IDENTIFIERS, faults=False, row_faults=()), max_size=2),
        last=history_files(IDENTIFIERS))
 @example(earlier=[], last=",".join(HISTORY_COLUMNS).encode() + b"\nt,m,,1,0,o,r,5,1,0,1,1,e,c\n")
+@example(earlier=[], last=",".join(HISTORY_COLUMNS).encode() + b"\n,m,q,1,0,o,r,5,1,0,1,1,e,c\n")
 def test_the_row_stream_equals_the_reference_and_feeds_the_same_results(workdir, earlier, last):
     # The earlier files are valid, so that the last one's rows are read and
     # may repeat their keys; its ids count from o0 as theirs do.
