@@ -34,12 +34,7 @@ from operator import sub
 from pathlib import Path
 from typing import Iterable
 
-from .core import (
-    Configuration,
-    ModelProfile,
-    ModelSet,
-    model_set_fingerprint,
-)
+from .core import Configuration, ModelProfile, ModelSet
 from .errors import (
     DomainError,
     InvalidConfigurationError,
@@ -137,17 +132,6 @@ class ChemistryTable:
             return cls(scores=scores, members=table_members, method="loaded")
         except MissingPairError as exc:
             raise ParseError(str(exc), path=path) from None
-
-    def to_json_obj(self, model_set: ModelSet) -> dict:
-        return {
-            "method": self.method,
-            "members": sorted(self.members),
-            "model_set_fingerprint": model_set_fingerprint(model_set),
-            "scores": [
-                {"model_a": a, "model_b": b, "chemistry": value}
-                for a, b, value in self.pairs()
-            ],
-        }
 
 
 def _finite_score(a: str, b: str, score: float) -> float:
@@ -459,8 +443,9 @@ def heterogeneity_diagnostic(
     """Sweep the family over ``spreads`` and record max chemistry per point.
 
     The verdict is the sign of the Spearman rank correlation between spread
-    and max chemistry: the direction is reported, never asserted, because it
-    legitimately differs between profile regimes.
+    and max chemistry, and "flat" where that is undefined: the direction is
+    reported, never asserted, because it legitimately differs between profile
+    regimes.
     """
     from .complementarity import pearson_r
 
@@ -480,20 +465,16 @@ def heterogeneity_diagnostic(
         points.append((s, table.max_score()))
 
     chems = [c for _, c in points]
-    spearman: float | None = None
-    if len(points) < 2 or len(set(spreads)) < 2:
-        trend = "flat" if len(set(chems)) <= 1 else "mixed"
+    try:
+        spearman = pearson_r(_average_ranks(list(spreads)), _average_ranks(chems))
+    except UndefinedCorrelationError:  # one point, or equal spreads (hence equal chemistry)
+        spearman = None
+    if spearman is None:
+        trend = "flat"
+    elif spearman > 0.0:
+        trend = "increasing"
+    elif spearman < 0.0:
+        trend = "decreasing"
     else:
-        try:
-            spearman = pearson_r(_average_ranks(list(spreads)), _average_ranks(chems))
-        except UndefinedCorrelationError:
-            spearman = None
-        if spearman is None:
-            trend = "flat"
-        elif spearman > 0.0:
-            trend = "increasing"
-        elif spearman < 0.0:
-            trend = "decreasing"
-        else:
-            trend = "mixed"
+        trend = "mixed"
     return HeterogeneityReport(points=tuple(points), trend=trend, spearman=spearman)

@@ -346,8 +346,6 @@ def cmd_chem(args: argparse.Namespace, config: dict) -> int:
     except (InvalidConfigurationError, SizeLimitError) as exc:  # too few or too many models
         raise ParseError(str(exc), path=args.store) from None
     table.to_csv(args.out)
-    if args.json_out is not None:
-        write_json(args.json_out, table.to_json_obj(model_set))
     reported = llmcp_filter(table, config["tau"])
     _write_meta(args, config, {
         "method": table.method,
@@ -574,7 +572,6 @@ _COMMANDS = {
         ("--brute-force", {"action": "store_true",
                            "help": "use the exhaustive enumerator instead of the graph"}),
         _OUT,
-        ("--json-out", {"type": Path, "help": "also dump the table as JSON"}),
     ]),
     "recommend": (cmd_recommend, "pick the best subset from a candidate pool", [
         _OUT,

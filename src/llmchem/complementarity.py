@@ -61,10 +61,11 @@ def hypervolume2d(points: Iterable[EnsemblePoint]) -> float:
     """Area of the region dominated by ``points``, measured from the origin.
 
     Computed by a staircase sweep: sort by accuracy descending and accumulate
-    each strictly-new quality level's rectangle.  Points on an axis dominate
-    nothing; the empty set has volume 0.
+    each strictly-new quality level's rectangle; the area is the last of
+    :func:`_staircase_states`.  Points on an axis dominate nothing; the empty
+    set has volume 0.
     """
-    return _staircase_area(sorted(_dominating(points), key=_staircase_key))
+    return _staircase_states(sorted(_dominating(points), key=_staircase_key))[-1][0]
 
 
 def _dominating(points: Iterable[EnsemblePoint]) -> list[tuple[float, float]]:
@@ -80,17 +81,6 @@ def _staircase_key(xy: tuple[float, float]) -> tuple[float, float]:
     return (-xy[0], -xy[1])
 
 
-def _staircase_area(dominating: Iterable[tuple[float, float]]) -> float:
-    """Area under the staircase of points sorted by accuracy, then quality, descending."""
-    area = 0.0
-    best_quality = 0.0
-    for accuracy, quality in dominating:
-        if quality > best_quality:
-            area += accuracy * (quality - best_quality)
-            best_quality = quality
-    return area
-
-
 def rao_entropy(points: Sequence[EnsemblePoint]) -> float:
     """Mean pairwise distance under uniform weights, scaled to [0, 1).
 
@@ -100,14 +90,19 @@ def rao_entropy(points: Sequence[EnsemblePoint]) -> float:
     n = len(points)
     if n == 0:
         raise DomainError("Rao entropy needs at least one point")
-    total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += 2.0 * math.dist(
-                (points[i].accuracy, points[i].quality_norm),
-                (points[j].accuracy, points[j].quality_norm),
-            )
-    return total / (n * n) / SQRT2
+    rows = _pair_terms([(p.accuracy, p.quality_norm) for p in points])
+    return left_sum(chain.from_iterable(rows)) / (n * n) / SQRT2
+
+
+def _pair_terms(members: list[tuple[float, float]]) -> list[list[float]]:
+    """Row i holds ``2 * dist`` from member i to each later member, in order.
+
+    Summed row by row, these are the i < j terms of :func:`rao_entropy`.
+    """
+    return [
+        [2.0 * math.dist(xy, other) for other in members[i + 1 :]]
+        for i, xy in enumerate(members)
+    ]
 
 
 def complementarity_index(
@@ -197,10 +192,10 @@ def delta_ci_map(
       point, adds the candidate's step and goes on over the rest.  A
       candidate whose quality does not rise above that state's best changes
       nothing, so its coverage is the full staircase's area;
-    - the Rao terms between members.  In the i < j loop of
-      :func:`rao_entropy` the candidate comes last in every member's row, so
-      the sum is member row 0's terms, then per member its distance to the
-      candidate followed by the next member's row.
+    - the Rao terms between members (:func:`_pair_terms`).  Appended last,
+      the candidate ends every member's row, so the sum is member row 0's
+      terms, then per member its distance to the candidate followed by the
+      next member's row.
     """
     check_grid_size(grid_size)
     base = complementarity_index(ensemble, params)
@@ -209,13 +204,8 @@ def delta_ci_map(
     keys = [_staircase_key(xy) for xy in staircase]
     states = _staircase_states(staircase)
     full_area = states[-1][0]
-    rows = [
-        [2.0 * math.dist(xy, other) for other in members[i + 1 :]]
-        for i, xy in enumerate(members)
-    ]
-    head = 0.0  # member row 0, the same in every cell
-    for term in rows[0]:
-        head += term
+    rows = _pair_terms(members)
+    head = left_sum(rows[0])  # member row 0, the same in every cell
     steps = list(zip(members, rows[1:] + [[]]))
     lam, n = params.lam, len(members) + 1
     cells: list[tuple[float, ...]] = []
@@ -256,8 +246,8 @@ def _staircase_states(
 ) -> list[tuple[float, float, list[tuple[float, float]]]]:
     """``(area, best_quality, staircase[k:])`` after the first k points, for k = 0..len.
 
-    The last state's area is that of the whole staircase, as
-    :func:`_staircase_area` computes it.
+    ``staircase`` is sorted by accuracy, then quality, descending.  The last
+    state's area is that of the whole staircase, :func:`hypervolume2d`.
     """
     states = []
     area = 0.0

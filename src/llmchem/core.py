@@ -141,24 +141,6 @@ class ModelSet:
         return used_subset(self, config)
 
 
-@dataclass(frozen=True)
-class RankedOutput:
-    """One usable output, placed at a 1-based rank with weight ``1/rank``."""
-
-    model: ModelId
-    rank: int
-    quality_norm: float
-    accuracy: float
-
-    @property
-    def weight(self) -> float:
-        return 1.0 / self.rank
-
-    @property
-    def penalty(self) -> float:
-        return penalty(self.quality_norm, self.accuracy)
-
-
 def validate_configuration(source: CostBackend, config: Iterable[ModelId]) -> Configuration:
     """Normalise ``config`` to a frozenset and reject models not in ``source``."""
     members = frozenset(config)
@@ -183,20 +165,16 @@ def used_subset(model_set: ModelSet, config: Iterable[ModelId]) -> Configuration
     )
 
 
-def rank_outputs(model_set: ModelSet, config: Iterable[ModelId]) -> tuple[RankedOutput, ...]:
-    """Rank the usable outputs of ``config`` best-first.
+def rank_outputs(model_set: ModelSet, config: Iterable[ModelId]) -> list[ModelProfile]:
+    """The profiles of ``config``'s usable outputs, best-first.
 
     Order: quality descending, ties by accuracy descending, then model name
-    ascending.  Ranks are 1..n with no gaps, so weights are exactly ``1/i``.
+    ascending.  The i-th profile (from 1) is the output that weighs ``1/i``.
     """
     usable = used_subset(model_set, config)
-    ordered = sorted(
+    return sorted(
         (model_set.profile(m) for m in usable),
         key=lambda p: (-p.quality, -p.accuracy, p.model),
-    )
-    return tuple(
-        RankedOutput(model=p.model, rank=i, quality_norm=p.quality_norm, accuracy=p.accuracy)
-        for i, p in enumerate(ordered, start=1)
     )
 
 
@@ -223,8 +201,8 @@ def cost(model_set: ModelSet, config: Iterable[ModelId]) -> float:
     # left_sum's loop, inlined: the exhaustive enumerator calls cost() millions
     # of times.  mig.profile_cost_table repeats this accumulation bit for bit.
     total = 0.0
-    for r in ranked:
-        total += r.weight * penalty(r.quality_norm, r.accuracy)
+    for rank, p in enumerate(ranked, start=1):
+        total += (1.0 / rank) * penalty(p.quality_norm, p.accuracy)
     return total
 
 

@@ -40,6 +40,7 @@ from llmchem import (
     heterogeneity_diagnostic,
     hypervolume2d,
     parse_history_csv,
+    penalty,
     rank_outputs,
     read_profiles,
     recommend,
@@ -76,7 +77,10 @@ def test_criterion_01_cost_worked_example():
     )
     exact = cost(ms, ms.members)
     ranked = rank_outputs(ms, ms.members)
-    rounded = sum(round(r.weight, 2) * r.penalty for r in ranked)
+    rounded = sum(
+        round(1.0 / i, 2) * penalty(p.quality_norm, p.accuracy)
+        for i, p in enumerate(ranked, start=1)
+    )
     timings = []
     for _ in range(10):
         t0 = time.perf_counter()

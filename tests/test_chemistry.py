@@ -27,7 +27,7 @@ from llmchem import (
     penalty,
     used_subset,
 )
-from llmchem.chemistry import _certified_score, _lattice_bounds, _pair_score
+from llmchem.chemistry import _certified_score, _lattice_bounds, _pair_score, pair_key
 from llmchem.cli import main
 from llmchem.errors import (
     DomainError,
@@ -103,6 +103,8 @@ class TestBruteForce:
         ms = homogeneous_model_set(3, 5.0, 0.9)
         with pytest.raises(InvalidPairError):
             chem_pair_bruteforce(ms, "m00", "m00")
+        with pytest.raises(InvalidPairError):
+            pair_key("m00", "m00")
 
     def test_unknown_model_rejected(self):
         ms = homogeneous_model_set(3, 5.0, 0.9)
@@ -565,6 +567,14 @@ class TestChemistryTable:
                 method="loaded",
             )
 
+    def test_stray_pair_rejected(self):
+        with pytest.raises(InvalidConfigurationError, match=r"stray pairs: \['a,c'\]"):
+            ChemistryTable(
+                scores={frozenset(("a", "b")): 0.1, frozenset(("a", "c")): 0.2},
+                members=frozenset(("a", "b")),
+                method="loaded",
+            )
+
     def test_negative_score_rejected(self):
         with pytest.raises(DomainError):
             ChemistryTable(
@@ -572,6 +582,14 @@ class TestChemistryTable:
                 members=frozenset(("a", "b")),
                 method="loaded",
             )
+
+    def test_score_of_an_unknown_model_is_a_missing_pair(self):
+        table = ChemistryTable(
+            scores={frozenset(("a", "b")): 0.1}, members=frozenset(("a", "b")), method="loaded"
+        )
+        assert table.score("b", "a") == 0.1
+        with pytest.raises(MissingPairError, match="'a,zz'"):
+            table.score("a", "zz")
 
     def test_csv_round_trip(self, tmp_path):
         rng = random.Random(89)
@@ -596,13 +614,6 @@ class TestChemistryTable:
             ChemistryTable.from_csv(path, members=frozenset(("a", "b", "c")))
         assert raised.value.path == path
 
-    def test_json_obj_contains_fingerprint(self):
-        ms = homogeneous_model_set(3, 10.0, 0.9)
-        table = chem_table_bruteforce(ms)
-        obj = table.to_json_obj(ms)
-        assert obj["model_set_fingerprint"]
-        assert obj["members"] == sorted(ms.members)
-
 
 class TestHeterogeneityDiagnostic:
     def test_zero_spread_yields_zero_chemistry(self):
@@ -620,6 +631,17 @@ class TestHeterogeneityDiagnostic:
         assert chems[0] == 0.0
         assert all(c >= 0.0 for c in chems)
 
+    @pytest.mark.parametrize("spreads, trend, spearman, maxima", [
+        ([0.3, 0.6, 0.9], "decreasing", -1.0, [170.54, 52.90, 0.0]),
+        # Equal spreads tie every rank, so the correlation is undefined.
+        ([0.2, 0.2], "flat", None, [319.46, 319.46]),
+    ])
+    def test_trend_follows_the_rank_correlation(self, spreads, trend, spearman, maxima):
+        report = heterogeneity_diagnostic(DiversityFamily(seed=0), spreads)
+        assert [s for s, _ in report.points] == spreads
+        assert [c for _, c in report.points] == pytest.approx(maxima, abs=0.005)
+        assert (report.trend, report.spearman) == (trend, spearman)
+
     def test_verdict_recorded_across_seeds(self):
         verdicts = set()
         for seed in range(10):
@@ -636,6 +658,8 @@ class TestHeterogeneityDiagnostic:
         assert len({(p.quality, p.accuracy) for p in profiles}) == 1
 
     def test_invalid_spreads_rejected(self):
+        with pytest.raises(DomainError):
+            DiversityFamily(spread=-0.1)
         family = DiversityFamily(seed=0)
         with pytest.raises(DomainError):
             heterogeneity_diagnostic(family, [-0.1])

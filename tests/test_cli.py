@@ -89,15 +89,6 @@ class TestChem:
         main(["chem", "--store", str(store_path), "--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
 
-    def test_json_out(self, store_path, tmp_path):
-        out = tmp_path / "chem.csv"
-        json_out = tmp_path / "chem.json"
-        main(["chem", "--store", str(store_path), "--out", str(out),
-              "--json-out", str(json_out)])
-        payload = json.loads(json_out.read_text())
-        assert payload["model_set_fingerprint"]
-        assert len(payload["scores"]) == 10
-
     @pytest.mark.parametrize("flags", [[], ["--brute-force"]])
     def test_overflowed_ratio_names_the_pair_and_writes_nothing(
         self, flags, store_path, tmp_path, capsys
@@ -596,6 +587,9 @@ BAD_INPUTS = {
                           b'{"version": 1, "stores": 3}', ["'stores'"]),
     "store-no-stores": ("chem --store {bad} --out {tmp}/c.csv", "s.json",
                         b'{"version": 1, "stores": []}', ["non-empty 'stores' list"]),
+    "store-no-profiles": ("chem --store {bad} --out {tmp}/c.csv", "s.json",
+                          b'{"version": 1, "stores": [{"context_key": "all", "profiles": []}]}',
+                          ["'profiles' must be a non-empty list"]),
     "store-repeated-model": ("chem --store {bad} --out {tmp}/c.csv", "s.json",
                              b'{"version": 1, "stores": [{"context_key": "all", "profiles": '
                              b'[{"model": "m", "quality": 5, "accuracy": 0.5}, '

@@ -129,6 +129,11 @@ class TestComplementarityIndex:
         with pytest.raises(DomainError):
             CIParams(lam=1.5)
 
+    @pytest.mark.parametrize("accuracy, quality", [(1.5, 0.5), (0.5, -0.1), (math.nan, 0.5)])
+    def test_point_outside_the_unit_square_rejected(self, accuracy, quality):
+        with pytest.raises(DomainError, match=r"must be in \[0, 1\]"):
+            pt(accuracy, quality)
+
 
 class TestDeltaCiMap:
     def test_perfect_singleton_brightest_at_far_corner(self):

@@ -158,6 +158,8 @@ class TestCombinedAccuracy:
     def test_out_of_range_inputs(self):
         with pytest.raises(DomainError):
             combined_accuracy(1.2, 0.5, True)
+        with pytest.raises(DomainError, match="review accuracy"):
+            combined_accuracy(0.5, 1.5, True)
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.booleans())
     def test_result_in_unit_interval(self, gen, review, has_gt):

@@ -18,6 +18,7 @@ from llmchem import (
     rank_outputs,
     used_subset,
 )
+from llmchem.core import left_sum
 from llmchem.errors import DomainError, InvalidConfigurationError, SizeLimitError
 
 from helpers import homogeneous_model_set, random_model_set, reference_audit_cost_properties
@@ -56,11 +57,21 @@ class TestTypes:
         with pytest.raises(DomainError):
             make_set(("a", 5.0, 0.5), empty_cost=-0.1)
 
+    def test_unknown_model_rejected_by_profile_and_with_profile(self):
+        ms = make_set(*WORKED)
+        with pytest.raises(InvalidConfigurationError, match="'zz'"):
+            ms.profile("zz")
+        with pytest.raises(InvalidConfigurationError, match="'zz'"):
+            ms.with_profile(ModelProfile("zz", 5.0, 0.5))
+
     def test_ranked_output_weight_is_exact_inverse_rank(self):
         ms = make_set(*WORKED)
         ranked = rank_outputs(ms, {"r1", "r2", "r3"})
-        assert [r.rank for r in ranked] == [1, 2, 3]
-        assert [r.weight for r in ranked] == [1.0, 1.0 / 2, 1.0 / 3]
+        assert [p.model for p in ranked] == ["r1", "r2", "r3"]
+        assert cost(ms, ms.members) == left_sum(
+            (1.0 / i) * penalty(p.quality_norm, p.accuracy)
+            for i, p in enumerate(ranked, start=1)
+        )
 
     def test_ranking_order_quality_then_accuracy_then_name(self):
         ms = make_set(("b", 9.0, 0.9), ("a", 9.0, 0.9), ("c", 9.0, 0.95), ("d", 9.5, 0.6))
@@ -124,7 +135,10 @@ class TestCost:
         # Same ranking, but with the third weight rounded to 0.33 for display.
         ms = make_set(*WORKED)
         ranked = rank_outputs(ms, ms.members)
-        total = sum(round(r.weight, 2) * r.penalty for r in ranked)
+        total = sum(
+            round(1.0 / i, 2) * penalty(p.quality_norm, p.accuracy)
+            for i, p in enumerate(ranked, start=1)
+        )
         assert total == pytest.approx(0.0597, abs=ABS)
 
     def test_empty_used_subset_returns_sentinel_not_zero(self):

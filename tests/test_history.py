@@ -258,6 +258,10 @@ class TestBuildProfiles:
         with pytest.raises(DomainError):
             build_profiles([sample_record()], "week")
 
+    def test_unknown_aggregate_rejected(self):
+        with pytest.raises(DomainError, match="unknown aggregate 'mode'"):
+            build_profiles([sample_record()], "all", aggregate="mode")
+
 
 class TestStoreJson:
     def test_round_trip_field_for_field(self, history_fixture, tmp_path):
@@ -283,6 +287,15 @@ class TestStoreJson:
             stores = read_profiles(path)
         assert len(stores) == 1
         assert any("vendor_hint" in message for message in caplog.messages)
+
+    def test_unknown_store_keys_accepted_with_warning(self, tmp_path, caplog):
+        path = tmp_path / "store.json"
+        write_profiles(build_profiles([sample_record()], "all"), path)
+        path.write_text(path.read_text().replace('"context_key"', '"vendor_hint": "x", "context_key"'))
+        with caplog.at_level("WARNING"):
+            stores = read_profiles(path)
+        assert [s.context_key for s in stores] == ["all"]
+        assert caplog.messages == ["ignoring unknown profile-store keys: ['vendor_hint']"]
 
     def test_truncated_file_is_a_parse_error(self, tmp_path):
         path = tmp_path / "store.json"

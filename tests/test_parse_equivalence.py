@@ -173,6 +173,10 @@ def test_read_csv_equals_on_raw_text(workdir, text, header):
 #: Every identifier column of a history row.
 IDENTIFIERS = ("trial", "model", "task", "id")
 
+#: A history header in ``HISTORY_COLUMNS`` order, and a valid row under it.
+HEADER_LINE = ",".join(HISTORY_COLUMNS).encode() + b"\n"
+ROW_LINE = b"t,m,q,1,0,o,r,5,1,0,1,1,e,c\n"
+
 #: Row faults that ``history_files`` draws from; a numeric field is the likeliest.
 ROW_FAULTS = ("empty", "number", "number", "number", "duplicate", "short", "long")
 
@@ -248,6 +252,7 @@ def _parse(parser, path):
 
 @settings(max_examples=400, deadline=None)
 @given(data=history_files())
+@example(data=HEADER_LINE + ROW_LINE + ROW_LINE)  # a repeated (trial, model, id) key
 def test_history_parser_equals_the_per_field_parser(workdir, data):
     path = _write(workdir, data)
     assert _parse(parse_history_csv, path) == _parse(reference_parse_history_csv, path)
@@ -407,8 +412,9 @@ CONSUMERS = [
 @settings(max_examples=300, deadline=None)
 @given(earlier=st.lists(history_files(IDENTIFIERS, faults=False, row_faults=()), max_size=2),
        last=history_files(IDENTIFIERS))
-@example(earlier=[], last=",".join(HISTORY_COLUMNS).encode() + b"\nt,m,,1,0,o,r,5,1,0,1,1,e,c\n")
-@example(earlier=[], last=",".join(HISTORY_COLUMNS).encode() + b"\n,m,q,1,0,o,r,5,1,0,1,1,e,c\n")
+@example(earlier=[], last=HEADER_LINE + b"t,m,,1,0,o,r,5,1,0,1,1,e,c\n")
+@example(earlier=[], last=HEADER_LINE + b",m,q,1,0,o,r,5,1,0,1,1,e,c\n")
+@example(earlier=[HEADER_LINE + ROW_LINE], last=HEADER_LINE + ROW_LINE)  # "first read from"
 def test_the_row_stream_equals_the_reference_and_feeds_the_same_results(workdir, earlier, last):
     # The earlier files are valid, so that the last one's rows are read and
     # may repeat their keys; its ids count from o0 as theirs do.

@@ -156,6 +156,10 @@ class TestNeighbors:
         result = neighbors({"a"}, {"a", "b"})
         assert len(result) == len(set(result))
 
+    def test_empty_subset_rejected(self):
+        with pytest.raises(DomainError, match="empty subset"):
+            neighbors(set(), {"a", "b"})
+
 
 class TestRecommend:
     def test_zero_table_descends_to_singleton(self):
