@@ -29,10 +29,10 @@ from .complementarity import (
     check_grid_size,
     complementarity_index,
     delta_ci_map,
+    effectiveness_by_task,
     effectiveness_soft_vote,
     pearson_r,
     task_accuracies,
-    task_matrix,
 )
 from .consensus import (
     DEFAULT_MAX_ITERS,
@@ -437,20 +437,22 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
         if accuracies == {}:
             raise ParseError("a history CSV needs at least one record", path=args.history)
         header = ["ensemble", "effectiveness"]
-        for number, group in enumerate(ensembles, start=1):
-            if accuracies is not None:
-                matrix, skipped = task_matrix(accuracies, group)
+        if accuracies is not None:
+            votes = effectiveness_by_task(accuracies, ensembles)
+            for number, (group, (value, skipped)) in enumerate(zip(ensembles, votes), start=1):
                 if skipped:
                     logger.warning("skipped %d task(s) lacking records for some members", skipped)
-                if not matrix:
+                if value is None:
                     raise ParseError(
                         f"no task has records for every member of ensemble {number}: {group}",
                         path=args.history,
                     )
-            else:
+                rows.append(["|".join(group), value])
+        else:
+            for group in ensembles:
                 # Single pseudo-task over the stored profile accuracies.
                 matrix = [[store.profiles[m].accuracy for m in group]]
-            rows.append(["|".join(group), effectiveness_soft_vote(matrix)])
+                rows.append(["|".join(group), effectiveness_soft_vote(matrix)])
     elif args.metric == "ci":
         header = ["ensemble", "ci"]
         params = CIParams(lam=config["lambda"])

@@ -265,7 +265,9 @@ def effectiveness_soft_vote(member_accuracies_per_task: Sequence[Sequence[float]
     """Fraction of tasks the ensemble gets right under soft voting.
 
     A task counts as correct when the mean member accuracy on it is strictly
-    above 0.5.
+    above 0.5.  Every value is checked.  It serves the library and the CLI's
+    vote on stored accuracies without a history; :func:`effectiveness_by_task`
+    casts the same votes over a history's tasks.
     """
     tasks = [list(row) for row in member_accuracies_per_task]
     if not tasks or any(not row for row in tasks):
@@ -295,20 +297,34 @@ def task_accuracies(records: Iterable[tuple]) -> dict[str, dict[str, float]]:
     }
 
 
-def task_matrix(
-    accuracies: dict[str, dict[str, float]], members: Sequence[str]
-) -> tuple[list[list[float]], int]:
-    """Rows of ``members``' mean accuracies for :func:`effectiveness_soft_vote`.
+def effectiveness_by_task(
+    accuracies: dict[str, dict[str, float]], ensembles: Sequence[Sequence[str]]
+) -> list[tuple[float | None, int]]:
+    """``(value, skipped)`` per ensemble over the tasks of :func:`task_accuracies`.
 
-    Returns one row per task on which every member has a record, in the
-    order of ``accuracies``, and the number of tasks skipped for lacking one.
+    A task is kept when every member has a record on it; ``value`` is the
+    :func:`effectiveness_soft_vote` of the kept rows (None if none is kept)
+    and ``skipped`` counts the others.  Each model's column over the tasks,
+    None where it has no record, is built once and zipped per ensemble.
+    Nothing is range-checked again: a left-to-right mean of accuracies in
+    [0, 1] stays in [0, 1], because rounded addition is monotone.
     """
-    rows = [
-        [per_model[m] for m in members]
-        for per_model in accuracies.values()
-        if all(m in per_model for m in members)
-    ]
-    return rows, len(accuracies) - len(rows)
+    columns: dict[str, list[float | None]] = {}
+    results = []
+    for group in ensembles:
+        for model in group:
+            if model not in columns:
+                columns[model] = [per_model.get(model) for per_model in accuracies.values()]
+        size = len(group)
+        kept = correct = 0
+        for row in zip(*[columns[model] for model in group]):
+            if None in row:
+                continue
+            kept += 1
+            if left_sum(row) / size > 0.5:
+                correct += 1
+        results.append((correct / kept if kept else None, len(accuracies) - kept))
+    return results
 
 
 def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:

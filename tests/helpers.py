@@ -13,6 +13,7 @@ from typing import Iterator, Sequence
 
 from llmchem import ModelProfile, ModelSet
 from llmchem.chemistry import pair_key
+from llmchem.core import left_sum
 from llmchem.errors import DomainError, InvalidConfigurationError, NoCandidatesError, ParseError
 from llmchem.history import HISTORY_COLUMNS
 from llmchem.mig import MIG, MIGNode, TableBackend, subset_key
@@ -334,6 +335,44 @@ def reference_task_matrix(records, members) -> tuple[list[list[float]], int]:
             continue
         rows.append([sum(per_model[m]) / len(per_model[m]) for m in members])
     return rows, skipped
+
+
+# The CLI's effectiveness path before each model's task column was built once:
+# per ensemble, task_matrix's rows, then the checked vote over them.  Copied
+# verbatim from llmchem.complementarity.
+
+
+def task_matrix(
+    accuracies: dict[str, dict[str, float]], members: Sequence[str]
+) -> tuple[list[list[float]], int]:
+    """Rows of ``members``' mean accuracies for :func:`effectiveness_soft_vote`.
+
+    Returns one row per task on which every member has a record, in the
+    order of ``accuracies``, and the number of tasks skipped for lacking one.
+    """
+    rows = [
+        [per_model[m] for m in members]
+        for per_model in accuracies.values()
+        if all(m in per_model for m in members)
+    ]
+    return rows, len(accuracies) - len(rows)
+
+
+def effectiveness_soft_vote(member_accuracies_per_task: Sequence[Sequence[float]]) -> float:
+    """Fraction of tasks the ensemble gets right under soft voting.
+
+    A task counts as correct when the mean member accuracy on it is strictly
+    above 0.5.
+    """
+    tasks = [list(row) for row in member_accuracies_per_task]
+    if not tasks or any(not row for row in tasks):
+        raise DomainError("effectiveness needs at least one task and one member")
+    for row in tasks:
+        for value in row:
+            if not math.isfinite(value) or not 0.0 <= value <= 1.0:
+                raise DomainError(f"accuracy must be in [0, 1], got {value!r}")
+    correct = sum(1 for row in tasks if (left_sum(row) / len(row)) > 0.5)
+    return correct / len(tasks)
 
 
 def _reference_hypervolume2d(points) -> float:

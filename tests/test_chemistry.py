@@ -635,6 +635,8 @@ class TestHeterogeneityDiagnostic:
         ([0.3, 0.6, 0.9], "decreasing", -1.0, [170.54, 52.90, 0.0]),
         # Equal spreads tie every rank, so the correlation is undefined.
         ([0.2, 0.2], "flat", None, [319.46, 319.46]),
+        # A peak in the middle leaves the ranks uncorrelated.
+        ([0.0, 0.05, 1.0], "mixed", 0.0, [0.0, 2027.865, 0.0]),
     ])
     def test_trend_follows_the_rank_correlation(self, spreads, trend, spearman, maxima):
         report = heterogeneity_diagnostic(DiversityFamily(seed=0), spreads)

@@ -19,7 +19,7 @@ from llmchem import (
     pearson_r,
     rao_entropy,
 )
-from llmchem.complementarity import ChemistryMap
+from llmchem.complementarity import ChemistryMap, effectiveness_by_task
 from llmchem.errors import DomainError, UndefinedCorrelationError
 from llmchem.files import write_json
 
@@ -227,6 +227,11 @@ class TestEffectiveness:
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             effectiveness_soft_vote([[1.2]])
+
+    def test_by_task_votes_each_ensemble_over_the_tasks_all_members_answered(self):
+        accuracies = {"t1": {"a": 0.9, "b": 0.2}, "t2": {"a": 0.4}, "t3": {"a": 0.6, "b": 0.6}}
+        votes = effectiveness_by_task(accuracies, [["a"], ["a", "b"], ["b"], ["c"]])
+        assert votes == [(2 / 3, 0), (1.0, 1), (0.5, 1), (None, 3)]
 
 
 def two_pass_pearson(xs, ys):

@@ -2,32 +2,36 @@
 
 Each reference in ``tests/helpers.py`` is the earlier code, copied verbatim:
 the consensus loop that scanned every grader for each mean, the task rows
-that regrouped every history record per ensemble, and the map that scored
-each candidate ensemble from scratch.  The references sum with the built-in
-``sum()``, which compensates rounding from Python 3.12 on, so the comparison
-is only exact up to 3.11.
+that regrouped every history record per ensemble, the CLI's per-ensemble task
+rows and checked vote that one pass over each model's task column replaced,
+and the map that scored each candidate ensemble from scratch.  The references
+sum with the built-in ``sum()``, which compensates rounding from Python 3.12
+on, so the comparison is only exact up to 3.11.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 import pytest
 from helpers import (
+    effectiveness_soft_vote,
     reference_delta_ci_cells,
     reference_grade_order,
     reference_task_matrix,
     reference_vancouver_consensus,
+    task_matrix,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from llmchem.complementarity import (
     CIParams,
     EnsemblePoint,
     delta_ci_map,
+    effectiveness_by_task,
     task_accuracies,
-    task_matrix,
 )
 from llmchem.consensus import GradeMatrix, vancouver_consensus
 from llmchem.errors import MalformedMatrixError
@@ -113,6 +117,9 @@ def histories(draw) -> list[HistoryRecord]:
     return draw(st.permutations(records))
 
 
+HALF_UP, HALF_DOWN = math.nextafter(0.5, 1.0), math.nextafter(0.5, 0.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     records=histories(),
@@ -120,10 +127,32 @@ def histories(draw) -> list[HistoryRecord]:
         st.lists(st.sampled_from(MODELS), min_size=1, max_size=4), min_size=1, max_size=5
     ),
 )
-def test_task_rows_equal_the_per_ensemble_regrouping(records, ensembles):
+# Means at 0.5 and one ulp either side, alone and with a second member.
+@example(
+    records=[_record(f"task{i}", "m0", 0, a) for i, a in enumerate([0.5, HALF_UP, HALF_DOWN])]
+    + [_record(f"task{i}", "m1", 0, 0.5) for i in range(3)]
+    + [_record("task3", "m0", 0, HALF_UP), _record("task3", "m0", 1, HALF_DOWN)],
+    ensembles=[["m0"], ["m0", "m1"], ["m1", "m0"]],
+)
+# One-member ensembles on tasks that only some models answered.
+@example(
+    records=[_record("task0", "m0", 0, 0.75), _record("task0", "m1", 0, 0.25),
+             _record("task1", "m1", 0, 0.75), _record("task2", "m0", 0, 0.25)],
+    ensembles=[["m0"], ["m1"], ["m0", "m1"]],
+)
+# Ensembles that keep no task: members never on one task, or never recorded.
+@example(
+    records=[_record("task0", "m0", 0, 0.75), _record("task1", "m1", 0, 0.75)],
+    ensembles=[["m0", "m1"], ["m4"], ["m0"]],
+)
+def test_effectiveness_by_task_equals_the_task_rows_and_the_checked_vote(records, ensembles):
     accuracies = task_accuracies(records)
-    for group in ensembles:
-        assert task_matrix(accuracies, group) == reference_task_matrix(records, group)
+    votes = effectiveness_by_task(accuracies, ensembles)
+    assert len(votes) == len(ensembles)
+    for group, vote in zip(ensembles, votes):
+        matrix, skipped = task_matrix(accuracies, group)
+        assert (matrix, skipped) == reference_task_matrix(records, group)
+        assert vote == (effectiveness_soft_vote(matrix) if matrix else None, skipped)
 
 
 COORDINATES = st.one_of(
