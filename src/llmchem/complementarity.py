@@ -14,13 +14,13 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .core import ModelProfile, left_sum
 from .errors import DomainError, UndefinedCorrelationError
-from .files import write_csv
+from .files import write_csv_text
 
 SQRT2 = math.sqrt(2.0)
 
@@ -146,13 +146,16 @@ class ChemistryMap:
         return self.max_abs_delta < SATURATION_THRESHOLD
 
     def to_csv(self, path: str | Path) -> None:
-        size = self.grid_size
-        rows = zip(
-            chain.from_iterable(map(repeat, range(size), repeat(size))),
-            chain.from_iterable(repeat(range(size), size)),
-            chain.from_iterable(self.cells),
-        )
-        write_csv(path, ("accuracy_bin", "quality_bin", "delta_ci"), rows)
+        """Write one ``accuracy_bin,quality_bin,delta_ci`` row per cell, a grid row per chunk.
+
+        A float's ``str`` is its ``repr`` and no numeric field needs quoting,
+        so the bytes are ``write_csv``'s for the same rows.
+        """
+        quality_bins = [f"{j}," for j in range(self.grid_size)]
+        write_csv_text(path, ("accuracy_bin", "quality_bin", "delta_ci"), (
+            "".join([f"{i},{j}{value!r}\n" for j, value in zip(quality_bins, row)])
+            for i, row in enumerate(self.cells)
+        ))
 
     def summary(self) -> dict:
         return {

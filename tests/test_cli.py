@@ -502,6 +502,15 @@ BAD_INPUTS = {
     "history-no-records": ("ingest {bad} --out {tmp}/s.json", "h.csv",
                            ",".join(HISTORY_COLUMNS).encode() + b"\n", ["at least one record"]),
     "history-encoding": ("ingest {bad} --out {tmp}/s.json", "h.csv", b"\xff", ["utf-8"]),
+    "history-nul-model": (
+        "ingest {bad} --out {tmp}/s.json", "h.csv",
+        HISTORY.replace(b"t,m,", b"t,m\0,") + b"t,m,q,1.0,0.7,o2,r,5.0,1.0,0.1,0.9,0.9,e,c\n",
+        ["unreadable CSV: record contains NUL (in {bad}, row 2)"]),
+    # A line longer than csv.field_size_limit() is left to csv.reader, which rejects it.
+    "history-field-too-long": (
+        "ingest {bad} --out {tmp}/s.json", "h.csv",
+        HISTORY.replace(b"t,m,q,", b"t,m," + b"q" * (csv.field_size_limit() + 1) + b","),
+        ["unreadable CSV: field larger than field limit"]),
     "history-repeated-across-files": (
         "ingest {bad} {bad} --out {tmp}/s.json", "h.csv", HISTORY,
         ["duplicate (trial, model, id) key ('t', 'm', 'o1'), first read from", "row 2, field 'id'"]),
@@ -524,6 +533,9 @@ BAD_INPUTS = {
     "store-directory": ("chem --store {bad} --out {tmp}/c.csv", "s.json", None, ["directory"]),
     "grades-extra-field": ("score --grades {bad} --out {tmp}/s.json", "g.csv",
                            b"grader,output_id,grade\ng1,o1,5,extra\n", ["row 2)"]),
+    "grades-nul": ("score --grades {bad} --out {tmp}/s.json", "g.csv",
+                   b"grader,output_id,grade\ng1,o1,5\ng2\0,o1,6\n",
+                   ["unreadable CSV: record contains NUL (in {bad}, row 3)"]),
     "grades-nan": ("score --grades {bad} --out {tmp}/s.json", "g.csv",
                    b"grader,output_id,grade\ng1,o1,5\ng2,o1,nan\n",
                    ["grade out of range: nan", "row 3, field 'grade'"]),

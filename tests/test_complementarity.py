@@ -21,7 +21,7 @@ from llmchem import (
 )
 from llmchem.complementarity import ChemistryMap, effectiveness_by_task
 from llmchem.errors import DomainError, UndefinedCorrelationError
-from llmchem.files import write_json
+from llmchem.files import write_csv, write_json
 
 ABS = 1e-12
 
@@ -202,6 +202,19 @@ class TestDeltaCiMap:
         path = tmp_path / "map.csv"
         grid.to_csv(path)
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_csv_bytes_equal_write_csv_on_the_same_rows(self, tmp_path):
+        # Signed zero, the smallest subnormal, a float whose repr has an
+        # exponent and one with 17 digits, on the smallest grid.
+        cells = ((-0.0, 5e-324), (1e16, 0.1 + 0.2))
+        grid = ChemistryMap(grid_size=2, cells=cells, params=CIParams(), base_index=0.5)
+        grid.to_csv(tmp_path / "map.csv")
+        rows = [(i, j, value) for i, row in enumerate(cells) for j, value in enumerate(row)]
+        write_csv(tmp_path / "rows.csv", ("accuracy_bin", "quality_bin", "delta_ci"), rows)
+        written = (tmp_path / "map.csv").read_bytes()
+        assert written == (tmp_path / "rows.csv").read_bytes()
+        assert written == (b"accuracy_bin,quality_bin,delta_ci\n"
+                           b"0,0,-0.0\n0,1,5e-324\n1,0,1e+16\n1,1,0.30000000000000004\n")
 
 
 class TestEffectiveness:

@@ -100,6 +100,25 @@ class TestReadCsv:
         for fragment in fragments:
             assert fragment in message
 
+    @pytest.mark.parametrize(
+        "data, row",
+        [
+            (b"a,b\0,c\n1,2,3\n", 1),
+            (b"a,b,c\n1,2,3\n\n4\0,5,6\n", 3),
+            (b'a,b,c\n"1",2,3\n4,5,6\n7,8\0\n', 4),
+            (b'a,b,c\n1,2,3\n"x\ny\0",2,3\n', 3),
+            (b'a,b,c\n"1",2,3\n' + b"4,5,6\n" * 20000 + b"7,8\0,9\n", 20003),
+        ],
+        ids=["header", "plain", "after-quote", "spanning", "later-batch"],
+    )
+    def test_nul_names_the_record_row_on_every_interpreter(self, tmp_path, data, row):
+        # CPython 3.10's csv rejected NUL without a row, and 3.11 to 3.13 read it.
+        with pytest.raises(ParseError) as err:
+            self._read(tmp_path, data)
+        assert str(err.value) == (
+            f"unreadable CSV: record contains NUL (in {tmp_path / 'in.csv'}, row {row})"
+        )
+
     def test_short_row_reports_first_missing_column(self, tmp_path):
         with pytest.raises(ParseError) as err:
             self._read(tmp_path, b"c,b,a\n1\n")

@@ -5,6 +5,10 @@ The references in ``tests/helpers.py`` are verbatim copies of ``read_csv`` on
 on its own and built frozen-dataclass records.  On every generated file the
 current code must yield the same rows and records, field by field, or raise a
 ``ParseError`` with the same message, row and field after the same rows.
+The one rule added since is that a record holding NUL is an error on every
+interpreter (CPython 3.10's ``csv`` rejected it, later ones read it), so the
+expected outcome of a file with NUL is the references' on the file with each
+NUL read as an ordinary character, cut at that record (``_nul_first``).
 The plain row tuples of ``iter_history_rows`` must equal the reference's
 records position by position, and the consumers must give the same results
 on them as on ``parse_history_csv``'s records.
@@ -12,10 +16,12 @@ on them as on ``parse_history_csv``'s records.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
 from functools import partial
+from itertools import chain
 
 import pytest
 from helpers import reference_parse_history_csv, reference_read_csv
@@ -147,9 +153,67 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("equivalence")
 
 
+#: What ``read_csv`` raises, with the record's row, at a record holding NUL.
+NUL_MESSAGE = "unreadable CSV: record contains NUL"
+
+
+def _nul_row(data: bytes) -> int | None:
+    """The row of the first record holding NUL that a reader reaches, or None.
+
+    A file this small is decoded in one read, so a byte that does not decode
+    (other than an incomplete sequence at the very end) stops the reader
+    before its first record.  Otherwise the records are those ``csv.reader``
+    reads with NUL as an ordinary character, numbered as ``read_csv`` numbers
+    them: the first record is the header, row 1, and blank lines are skipped.
+    """
+    assert len(data) < 8192  # io.TextIOWrapper's read size
+    try:
+        codecs.getincrementaldecoder("utf-8")().decode(data)
+    except UnicodeDecodeError:
+        return None
+    text = data.decode("utf-8", "replace").replace("\0", "\1")
+    records = csv.reader(io.StringIO(text, newline=""))
+    header = next(records, [])
+    rows = chain([(1, header)], enumerate(filter(None, records), start=2))
+    return next((row for row, fields in rows if "\1" in "".join(fields)), None)
+
+
+def _nul_first(path, outcome, streamed: bool = False):
+    """``outcome(path)``, a ``(seen, error)`` pair, under the NUL rule.
+
+    Without NUL it is ``outcome(path)``.  Otherwise ``outcome`` runs on the
+    file with each NUL read as U+0001, and an error before the first NUL
+    record stands: one at an earlier row, or a bad header when the NUL is
+    past row 1.  Any other error comes later (at that record or after it, or
+    a byte that does not decode at the end of the file), so the NUL error at
+    that record's row takes its place.  ``seen`` then keeps the rows before
+    that record when ``streamed`` (``_outcome``'s numbered rows), and is None
+    otherwise (``_parse``, whose records come only from a whole file).
+    """
+    data = path.read_bytes()
+    row = _nul_row(data)
+    if row is None:
+        return outcome(path)
+    path.write_bytes(data.replace(b"\0", b"\1"))
+    try:
+        seen, error = outcome(path)
+    finally:
+        path.write_bytes(data)
+    if error is not None and (
+        error[1] < row if error[1] is not None else row > 1 and "unexpected header" in error[0]
+    ):
+        return seen, error
+    nul = ParseError(NUL_MESSAGE, path=path, row=row)
+    return [item for item in seen if item[0] < row] if streamed else None, (str(nul), row, None)
+
+
+def _reference_rows(path):
+    rows = reference_read_csv(path, COLUMNS)
+    return _outcome((n, [row[c] for c in COLUMNS]) for n, row in rows)
+
+
 def _assert_same_rows(path) -> None:
-    old = ((n, [row[c] for c in COLUMNS]) for n, row in reference_read_csv(path, COLUMNS))
-    assert _outcome(read_csv(path, COLUMNS)) == _outcome(old)
+    assert _outcome(read_csv(path, COLUMNS)) == _nul_first(path, _reference_rows, streamed=True)
 
 
 @settings(max_examples=400, deadline=None)
@@ -160,6 +224,13 @@ def _assert_same_rows(path) -> None:
 @example(data=b'a,b,c\n"x\ny",2,3\n1,2\n')
 @example(data=b"a,b,c\n1,2,3\n1,2,3,4\n")
 @example(data=b"a,b,c\n1,2,\xff\n")
+@example(data=b"a,b,c\n1,2,3\n4,5,6\n7,8,9\n")  # quote-free: no hand-over
+# A quoted record after plain ones, then one that spans lines: the rows count on.
+@example(data=b'a,b,c\n1,2,3\n4,5,6\n"x",8,9\n"y\nz",2,3\n4,5\n')
+@example(data=b'a,b,c\r\n1,2,3\r4,5,6\r\n"x\ry",2,3\r7,8,9\r\n')  # CR LF and lone CR
+@example(data=b'a,b,c\n1,2,3\n\n"x",2,3\n\n4,5,6\n')  # blank lines either side of it
+@example(data=b'a,b,c\n1,2,3\n"x\ny\0",2,3\n')  # NUL in a record that spans lines
+@example(data=b"a,b,c\n1,2,3\n\n4\0,5\n")  # NUL before a short row's error
 def test_read_csv_yields_the_dict_readers_rows(workdir, data):
     _assert_same_rows(_write(workdir, data))
 
@@ -250,12 +321,16 @@ def _parse(parser, path):
         return None, (str(exc), exc.row, exc.field)
 
 
+def _reference_parse(path):
+    return _nul_first(path, partial(_parse, reference_parse_history_csv))
+
+
 @settings(max_examples=400, deadline=None)
 @given(data=history_files())
 @example(data=HEADER_LINE + ROW_LINE + ROW_LINE)  # a repeated (trial, model, id) key
 def test_history_parser_equals_the_per_field_parser(workdir, data):
     path = _write(workdir, data)
-    assert _parse(parse_history_csv, path) == _parse(reference_parse_history_csv, path)
+    assert _parse(parse_history_csv, path) == _reference_parse(path)
 
 
 @settings(max_examples=300, deadline=None)
@@ -264,7 +339,7 @@ def test_every_numeric_field_reaches_the_same_check(workdir, data):
     # Well-formed files with one to three numeric faults, so that the parse
     # ends at a numeric check unless every drawn spelling is valid.
     path = _write(workdir, data)
-    assert _parse(parse_history_csv, path) == _parse(reference_parse_history_csv, path)
+    assert _parse(parse_history_csv, path) == _reference_parse(path)
 
 
 def test_history_fixture_parses_to_the_same_records(history_fixture):
@@ -352,37 +427,36 @@ def test_the_parser_reads_the_record_positions_of_the_history_columns():
 def _reference_history(paths):
     """The reference's records of ``paths`` read as one history, or its first error.
 
-    Each file is parsed on its own by the reference parser; a key that an
-    earlier file held is the error at the first row that repeats it, unless
-    the file's own error comes first.
+    Each file is parsed on its own by the reference parser, under the NUL
+    rule; a key that an earlier file held is the error at the first row that
+    repeats it, unless the file's own error comes first.
     """
     records: list = []
     first_file: dict[tuple[str, str, str], int] = {}
     for at, path in enumerate(paths):
-        try:
-            parsed, error = reference_parse_history_csv(path), None
-        except ParseError as exc:
-            parsed, error = None, exc
-        keys = []
-        try:
-            for number, row in reference_read_csv(path, HISTORY_COLUMNS):
-                keys.append((number, (row["trial"], row["model"], row["id"])))
-        except ParseError:
-            pass
+        parsed, error = _reference_parse(path)
+        keys, _ = _nul_first(path, _reference_keys, streamed=True)
         for number, key in keys:
-            if error is not None and error.row is not None and number >= error.row:
+            if error is not None and error[1] is not None and number >= error[1]:
                 break
             if key in first_file:
-                error = ParseError(
+                exc = ParseError(
                     f"duplicate (trial, model, id) key {key!r}, first read from "
                     f"{paths[first_file[key]]}", path=path, row=number, field="id")
+                error = (str(exc), exc.row, exc.field)
                 break
         if error is not None:
-            return None, (str(error), error.row, error.field)
+            return None, error
         for _, key in keys:
             first_file.setdefault(key, at)
-        records += [_fields(record) for record in parsed]
+        records += parsed
     return records, None
+
+
+def _reference_keys(path):
+    """The ``(trial, model, id)`` key of each row the reference reads, before any error."""
+    rows = reference_read_csv(path, HISTORY_COLUMNS)
+    return _outcome((number, (row["trial"], row["model"], row["id"])) for number, row in rows)
 
 
 def _rows(paths):
