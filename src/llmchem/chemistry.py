@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
 from itertools import combinations, islice
 from operator import sub
 from pathlib import Path
 from typing import Iterable
 
-from .core import Configuration, ModelProfile, ModelSet
+from .core import Configuration, ModelProfile, ModelSet, Record
 from .errors import (
     DomainError,
     InvalidConfigurationError,
@@ -59,8 +58,7 @@ def pair_key(a: str, b: str) -> PairKey:
     return frozenset((a, b))
 
 
-@dataclass(frozen=True)
-class ChemistryTable:
+class ChemistryTable(Record):
     """Symmetric map from unordered model pairs to chemistry scores."""
 
     scores: dict[PairKey, float]
@@ -379,8 +377,7 @@ _ANCHOR = ModelProfile("anchor", quality=10.0, accuracy=0.9)
 _FAMILY_SIZE = 4
 
 
-@dataclass(frozen=True)
-class DiversityFamily:
+class DiversityFamily(Record):
     """A family of four-model sets anchored at one profile and fanned out by spread.
 
     ``spread = 0`` reproduces the anchor identically for every member.
@@ -413,8 +410,7 @@ class DiversityFamily:
         return ModelSet(profiles=self.profiles())
 
 
-@dataclass(frozen=True)
-class HeterogeneityReport:
+class HeterogeneityReport(Record):
     """Max chemistry per spread plus a monotone-trend verdict."""
 
     points: tuple[tuple[float, float], ...]  # (spread, max chemistry)
@@ -461,7 +457,7 @@ def heterogeneity_diagnostic(
 
     points: list[tuple[float, float]] = []
     for s in spreads:
-        table = chem_table_bruteforce(replace(family, spread=s).model_set())
+        table = chem_table_bruteforce(family.replace(spread=s).model_set())
         points.append((s, table.max_score()))
 
     chems = [c for _, c in points]

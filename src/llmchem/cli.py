@@ -16,7 +16,6 @@ import json
 import logging
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterable
 
@@ -497,7 +496,7 @@ def cmd_check(args: argparse.Namespace, config: dict) -> int:
     failures = 0
 
     def restricted(profiles) -> ModelSet:
-        return replace(model_set, profiles=tuple(profiles))
+        return model_set.replace(profiles=tuple(profiles))
 
     audited = model_set
     names = sorted(model_set.members)

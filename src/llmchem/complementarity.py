@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .core import ModelProfile, left_sum
+from .core import ModelProfile, Record, left_sum
 from .errors import DomainError, UndefinedCorrelationError
 from .files import write_csv_text
 
@@ -28,8 +27,7 @@ SQRT2 = math.sqrt(2.0)
 DEFAULT_GRID_SIZE = 50
 
 
-@dataclass(frozen=True)
-class EnsemblePoint:
+class EnsemblePoint(Record):
     """One member's position in the unit accuracy-quality square."""
 
     model: str
@@ -46,8 +44,7 @@ class EnsemblePoint:
         return cls(model=profile.model, accuracy=profile.accuracy, quality_norm=profile.quality_norm)
 
 
-@dataclass(frozen=True)
-class CIParams:
+class CIParams(Record):
     """Trade-off weight of the complementarity index."""
 
     lam: float = 0.5  # weight on coverage; 1 - lam goes to diversity
@@ -118,8 +115,7 @@ def complementarity_index(
 SATURATION_THRESHOLD = 0.01
 
 
-@dataclass(frozen=True)
-class ChemistryMap:
+class ChemistryMap(Record):
     """Marginal complementarity of a hypothetical new member per grid cell.
 
     ``cells[i][j]`` holds the index change for a candidate at the centre of
@@ -292,8 +288,14 @@ def task_accuracies(records: Iterable[tuple]) -> dict[str, dict[str, float]]:
     the order given.
     """
     by_task: dict[str, dict[str, list[float]]] = {}
-    for row in records:  # task, model, accuracy
-        by_task.setdefault(row[2], {}).setdefault(row[1], []).append(row[11])
+    for row in records:  # task, model, accuracy; get-then-insert builds no throwaway containers
+        models = by_task.get(row[2])
+        if models is None:
+            models = by_task[row[2]] = {}
+        values = models.get(row[1])
+        if values is None:
+            values = models[row[1]] = []
+        values.append(row[11])
     return {
         task: {model: left_sum(values) / len(values) for model, values in by_task[task].items()}
         for task in sorted(by_task)

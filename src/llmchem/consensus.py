@@ -13,12 +13,11 @@ against references) with review accuracy, 75/25 when ground truth exists and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
-from .core import left_sum
+from .core import Record, left_sum
 from .errors import DomainError, MalformedMatrixError, ParseError
 from .files import parse_float, read_csv
 
@@ -32,8 +31,7 @@ GEN_WEIGHT_WITH_GT = 0.75
 GEN_WEIGHT_WITHOUT_GT = 0.25
 
 
-@dataclass(frozen=True)
-class GradeMatrix:
+class GradeMatrix(Record):
     """Sparse grader-by-output grade matrix, grades in [0, 10].
 
     Its graders and outputs are those named by the keys of ``grades``, in
@@ -69,8 +67,7 @@ class GradeMatrix:
         return cls(grades=grades)
 
 
-@dataclass(frozen=True)
-class ConsensusResult:
+class ConsensusResult(Record):
     """Converged (or truncated) state of the minimum-variance iteration."""
 
     consensus: dict[str, float]  # output -> consensus grade

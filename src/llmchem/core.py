@@ -15,8 +15,7 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .errors import DomainError, InvalidConfigurationError, SizeLimitError
 
@@ -59,8 +58,98 @@ def _require_range(name: str, value: float, lo: float, hi: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class ModelProfile:
+class _Factory:
+    """A field default made afresh per instance; see :func:`field`."""
+
+    def __init__(self, make: Callable[[], Any], compare: bool) -> None:
+        self.make, self.compare = make, compare
+
+
+def field(*, default_factory: Callable[[], Any], compare: bool = True) -> Any:
+    """A :class:`Record` field whose default is ``default_factory()`` per instance.
+
+    ``compare=False`` leaves the field out of ``==`` and ``hash``.
+    """
+    return _Factory(default_factory, compare)
+
+
+class Record:
+    """Base of the package's frozen records; it generates no code.
+
+    A subclass declares its fields as annotations, in order, each default as
+    a class attribute (or :func:`field`).  Construction binds arguments by
+    position and keyword, sets the fields, then runs ``__post_init__``.
+    Assigning or deleting an attribute raises ``AttributeError``; ``==`` and
+    ``hash`` go over the compared fields in order, and only between instances
+    of one class; ``repr`` is ``Name(field=value, ...)``.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+    _defaults: dict[str, Any] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        annotated = tuple(own.get("__annotations__", ()))
+        cls._fields += tuple(n for n in annotated if n not in cls._fields)  # a base's first
+        cls._defaults = {**cls._defaults, **{n: own[n] for n in annotated if n in own}}
+        for name in annotated:
+            if isinstance(own.get(name), _Factory):
+                delattr(cls, name)
+        cls._compared = tuple(
+            n for n in cls._fields
+            if not isinstance(d := cls._defaults.get(n), _Factory) or d.compare
+        )
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        name = type(self).__name__
+        if len(args) > len(self._fields):
+            raise TypeError(f"{name}() takes {len(self._fields)} arguments, got {len(args)}")
+        values = dict(zip(self._fields, args))
+        for key, value in kwargs.items():
+            if key not in self._fields or key in values:
+                raise TypeError(f"{name}() got an unexpected or repeated argument {key!r}")
+            values[key] = value
+        for key in self._fields:
+            if key not in values:
+                if key not in self._defaults:
+                    raise TypeError(f"{name}() missing argument {key!r}")
+                default = self._defaults[key]
+                values[key] = default.make() if isinstance(default, _Factory) else default
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self._compared)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes: Any) -> Any:
+        """A new instance with ``changes`` applied, constructed (so validated) again."""
+        return type(self)(**{**{n: self.__dict__[n] for n in self._fields}, **changes})
+
+
+class ModelProfile(Record):
     """Recorded performance of one model within a query context."""
 
     model: ModelId
@@ -87,8 +176,7 @@ def check_cost_knobs(empty_cost: float, used_threshold: float) -> None:
         raise DomainError(f"empty_cost must be >= 0, got {empty_cost!r}")
 
 
-@dataclass(frozen=True)
-class ModelSet:
+class ModelSet(Record):
     """The candidate pool: profiles plus the knobs that shape the cost.
 
     ``empty_cost`` is charged to any configuration whose usable subset is
@@ -130,7 +218,7 @@ class ModelSet:
         updated = tuple(
             profile if p.model == profile.model else p for p in self.profiles
         )
-        return replace(self, profiles=updated)
+        return self.replace(profiles=updated)
 
     def cost(self, config: Iterable[ModelId]) -> float:
         """:func:`cost` of ``config`` in this set."""
@@ -232,8 +320,7 @@ def model_set_fingerprint(model_set: ModelSet) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-@dataclass(frozen=True)
-class AuditSection:
+class AuditSection(Record):
     """Outcome of one audited property."""
 
     name: str
@@ -246,8 +333,7 @@ class AuditSection:
         return self.violations == 0
 
 
-@dataclass(frozen=True)
-class PropertyAuditReport:
+class PropertyAuditReport(Record):
     """Aggregated result of the cost-function property audit."""
 
     monotonicity: AuditSection
@@ -294,7 +380,7 @@ def _monotonicity_probe(
                 ceiling = min(ceiling, peer.quality)
         room = ceiling - profile.quality
         delta = room * rng.uniform(0.05, 0.95) if room > 0.0 else 0.0
-        mutated = replace(profile, quality=profile.quality + delta)
+        mutated = profile.replace(quality=profile.quality + delta)
     else:
         # Accuracy raise, staying on the same side of the used threshold and
         # below the accuracy of any equal-quality peer ranked above.
@@ -307,7 +393,7 @@ def _monotonicity_probe(
                     ceiling = min(ceiling, peer.accuracy)
         room = ceiling - profile.accuracy
         delta = room * rng.uniform(0.05, 0.95) if room > 0.0 else 0.0
-        mutated = replace(profile, accuracy=profile.accuracy + delta)
+        mutated = profile.replace(accuracy=profile.accuracy + delta)
 
     before = cost(model_set, config)
     after = cost(model_set.with_profile(mutated), config)

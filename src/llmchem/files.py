@@ -2,9 +2,9 @@
 SHA-256 of an input for its run's sidecar.
 
 Inputs are UTF-8.  A CSV header must hold exactly the expected columns, in any
-order, and each data row one field per column.  The header is the first row
-and row 1; blank lines are skipped, and the records are numbered from 2 in
-order, however many lines each spans.  ``read_csv`` yields the records
+order, and each data row one field per column.  Blank lines are skipped,
+before the header too; the header is row 1, and the records are numbered from
+2 in order, however many lines each spans.  ``read_csv`` yields the records
 ``csv.reader`` reads: a line with no quote is one record, split at its commas,
 and from a file's first line that holds a quote on, ``csv.reader`` reads the
 rest.  Undecodable bytes, malformed CSV or JSON, a bad header and a short or
@@ -45,7 +45,8 @@ def read_csv(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, li
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             records = _records(handle)
-            header = next(records, [])  # an empty file has no columns
+            # Blank lines before the header are skipped; an empty file has no columns.
+            header = next(filter(None, records), [])
             number = 1
             missing = sorted((Counter(columns) - Counter(header)).elements())
             stray = sorted((Counter(header) - Counter(columns)).elements())

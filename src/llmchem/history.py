@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import logging
 import math
-import statistics
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Literal, NamedTuple
 
-from .core import ModelProfile, ModelSet
+from .core import ModelProfile, ModelSet, Record
 from .errors import DomainError, ParseError, StoreVersionError
 from .files import parse_float, read_csv, read_json, write_csv, write_json
 
@@ -154,8 +152,7 @@ def write_history_csv(records: Iterable[HistoryRecord], path: str | Path) -> Non
     write_csv(path, HISTORY_COLUMNS, records)
 
 
-@dataclass(frozen=True)
-class ProfileStore:
+class ProfileStore(Record):
     """Aggregated per-model profiles for one query context."""
 
     context_key: str
@@ -171,6 +168,18 @@ class ProfileStore:
         return ModelSet(
             profiles=ordered, empty_cost=empty_cost, used_threshold=used_threshold
         )
+
+
+def _mean(values: list[float]) -> float:
+    """``statistics.fmean`` of a non-empty list: it computes exactly this."""
+    return math.fsum(values) / len(values)
+
+
+def _median(values: list[float]) -> float:
+    """``statistics.median`` of a non-empty list: it computes exactly this."""
+    ordered = sorted(values)
+    half = len(ordered) // 2
+    return ordered[half] if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2
 
 
 def build_profiles(
@@ -196,7 +205,7 @@ def build_profiles(
     if aggregate not in ("mean", "median"):
         raise DomainError(f"unknown aggregate {aggregate!r}")
     at = {"trial": 0, "task": 2, "all": None}[grouping]  # the key's position in a row
-    reduce = statistics.fmean if aggregate == "mean" else statistics.median
+    reduce = _mean if aggregate == "mean" else _median
 
     # context -> model -> (qualities, accuracies), each in record order
     grouped: dict[str, dict[str, tuple[list[float], list[float]]]] = {}

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
 from operator import add, mul
 from typing import Callable, Iterable, Mapping, Protocol
 
 from . import core
-from .core import Configuration, ModelSet
+from .core import Configuration, ModelSet, Record
 from .errors import DomainError, InvalidConfigurationError, SizeLimitError
 
 #: Ceiling on |S| for graph construction (worst case is the full lattice).
@@ -108,8 +107,7 @@ class TableBackend:
         return self._used.get(frozenset(config), frozenset())
 
 
-@dataclass(frozen=True)
-class MIGNode:
+class MIGNode(Record):
     """One materialised subset with its usable members and cost."""
 
     subset: Configuration

@@ -26,20 +26,18 @@ takes the exact loss of every subset and screens nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable
 
 from .chemistry import ChemistryTable, pair_key
-from .core import Configuration, left_sum
+from .core import Configuration, Record, field, left_sum
 from .errors import DomainError, InvalidConfigurationError, NoCandidatesError
 from .files import read_name_lists
 from .mig import subset_key
 
 
-@dataclass(frozen=True)
-class LossParams:
+class LossParams(Record):
     """Loss weights and search limits."""
 
     alpha: float = 0.5  # inter- vs intra-subset balance
@@ -58,8 +56,7 @@ class LossParams:
             raise DomainError(f"size_cap must be >= 1, got {self.size_cap}")
 
 
-@dataclass(frozen=True)
-class CandidatePool:
+class CandidatePool(Record):
     """Non-empty candidate subsets drawn from past runs (deduplicated)."""
 
     subsets: tuple[Configuration, ...]
@@ -78,8 +75,7 @@ class CandidatePool:
         return cls(subsets=tuple(frozenset(s) for s in read_name_lists(path, "subsets")))
 
 
-@dataclass(frozen=True)
-class Recommendation:
+class Recommendation(Record):
     """Best subset found, with the descent trace that produced it."""
 
     subset: Configuration

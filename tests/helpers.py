@@ -531,7 +531,8 @@ def reference_read_csv(path: str | Path, columns: Sequence[str]) -> Iterator[tup
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             reader = csv.DictReader(handle)
-            header = reader.fieldnames or []  # an empty file has no columns
+            # Blank lines before the header are skipped; an empty file has no columns.
+            header = reader.fieldnames = next(filter(None, reader.reader), [])
             missing = sorted((Counter(columns) - Counter(header)).elements())
             stray = sorted((Counter(header) - Counter(columns)).elements())
             if missing or stray:

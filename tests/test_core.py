@@ -18,8 +18,20 @@ from llmchem import (
     rank_outputs,
     used_subset,
 )
-from llmchem.core import left_sum
-from llmchem.errors import DomainError, InvalidConfigurationError, SizeLimitError
+from llmchem.chemistry import ChemistryTable, DiversityFamily, HeterogeneityReport, pair_key
+from llmchem.complementarity import ChemistryMap, CIParams, EnsemblePoint
+from llmchem.consensus import ConsensusResult, GradeMatrix
+from llmchem.core import AuditSection, PropertyAuditReport, Record, left_sum
+from llmchem.errors import (
+    DomainError,
+    InvalidConfigurationError,
+    MalformedMatrixError,
+    MissingPairError,
+    SizeLimitError,
+)
+from llmchem.history import ProfileStore
+from llmchem.mig import MIGNode
+from llmchem.recommend import CandidatePool, LossParams, Recommendation
 
 from helpers import homogeneous_model_set, random_model_set, reference_audit_cost_properties
 
@@ -308,3 +320,93 @@ class TestAudit:
             seen_violations += report.submodularity.violations > 0
             seen_residuals += report.linearity.violations == 0 < report.linearity.worst
         assert seen_violations >= 10 and seen_residuals >= 10
+
+
+_PROFILE = ModelProfile("a", 5.0, 0.8)
+_SECTION = AuditSection("linearity", 10, 0, 0.0)
+_SUBSET = frozenset({"a"})
+_NO_FIELD = {"no_such_field": 1}  # the one bad change a record without checks refuses
+
+#: Every record class: (class, a valid instance's fields in declared order,
+#: a bad change, the error ``replace`` raises for it).
+RECORDS = [
+    (ModelProfile, {"model": "a", "quality": 5.0, "accuracy": 0.8}, {"quality": 11.0}, DomainError),
+    (ModelSet, {"profiles": (_PROFILE,), "empty_cost": 1.0, "used_threshold": 0.5},
+     {"empty_cost": -1.0}, DomainError),
+    (AuditSection, {"name": "linearity", "trials": 10, "violations": 0, "worst": 0.0},
+     _NO_FIELD, TypeError),
+    (PropertyAuditReport, {"monotonicity": _SECTION, "linearity": _SECTION, "submodularity": _SECTION},
+     _NO_FIELD, TypeError),
+    (ChemistryTable, {"scores": {pair_key("a", "b"): 1.0}, "members": frozenset("ab"),
+                      "method": "loaded"}, {"scores": {}}, MissingPairError),
+    (DiversityFamily, {"spread": 0.1, "seed": 3}, {"spread": -1.0}, DomainError),
+    (HeterogeneityReport, {"points": ((0.0, 0.0),), "trend": "flat", "spearman": None},
+     _NO_FIELD, TypeError),
+    (EnsemblePoint, {"model": "a", "accuracy": 0.5, "quality_norm": 0.5}, {"accuracy": 2.0},
+     DomainError),
+    (CIParams, {"lam": 0.5}, {"lam": 2.0}, DomainError),
+    (ChemistryMap, {"grid_size": 1, "cells": ((0.0,),), "params": CIParams(), "base_index": 0.5},
+     _NO_FIELD, TypeError),
+    (GradeMatrix, {"grades": {("g", "o"): 5.0}}, {"grades": {("g", "o"): 11.0}},
+     MalformedMatrixError),
+    (ConsensusResult, {"consensus": {"o": 5.0}, "variance": {"g": 1.0},
+                       "review_accuracy": {"g": 0.5}, "iterations": 3, "converged": True},
+     _NO_FIELD, TypeError),
+    (ProfileStore, {"context_key": "all", "profiles": {"a": _PROFILE}, "provenance": {}},
+     _NO_FIELD, TypeError),
+    (MIGNode, {"subset": _SUBSET, "used": frozenset(), "cost": 1.0}, {"cost": -1.0}, DomainError),
+    (LossParams, {"alpha": 0.5, "beta": 0.5, "max_iters": 50, "size_cap": 10}, {"alpha": 2.0},
+     DomainError),
+    (CandidatePool, {"subsets": (_SUBSET,)}, {"subsets": (frozenset(),)},
+     InvalidConfigurationError),
+    (Recommendation, {"subset": _SUBSET, "loss": 1.0, "trace": ((0, _SUBSET, 1.0),),
+                      "seed_subset": _SUBSET, "zero_chemistry": False, "stats": {"seeds": 1}},
+     _NO_FIELD, TypeError),
+]
+
+
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("cls, fields, bad, error", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_are_frozen_value_objects(cls, fields, bad, error):
+    record = cls(*fields.values())
+    for name, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) == value
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+    same = cls(**fields)
+    assert same == record and not same != record
+    if all(map(_hashable, fields.values())):
+        assert hash(same) == hash(record)
+
+    # Another class with the same fields and values, unrelated or derived, is never equal.
+    twin = type(cls.__name__, (Record,), {"__annotations__": dict.fromkeys(fields, "object")})
+    derived = type(cls.__name__, (cls,), {})
+    for other in (twin(**fields), derived(**fields)):
+        assert other != record and record != other
+
+    shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(record) == f"{cls.__name__}({shown})"
+    with pytest.raises(error):
+        record.replace(**bad)
+
+
+def test_recommendation_stats_are_fresh_and_left_out_of_equality():
+    fields = dict(RECORDS[-1][1])
+    del fields["stats"]
+    first, second = Recommendation(**fields), Recommendation(**fields)
+    assert first.stats == {} and first.stats is not second.stats
+    counted = first.replace(stats={"seeds": 3})
+    assert counted == first and hash(counted) == hash(first)
+    assert counted != first.replace(loss=2.0)

@@ -119,6 +119,21 @@ class TestReadCsv:
             f"unreadable CSV: record contains NUL (in {tmp_path / 'in.csv'}, row {row})"
         )
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"\na,b,c\n1,2,3\n",
+            b"\r\n\r\na,b,c\r\n1,2,3\r\n",
+            b"\r\ra,b,c\r1,2,3\r",
+            b"\r\n\r\n\n\ra,b,c\n\n1,2,3\n",
+            b'\r\n\r"a",b,c\n1,2,3\n',  # the header is the first quoted line
+        ],
+        ids=["lf", "crlf", "cr", "mixed", "quoted-header"],
+    )
+    def test_blank_lines_before_the_header_are_skipped(self, tmp_path, data):
+        _, rows = self._read(tmp_path, data)
+        assert rows == [(2, ["1", "2", "3"])]
+
     def test_short_row_reports_first_missing_column(self, tmp_path):
         with pytest.raises(ParseError) as err:
             self._read(tmp_path, b"c,b,a\n1\n")

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import random
+import statistics
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llmchem import (
     HistoryRecord,
@@ -15,7 +18,7 @@ from llmchem import (
 )
 from llmchem.complementarity import task_accuracies
 from llmchem.errors import DomainError, ParseError, StoreVersionError
-from llmchem.history import HISTORY_COLUMNS, iter_history_rows
+from llmchem.history import HISTORY_COLUMNS, _mean, _median, iter_history_rows
 
 HEADER = ",".join(HISTORY_COLUMNS)
 
@@ -239,6 +242,13 @@ class TestBuildProfiles:
         ]
         (store,) = build_profiles(records, "all", aggregate="median")
         assert store.profiles["m1"].quality == 2.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=12))
+    def test_reductions_equal_the_statistics_functions_bit_for_bit(self, values):
+        # build_profiles reduces without importing statistics, whose import is slow.
+        assert repr(_mean(values)) == repr(statistics.fmean(values))
+        assert repr(_median(values)) == repr(statistics.median(values))
 
     def test_grouping_by_trial_on_fixture(self, history_fixture):
         records = parse_history_csv(history_fixture)

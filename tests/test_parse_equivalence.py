@@ -164,7 +164,7 @@ def _nul_row(data: bytes) -> int | None:
     (other than an incomplete sequence at the very end) stops the reader
     before its first record.  Otherwise the records are those ``csv.reader``
     reads with NUL as an ordinary character, numbered as ``read_csv`` numbers
-    them: the first record is the header, row 1, and blank lines are skipped.
+    them: blank lines are skipped, and the first other record is the header, row 1.
     """
     assert len(data) < 8192  # io.TextIOWrapper's read size
     try:
@@ -173,7 +173,7 @@ def _nul_row(data: bytes) -> int | None:
         return None
     text = data.decode("utf-8", "replace").replace("\0", "\1")
     records = csv.reader(io.StringIO(text, newline=""))
-    header = next(records, [])
+    header = next(filter(None, records), [])
     rows = chain([(1, header)], enumerate(filter(None, records), start=2))
     return next((row for row, fields in rows if "\1" in "".join(fields)), None)
 
@@ -219,7 +219,7 @@ def _assert_same_rows(path) -> None:
 @settings(max_examples=400, deadline=None)
 @given(data=csv_files())
 @example(data=b"c,a,b\n3,1,2\n")
-@example(data=b"\na,b,c\n1,2,3\n")
+@example(data=b"\na,b,c\n1,2,3\n")  # a blank line before the header: one record, row 2
 @example(data=b"a,b,c\n\n1,2,3\n\r\n\n4,5,6\n")
 @example(data=b'a,b,c\n"x\ny",2,3\n1,2\n')
 @example(data=b"a,b,c\n1,2,3\n1,2,3,4\n")

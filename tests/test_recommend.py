@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import random
@@ -410,5 +409,5 @@ class TestStats:
         table = table_from({("a", "b"): 1.0}, ["a", "b", "c"])
         result = recommend(CandidatePool(subsets=(frozenset({"a"}),)), table)
         assert result.stats["seeds"] == 1
-        assert dataclasses.replace(result, stats={}) == result
+        assert result.replace(stats={}) == result
         assert "stats" not in result.to_json_obj()
