@@ -92,8 +92,12 @@ def iter_history_rows(*paths: str | Path) -> Iterator[tuple]:
     trial, model, task and id must not be empty; the first empty one in
     column order is the error.  A ``(trial, model, id)`` key may appear once
     in all the files; a repeat in a later file also names the file that held
-    the key first, and the rows share that index's one copy of each trial and
-    model name.  A row's seven numeric fields are converted with ``float``
+    the key first.  The keys are indexed by name: trial, then model, then a
+    dict mapping each of that pair's ids to the index of the file in
+    ``paths`` that first held it.  Each trial, model and id string is kept
+    once, and the rows share those copies, so the index costs one entry of
+    its pair's id dict per row (20 to 26 B on CPython 3.11) and no tuple per
+    row.  A row's seven numeric fields are converted with ``float``
     and range-checked in one comparison against the bounds of
     ``_NUMERIC_RANGES``, with an infinite bound replaced by the largest finite
     float, so that NaN and infinity fail too.  Only a row that fails goes
@@ -101,7 +105,7 @@ def iter_history_rows(*paths: str | Path) -> Iterator[tuple]:
     first error.
     """
     top = sys.float_info.max
-    seen: dict[tuple[str, str, str], int] = {}  # key -> index of its file in ``paths``
+    seen: dict[str, dict[str, dict[str, int]]] = {}  # trial -> model -> id -> file index
     names: dict[str, str] = {}  # one kept copy of each trial, model and id string
     keep = names.setdefault
     for at, path in enumerate(paths):
@@ -130,14 +134,19 @@ def iter_history_rows(*paths: str | Path) -> Iterator[tuple]:
                 for column, index in zip(_NUMERIC_RANGES, _NUMERIC_INDEX):
                     parse_float(row[index], *_NUMERIC_RANGES[column],
                                 path=path, row=number, field=column)
-            trial, model = keep(trial, trial), keep(model, model)
-            key = trial, model, keep(id_, id_)
-            if key in seen:
-                first = seen[key]
+            trial, model, id_ = keep(trial, trial), keep(model, model), keep(id_, id_)
+            models = seen.get(trial)
+            if models is None:
+                models = seen[trial] = {}
+            ids = models.get(model)
+            if ids is None:
+                ids = models[model] = {}
+            if id_ in ids:
+                first, key = ids[id_], (trial, model, id_)
                 where = "" if first == at else f", first read from {paths[first]}"
                 raise ParseError(f"duplicate (trial, model, id) key {key!r}{where}",
                                  path=path, row=number, field="id")
-            seen[key] = at
+            ids[id_] = at
             yield (trial, model, task, latency, temperature, id_, result, quality,
                    gen_accuracy, variance, review_accuracy, accuracy, elapsed, created)
 

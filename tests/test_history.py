@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import statistics
 import tracemalloc
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +134,19 @@ class TestParsing:
             f"duplicate (trial, model, id) key ('t1', 'm1', 'out-1') (in {second}, row 3, field 'id')"
         )
 
+    def test_key_repeated_in_a_third_file_names_the_file_that_held_that_id(self, tmp_path):
+        # The file is recorded per id, not per (trial, model): out-2 is first
+        # read from the second file, though the pair is first seen in the first.
+        paths = [tmp_path / f"{name}.csv" for name in "abc"]
+        for path, id_ in zip(paths, ("out-1", "out-2", "out-2")):
+            write_history_csv([sample_record(id=id_)], path)
+        with pytest.raises(ParseError) as err:
+            parse_history_csv(*paths)
+        assert str(err.value) == (
+            f"duplicate (trial, model, id) key ('t1', 'm1', 'out-2'), first read from {paths[1]} "
+            f"(in {paths[2]}, row 2, field 'id')"
+        )
+
     def test_non_numeric_field_rejected(self, tmp_path):
         path = tmp_path / "nan.csv"
         write_history_csv([sample_record()], path)
@@ -187,6 +201,9 @@ class TestStreaming:
         )
         records, listed = _traced_peak(lambda: parse_history_csv(path))
         assert len(records) == 5000
+        # The stream alone: what iter_history_rows keeps to check the keys.
+        _, drained = _traced_peak(lambda: deque(iter_history_rows(path), maxlen=0))
+        assert drained < listed / 15
         # The plain rows that the CLI passes.
         stores, profiled = _traced_peak(lambda: build_profiles(iter_history_rows(path), "trial"))
         accuracies, reduced = _traced_peak(lambda: task_accuracies(iter_history_rows(path)))
