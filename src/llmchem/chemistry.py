@@ -6,12 +6,13 @@ disjoint contexts X, in a's marginal benefit caused by b's presence:
     chem(a, b) = max over X of |benefit({a}, X) - benefit({a}, X | {b})|
                  divided by cost(X | {a, b})
 
-Two scorers are provided: an exact enumerator over every context subset of a
-cost backend, and a graph-based scorer that reads only the graph.  The graph
-scorer evaluates the ratio in one kernel, :func:`_pair_score`, over a list of
-costs indexed by bitmask.  On the graph of a profile source (a
-:class:`~llmchem.mig.LatticeMIG`) that list is the graph's cost table; on an
-explicit cost table or an explicitly given graph it holds each subset's
+Three scorers are provided: an exact enumerator over every context subset of
+a cost backend; :func:`profile_chemistry`, which scores a profile set from
+its cost table; and :func:`cheme`, which reads only a graph.  The last two
+evaluate the ratio in one kernel, :func:`_pair_score`, over a list of costs
+indexed by bitmask.  For a profile set that list is the cost of every
+configuration of its usable members (:func:`profile_cost_table`), the closed
+form of its full interaction graph; for a graph it holds each subset's
 covering-node cost, with NaN marking every context the covers cannot answer.
 On a fully materialised graph either way agrees with the exact enumerator,
 term for term.
@@ -27,13 +28,20 @@ every other pair walks every context in :func:`_pair_score`.
 from __future__ import annotations
 
 import math
-import random
-from itertools import combinations, islice
-from operator import sub
+from itertools import combinations, islice, repeat
+from operator import add, mul, sub
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .core import Configuration, ModelProfile, ModelSet, Record
+from .core import (
+    Configuration,
+    ModelSet,
+    Record,
+    check_build_size,
+    penalty,
+    rank_outputs,
+    subset_key,
+)
 from .errors import (
     DomainError,
     InvalidConfigurationError,
@@ -41,10 +49,11 @@ from .errors import (
     MissingPairError,
     ParseError,
     SizeLimitError,
-    UndefinedCorrelationError,
 )
 from .files import parse_float, read_csv, write_csv
-from .mig import MIG, CostBackend, CoverLookup, LatticeMIG, subset_key
+
+if TYPE_CHECKING:  # annotations only: no CLI stage loads mig
+    from .mig import MIG, CostBackend
 
 #: Ceiling on |S| for exhaustive enumeration (2^(|S|-2) contexts per pair).
 BRUTE_FORCE_GUARD = 16
@@ -288,64 +297,103 @@ def _certified_score(
     return at_empty if bound < math.inf and at_empty >= bound else None
 
 
+def profile_cost_table(model_set: ModelSet) -> tuple[tuple[str, ...], list[float]]:
+    """Cost of every configuration of a profile set, indexed by bitmask.
+
+    Returns the usable members best-first by the rank key of
+    :func:`llmchem.core.rank_outputs`, and a list whose entry ``mask`` is the
+    cost of the members whose bits are set (bit j for the j-th ranked
+    member).  Unusable members never change a cost, so they get no bit.  Each
+    member doubles the list: a mask whose highest bit is that member (ranked
+    last in it) extends the entry without it by ``(1 / rank) * penalty``.
+    This repeats the left-to-right sum of :func:`llmchem.core.cost` bit for bit.
+    """
+    ranked = rank_outputs(model_set, model_set.members)
+    weights = [1.0 / rank for rank in range(1, len(ranked) + 1)]
+    costs = [model_set.empty_cost]
+    for r in ranked:
+        top, term = len(costs), penalty(r.quality_norm, r.accuracy)
+        # Entry top + rest ranks this member at popcount(rest) + 1.
+        terms = map(mul, map(weights.__getitem__, map(int.bit_count, range(1, top))), repeat(term))
+        costs.append(term)
+        costs.extend(map(add, islice(costs, 1, top), terms))
+    return tuple(r.model for r in ranked), costs
+
+
+def profile_chemistry(model_set: ModelSet) -> ChemistryTable:
+    """Chemistry for all pairs of a profile set, read from its cost table.
+
+    The table (:func:`profile_cost_table`) holds the cost of every context,
+    as the full interaction graph of the set would, and is subject to the
+    same size guard.  A pair with an unusable member scores 0: that member
+    changes no cost, so its benefit difference is 0 in every context.  A
+    pair is scored at the empty context when its ratio there reaches
+    :func:`_certified_score`'s float bound on every other context's ratio,
+    computed once per table over each member's masks; every other pair walks
+    every context.  On a tie with the bound the loop's first maximiser can
+    be another context, with the same value.
+    """
+    members = model_set.members
+    check_build_size(members)
+    scores: dict[PairKey, float] = {
+        pair_key(a, b): 0.0 for a, b in combinations(sorted(members), 2)
+    }
+    if not scores:
+        raise InvalidConfigurationError("chemistry needs at least two models")
+    names, costs = profile_cost_table(model_set)
+    spans, lows = _lattice_bounds(costs)
+    bits = {name: 1 << j for j, name in enumerate(names)}
+    everyone = len(costs) - 1
+    for a, b in combinations(sorted(names), 2):
+        bit_a, bit_b = bits[a], bits[b]
+        score = _certified_score(costs, spans, lows, bit_a, bit_b)
+        if score is None:
+            score = _pair_score(costs, bit_a, bit_b, everyone ^ (bit_a | bit_b))
+        scores[pair_key(a, b)] = _finite_score(a, b, score)
+    return ChemistryTable(scores=scores, members=members, method="mig-cheme")
+
+
 def cheme(graph: MIG) -> ChemistryTable:
     """Chemistry for all pairs, read from the graph alone.
 
     The graph holds every cost it is scored on, so a cost backend is scored
-    as ``cheme(build_mig(backend))``.
+    as ``cheme(build_mig(backend))``; a profile set is scored faster, with
+    the same bits, by :func:`profile_chemistry`.
 
-    On a :class:`~llmchem.mig.LatticeMIG` (the graph of a profile source)
-    every context's costs are read from the graph's cost table, and a pair
-    with an unusable member scores 0: it lies in every node, so no context
-    is admissible for it.  There a pair is scored at the empty context when
-    its ratio there reaches :func:`_certified_score`'s float bound on every
-    other context's ratio, computed once per table over each member's masks;
-    every other pair walks every context.  On a tie with the bound the
-    loop's first maximiser can be another context, with the same value.
-
-    On any other graph each subset X is answered by its smallest covering
-    node, and a context is skipped for a pair when any of the covers of X,
-    X|{a}, X|{b}, X|{a,b} is missing, when the context's own cover already
-    contains a or b (it would violate the disjoint-context premise), or when
-    the combined cover has zero cost.  Benefits are evaluated on the cover
-    subsets, so on a fully materialised graph the result equals the
-    exhaustive enumerator exactly; on sparser graphs it is the graph's best
-    available approximation.
+    Each subset X is answered by its smallest covering node, and a context
+    is skipped for a pair when any of the covers of X, X|{a}, X|{b}, X|{a,b}
+    is missing, when the context's own cover already contains a or b (it
+    would violate the disjoint-context premise), or when the combined cover
+    has zero cost.  Benefits are evaluated on the cover subsets, so on a
+    fully materialised graph the result equals the exhaustive enumerator
+    exactly; on sparser graphs it is the graph's best available
+    approximation.
     """
+    from .mig import CoverLookup
+
     scores: dict[PairKey, float] = {
         pair_key(a, b): 0.0 for a, b in combinations(sorted(graph.members), 2)
     }
     if not scores:
         raise InvalidConfigurationError("chemistry needs at least two models")
-    covers = None
-    if isinstance(graph, LatticeMIG):
-        names, costs = graph.ranked, graph.costs
-        spans, lows = _lattice_bounds(costs)
-    else:
-        names = sorted(graph.members)
-        lookup = CoverLookup(graph)
-        covers = [
-            lookup.cover(name for j, name in enumerate(names) if mask >> j & 1)
-            for mask in range(1 << len(names))
-        ]
-        costs = [math.nan if node is None else node.cost for node in covers]
+    names = sorted(graph.members)
+    lookup = CoverLookup(graph)
+    covers = [
+        lookup.cover(name for j, name in enumerate(names) if mask >> j & 1)
+        for mask in range(1 << len(names))
+    ]
+    costs = [math.nan if node is None else node.cost for node in covers]
     bits = {name: 1 << j for j, name in enumerate(names)}
     everyone = len(costs) - 1
-    for a, b in combinations(sorted(names), 2):
+    for a, b in combinations(names, 2):
         bit_a, bit_b = bits[a], bits[b]
         both = bit_a | bit_b
-        table, score = costs, None
-        if covers is None:
-            score = _certified_score(costs, spans, lows, bit_a, bit_b)
-        else:
-            # A context whose cover holds a or b is inadmissible.  Marking it NaN,
-            # not testing for it in the shared loop, keeps the lattice path fast.
-            table = costs.copy()
-            for mask, node in enumerate(covers):
-                if not mask & both and node is not None and (a in node.subset or b in node.subset):
-                    table[mask] = math.nan
-        if score is None:
-            score = _pair_score(table, bit_a, bit_b, everyone ^ both)
+        # A context whose cover holds a or b is inadmissible: mark it NaN.
+        table = costs.copy()
+        for mask, node in enumerate(covers):
+            if not mask & both and node is not None and (a in node.subset or b in node.subset):
+                table[mask] = math.nan
+        score = _pair_score(table, bit_a, bit_b, everyone ^ both)
         scores[pair_key(a, b)] = _finite_score(a, b, score)
     return ChemistryTable(scores=scores, members=graph.members, method="mig-cheme")
 
@@ -370,107 +418,3 @@ def llmcp_filter(
     ]
     hits.sort(key=lambda item: (-item[1], item[0]))
     return hits
-
-
-#: The profile every :class:`DiversityFamily` is anchored at, and its member count.
-_ANCHOR = ModelProfile("anchor", quality=10.0, accuracy=0.9)
-_FAMILY_SIZE = 4
-
-
-class DiversityFamily(Record):
-    """A family of four-model sets anchored at one profile and fanned out by spread.
-
-    ``spread = 0`` reproduces the anchor identically for every member.
-    Larger spreads scatter quality (by up to ``10 * spread``) and accuracy
-    (by up to ``spread``) around the anchor, clamped to their valid ranges.
-    The anchor, quality 10 and accuracy 0.9, has perfect quality, hence zero
-    penalty; that is the regime in which identical profiles provably carry
-    zero chemistry (every context cost vanishes, so no ratio is defined and
-    every pair scores 0).
-    """
-
-    spread: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.spread) or self.spread < 0.0:
-            raise DomainError(f"spread must be finite and >= 0, got {self.spread!r}")
-
-    def profiles(self) -> tuple[ModelProfile, ...]:
-        rng = random.Random(self.seed)
-        offsets = [(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(_FAMILY_SIZE)]
-        out = []
-        for i, (dq, da) in enumerate(offsets):
-            quality = min(10.0, max(0.0, _ANCHOR.quality + dq * self.spread * 10.0))
-            accuracy = min(1.0, max(0.0, _ANCHOR.accuracy + da * self.spread))
-            out.append(ModelProfile(f"m{i:02d}", quality=quality, accuracy=accuracy))
-        return tuple(out)
-
-    def model_set(self) -> ModelSet:
-        return ModelSet(profiles=self.profiles())
-
-
-class HeterogeneityReport(Record):
-    """Max chemistry per spread plus a monotone-trend verdict."""
-
-    points: tuple[tuple[float, float], ...]  # (spread, max chemistry)
-    trend: str  # "increasing" | "decreasing" | "flat" | "mixed"
-    spearman: float | None
-
-
-def _average_ranks(values: list[float]) -> list[float]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        shared = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = shared
-        i = j + 1
-    return ranks
-
-
-def heterogeneity_diagnostic(
-    family: DiversityFamily, spreads: list[float]
-) -> HeterogeneityReport:
-    """Sweep the family over ``spreads`` and record max chemistry per point.
-
-    The verdict is the sign of the Spearman rank correlation between spread
-    and max chemistry, and "flat" where that is undefined: the direction is
-    reported, never asserted, because it legitimately differs between profile
-    regimes.
-    """
-    from .complementarity import pearson_r
-
-    if not spreads:
-        raise DomainError("at least one spread is required")
-    previous = None
-    for s in spreads:
-        if not math.isfinite(s) or s < 0.0:
-            raise DomainError(f"spread must be finite and >= 0, got {s!r}")
-        if previous is not None and s < previous:
-            raise DomainError("spreads must be sorted ascending")
-        previous = s
-
-    points: list[tuple[float, float]] = []
-    for s in spreads:
-        table = chem_table_bruteforce(family.replace(spread=s).model_set())
-        points.append((s, table.max_score()))
-
-    chems = [c for _, c in points]
-    try:
-        spearman = pearson_r(_average_ranks(list(spreads)), _average_ranks(chems))
-    except UndefinedCorrelationError:  # one point, or equal spreads (hence equal chemistry)
-        spearman = None
-    if spearman is None:
-        trend = "flat"
-    elif spearman > 0.0:
-        trend = "increasing"
-    elif spearman < 0.0:
-        trend = "decreasing"
-    else:
-        trend = "mixed"
-    return HeterogeneityReport(points=tuple(points), trend=trend, spearman=spearman)

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import sys
 from pathlib import Path
 from typing import Iterable
 
 from . import __version__
-from .chemistry import ChemistryTable, check_tau, chem_table_bruteforce, cheme, llmcp_filter
+from .chemistry import ChemistryTable, check_tau, chem_table_bruteforce, llmcp_filter, profile_chemistry
 from .complementarity import (
     DEFAULT_GRID_SIZE,
     CIParams,
@@ -47,10 +46,8 @@ from .consensus import (
     vancouver_consensus,
 )
 from .core import (
-    AUDIT_SIZE_GUARD,
     ModelProfile,
     ModelSet,
-    audit_cost_properties,
     check_cost_knobs,
     left_sum,
     model_set_fingerprint,
@@ -63,13 +60,11 @@ from .errors import (
     ParseError,
     SizeLimitError,
     UndefinedCorrelationError,
+    warn,
 )
 from .files import read_json, read_name_lists, sha256_of, write_csv, write_json
 from .history import build_profiles, iter_history_rows, read_profiles, write_profiles
-from .mig import build_mig
 from .recommend import CandidatePool, LossParams, recommend
-
-logger = logging.getLogger(__name__)
 
 #: The settings of the whole pipeline, all echoed as ``config:`` and recorded in
 #: every sidecar: config key -> (default, help, range check, the subcommands
@@ -341,7 +336,7 @@ def cmd_chem(args: argparse.Namespace, config: dict) -> int:
         if args.brute_force:
             table = chem_table_bruteforce(model_set)
         else:
-            table = cheme(build_mig(model_set))
+            table = profile_chemistry(model_set)
     except (InvalidConfigurationError, SizeLimitError) as exc:  # too few or too many models
         raise ParseError(str(exc), path=args.store) from None
     table.to_csv(args.out)
@@ -440,7 +435,7 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
             votes = effectiveness_by_task(accuracies, ensembles)
             for number, (group, (value, skipped)) in enumerate(zip(ensembles, votes), start=1):
                 if skipped:
-                    logger.warning("skipped %d task(s) lacking records for some members", skipped)
+                    warn(__name__, f"skipped {skipped} task(s) lacking records for some members")
                 if value is None:
                     raise ParseError(
                         f"no task has records for every member of ensemble {number}: {group}",
@@ -491,6 +486,8 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
 
 
 def cmd_check(args: argparse.Namespace, config: dict) -> int:
+    from . import audit  # only check audits; its names are looked up per call
+
     store = _select_store(args.store, args.context)
     model_set = _model_set(store, config)
     failures = 0
@@ -500,10 +497,10 @@ def cmd_check(args: argparse.Namespace, config: dict) -> int:
 
     audited = model_set
     names = sorted(model_set.members)
-    if len(names) > AUDIT_SIZE_GUARD:
-        audited = restricted(model_set.profile(n) for n in names[:AUDIT_SIZE_GUARD])
-        print(f"check: auditing the first {AUDIT_SIZE_GUARD} of {len(names)} models")
-    report = audit_cost_properties(audited, trials=1000, seed=config["seed"])
+    if len(names) > audit.AUDIT_SIZE_GUARD:
+        audited = restricted(model_set.profile(n) for n in names[:audit.AUDIT_SIZE_GUARD])
+        print(f"check: auditing the first {audit.AUDIT_SIZE_GUARD} of {len(names)} models")
+    report = audit.audit_cost_properties(audited, trials=1000, seed=config["seed"])
     for section in (report.monotonicity, report.linearity):
         status = "PASS" if section.clean else "FAIL"
         print(f"{status} {section.name}: {section.violations}/{section.trials} violations")
@@ -533,7 +530,7 @@ def cmd_check(args: argparse.Namespace, config: dict) -> int:
     sample = usable[: min(len(usable), 6)]
     if len(sample) >= 2:
         subset = restricted(model_set.profile(n) for n in sample)
-        fast = cheme(build_mig(subset))
+        fast = profile_chemistry(subset)
         exact = chem_table_bruteforce(subset)
         mismatches = [
             (a, b)
@@ -609,7 +606,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     argv = sys.argv[1:] if argv is None else argv
     # A run parses one subcommand, so it builds that one's parser only; help,
     # --version or an unknown name get them all, to list every choice.

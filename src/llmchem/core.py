@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import random
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .errors import DomainError, InvalidConfigurationError, SizeLimitError
@@ -25,10 +24,21 @@ if TYPE_CHECKING:  # mig imports core
 ModelId = str
 Configuration = frozenset[str]
 
-#: Largest model set accepted by the property audits (chain sampling stays cheap).
-AUDIT_SIZE_GUARD = 12
+#: Ceiling on |S| for graph construction and the profile cost table (2^|S| entries).
+BUILD_SIZE_GUARD = 20
 
-_ABS_TOL = 1e-12
+
+def subset_key(subset: Iterable[str]) -> str:
+    """Canonical string key for a subset: sorted names joined by commas."""
+    return ",".join(sorted(subset))
+
+
+def check_build_size(members: Configuration) -> None:
+    """Reject a member set too large for a graph or a cost table over its subsets."""
+    if not 1 <= len(members) <= BUILD_SIZE_GUARD:
+        raise SizeLimitError(
+            f"graph construction supports 1..{BUILD_SIZE_GUARD} models, got {len(members)}"
+        )
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -287,7 +297,7 @@ def cost(model_set: ModelSet, config: Iterable[ModelId]) -> float:
     if not ranked:
         return model_set.empty_cost
     # left_sum's loop, inlined: the exhaustive enumerator calls cost() millions
-    # of times.  mig.profile_cost_table repeats this accumulation bit for bit.
+    # of times.  chemistry.profile_cost_table repeats this accumulation bit for bit.
     total = 0.0
     for rank, p in enumerate(ranked, start=1):
         total += (1.0 / rank) * penalty(p.quality_norm, p.accuracy)
@@ -318,160 +328,3 @@ def model_set_fingerprint(model_set: ModelSet) -> str:
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
-
-
-class AuditSection(Record):
-    """Outcome of one audited property."""
-
-    name: str
-    trials: int
-    violations: int
-    worst: float  # largest observed violation magnitude (or residual)
-
-    @property
-    def clean(self) -> bool:
-        return self.violations == 0
-
-
-class PropertyAuditReport(Record):
-    """Aggregated result of the cost-function property audit."""
-
-    monotonicity: AuditSection
-    linearity: AuditSection
-    submodularity: AuditSection
-
-
-def _random_subset(rng: random.Random, names: list[str], min_size: int = 0) -> Configuration:
-    k = rng.randint(min_size, len(names))
-    return frozenset(rng.sample(names, k))
-
-
-def _monotonicity_probe(
-    rng: random.Random, model_set: ModelSet, names: list[str]
-) -> float:
-    """Return cost(after) - cost(before) for one improvement probe.
-
-    The probe raises a single quality or accuracy value while preserving both
-    the ranking order and the used subset, which is the regime in which the
-    per-term penalty decrease carries over to the total.  Raises that cross
-    another model's rank or the used threshold can legitimately increase the
-    rank-weighted total and are out of scope here (see the audit docstring).
-    """
-    config = _random_subset(rng, names, min_size=1)
-    target = rng.choice(sorted(config))
-    profile = model_set.profile(target)
-    usable = used_subset(model_set, config)
-    threshold = model_set.used_threshold
-
-    def outranks(other: ModelProfile) -> bool:
-        key_other = (-other.quality, -other.accuracy, other.model)
-        key_target = (-profile.quality, -profile.accuracy, profile.model)
-        return key_other < key_target
-
-    peers = [model_set.profile(m) for m in usable if m != target]
-
-    if rng.random() < 0.5:
-        # Quality raise, capped below the quality of any used peer currently
-        # ranked above the target so the ranking order is unchanged (this
-        # includes exact quality ties won on the tie-break).
-        ceiling = 10.0
-        for peer in peers:
-            if outranks(peer):
-                ceiling = min(ceiling, peer.quality)
-        room = ceiling - profile.quality
-        delta = room * rng.uniform(0.05, 0.95) if room > 0.0 else 0.0
-        mutated = profile.replace(quality=profile.quality + delta)
-    else:
-        # Accuracy raise, staying on the same side of the used threshold and
-        # below the accuracy of any equal-quality peer ranked above.
-        if profile.accuracy < threshold:
-            ceiling = threshold
-        else:
-            ceiling = 1.0
-            for peer in peers:
-                if peer.quality == profile.quality and outranks(peer):
-                    ceiling = min(ceiling, peer.accuracy)
-        room = ceiling - profile.accuracy
-        delta = room * rng.uniform(0.05, 0.95) if room > 0.0 else 0.0
-        mutated = profile.replace(accuracy=profile.accuracy + delta)
-
-    before = cost(model_set, config)
-    after = cost(model_set.with_profile(mutated), config)
-    return after - before
-
-
-def _linearity_residual(rng: random.Random, model_set: ModelSet, names: list[str]) -> float:
-    """Absolute gap between cost() and an in-place per-term recomputation."""
-    config = _random_subset(rng, names)
-    total = cost(model_set, config)
-    threshold = model_set.used_threshold
-    usable = [
-        model_set.profile(m)
-        for m in config
-        if model_set.profile(m).accuracy >= threshold
-    ]
-    if not usable:
-        return abs(total - model_set.empty_cost)
-    ordered = sorted(usable, key=lambda p: (-p.quality, -p.accuracy, p.model))
-    terms = [
-        (1.0 / i) * (1.0 - p.quality / 10.0) * (1.0 - p.accuracy)
-        for i, p in enumerate(ordered, start=1)
-    ]
-    # Reversed summation order keeps the oracle independent of cost()'s own
-    # accumulation while staying well inside the 1e-12 tolerance.
-    return abs(total - left_sum(reversed(terms)))
-
-
-def _submodularity_gap(rng: random.Random, model_set: ModelSet, names: list[str]) -> float:
-    """rhs - lhs for one diminishing-returns probe (positive means violated)."""
-    extra = rng.choice(names)
-    rest = [m for m in names if m != extra]
-    y = frozenset(rng.sample(rest, rng.randint(0, len(rest))))
-    x = frozenset(m for m in sorted(y) if rng.random() < 0.5)
-    lhs = cost(model_set, x) - cost(model_set, x | {extra})
-    rhs = cost(model_set, y) - cost(model_set, y | {extra})
-    return rhs - lhs
-
-
-#: The audited properties in the order they draw: (name, probe).  A probe
-#: returns one trial's violation, positive beyond ``_ABS_TOL`` when violated.
-_AUDITS = (
-    ("monotonicity", _monotonicity_probe),
-    ("linearity", _linearity_residual),
-    ("submodularity", _submodularity_gap),
-)
-
-
-def audit_cost_properties(
-    model_set: ModelSet, trials: int, seed: int
-) -> PropertyAuditReport:
-    """Probe the cost function for monotonicity, linearity and submodularity.
-
-    Monotonicity and linearity must come back with zero violations:
-    rank-preserving, usage-preserving improvements never increase the cost,
-    and the total is exactly the sum of independent per-output terms.  The
-    submodularity section counts how often the diminishing-returns inequality
-    ``cost(X) - cost(X|{m}) >= cost(Y) - cost(Y|{m})`` (for X subset of Y)
-    holds on sampled chains.  It is reported as a diagnostic: with weights
-    1/rank, adding a model appends a nonnegative term and re-weights lower
-    ranks, so violations are expected for many profile mixes.
-    """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    if len(model_set.profiles) > AUDIT_SIZE_GUARD:
-        raise SizeLimitError(
-            f"audit supports at most {AUDIT_SIZE_GUARD} models, got {len(model_set.profiles)}"
-        )
-    names = sorted(model_set.members)
-    rng = random.Random(seed)
-    sections = {}
-    for name, probe in _AUDITS:
-        violations, worst = 0, 0.0
-        for _ in range(trials):
-            value = probe(rng, model_set, names)
-            if value > _ABS_TOL:
-                violations += 1
-            if value > _ABS_TOL or name == "linearity":  # linearity: the largest residual
-                worst = max(worst, value)
-        sections[name] = AuditSection(name, trials, violations, worst)
-    return PropertyAuditReport(**sections)

@@ -1,10 +1,24 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its one warning helper.
 
 Every error raised on bad input derives from ``LLMChemError`` and from
 ``ValueError``, so callers can catch broadly or narrowly.
 """
 
 from __future__ import annotations
+
+
+def warn(logger: str, message: str) -> None:
+    """Log ``message`` as a warning of the logger named ``logger``.
+
+    ``logging`` is imported by the first warning, not by every process that
+    loads the package.  Like the module-level ``logging.warning``, the call
+    first gives a root logger that has no handler one on stderr, which here
+    prints ``WARNING <message>``.
+    """
+    import logging
+
+    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
+    logging.getLogger(logger).warning(message)
 
 
 class LLMChemError(ValueError):

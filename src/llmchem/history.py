@@ -16,17 +16,14 @@ of the pipeline.
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
 from pathlib import Path
 from typing import Iterable, Iterator, Literal, NamedTuple
 
 from .core import ModelProfile, ModelSet, Record
-from .errors import DomainError, ParseError, StoreVersionError
+from .errors import DomainError, ParseError, StoreVersionError, warn
 from .files import parse_float, read_csv, read_json, write_csv, write_json
-
-logger = logging.getLogger(__name__)
 
 STORE_VERSION = 1
 
@@ -304,7 +301,7 @@ def _store_from_obj(obj: dict, path: str | Path) -> ProfileStore:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # DomainError is a ValueError
         raise ParseError(f"invalid profile-store payload: {exc}", path=path) from None
     if stray:
-        logger.warning("ignoring unknown profile-store keys: %s", stray)
+        warn(__name__, f"ignoring unknown profile-store keys: {stray}")
     return store
 
 
@@ -331,7 +328,7 @@ def read_profiles(path: str | Path) -> list[ProfileStore]:
         )
     stray = sorted(set(payload) - {"version", "stores"})
     if stray:
-        logger.warning("ignoring unknown top-level keys: %s", stray)
+        warn(__name__, f"ignoring unknown top-level keys: {stray}")
     stores_obj = payload.get("stores")
     if not isinstance(stores_obj, list) or not stores_obj:
         raise ParseError("lacks a non-empty 'stores' list", path=path)

@@ -9,12 +9,12 @@ materialising the whole powerset.
 
 Costs and used sets come from a cost backend: a :class:`~llmchem.core.ModelSet`
 derives them from model profiles, a :class:`TableBackend` replays an explicit
-per-subset table (recorded or hypothetical runs).  From profile costs the
-construction always yields the full lattice over the usable members, so
-:func:`build_mig` returns it as a :class:`LatticeMIG`: a view of one cost
-table indexed by bitmask (:func:`profile_cost_table`), from which chemistry
-is scored directly.  Explicit tables and explicitly given graphs keep
-materialised nodes and answer through covering nodes (:class:`CoverLookup`).
+per-subset table (recorded or hypothetical runs).  :func:`build_mig` builds
+every node of either eagerly, and graphs answer through covering nodes
+(:class:`CoverLookup`).  From profile costs the construction always yields
+the full lattice over the usable members; its closed form, one cost table
+indexed by bitmask, is what :func:`llmchem.chemistry.profile_chemistry`
+scores, so no CLI stage builds a graph.
 """
 
 from __future__ import annotations
@@ -22,21 +22,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from functools import cached_property
-from itertools import islice, repeat
-from operator import add, mul
 from typing import Callable, Iterable, Mapping, Protocol
 
-from . import core
-from .core import Configuration, ModelSet, Record
-from .errors import DomainError, InvalidConfigurationError, SizeLimitError
-
-#: Ceiling on |S| for graph construction (worst case is the full lattice).
-BUILD_SIZE_GUARD = 20
-
-
-def subset_key(subset: Iterable[str]) -> str:
-    """Canonical string key for a subset: sorted names joined by commas."""
-    return ",".join(sorted(subset))
+# BUILD_SIZE_GUARD and subset_key are also read as llmchem.mig's own.
+from .core import BUILD_SIZE_GUARD, Configuration, Record, check_build_size, subset_key
+from .errors import DomainError, InvalidConfigurationError
 
 
 class CostBackend(Protocol):
@@ -204,29 +194,6 @@ class MIG:
         return sum(len(children) for children in self.edges.values())
 
 
-def profile_cost_table(model_set: ModelSet) -> tuple[tuple[str, ...], list[float]]:
-    """Cost of every configuration of a profile set, indexed by bitmask.
-
-    Returns the usable members best-first by the rank key of
-    :func:`llmchem.core.rank_outputs`, and a list whose entry ``mask`` is the
-    cost of the members whose bits are set (bit j for the j-th ranked
-    member).  Unusable members never change a cost, so they get no bit.  Each
-    member doubles the list: a mask whose highest bit is that member (ranked
-    last in it) extends the entry without it by ``(1 / rank) * penalty``.
-    This repeats the left-to-right sum of :func:`llmchem.core.cost` bit for bit.
-    """
-    ranked = core.rank_outputs(model_set, model_set.members)
-    weights = [1.0 / rank for rank in range(1, len(ranked) + 1)]
-    costs = [model_set.empty_cost]
-    for r in ranked:
-        top, term = len(costs), core.penalty(r.quality_norm, r.accuracy)
-        # Entry top + rest ranks this member at popcount(rest) + 1.
-        terms = map(mul, map(weights.__getitem__, map(int.bit_count, range(1, top))), repeat(term))
-        costs.append(term)
-        costs.extend(map(add, islice(costs, 1, top), terms))
-    return tuple(r.model for r in ranked), costs
-
-
 def _top_down(
     root: Configuration,
     used: Callable[[Configuration], Configuration],
@@ -253,45 +220,6 @@ def _top_down(
     return nodes, edges
 
 
-class LatticeMIG(MIG):
-    """The graph of a profile set, as a view of its bitmask cost table.
-
-    Top-down construction from profile costs reaches every subset X of the
-    usable members U, each node holding X plus every unusable member, whose
-    cost is ``costs[mask(X)]``.  ``ranked`` and ``costs`` are the table of
-    :func:`profile_cost_table`.  Node and edge counts are closed form;
-    ``nodes`` and ``edges`` are materialised on first access, identical to
-    the eager construction.
-    """
-
-    def __init__(self, model_set: ModelSet):
-        self.backend = model_set
-        self.root = model_set.members
-        self._members = self.root
-        self.ranked, self.costs = profile_cost_table(model_set)
-
-    @property
-    def node_count(self) -> int:
-        return len(self.costs)
-
-    @property
-    def edge_count(self) -> int:
-        # Each of the k usable members is removable from half of the 2^k nodes.
-        return len(self.ranked) * len(self.costs) // 2
-
-    @cached_property
-    def _materialised(self) -> tuple[dict, dict]:
-        return _top_down(self.root, self.backend.used, self.backend.cost)
-
-    @property
-    def nodes(self) -> dict[Configuration, MIGNode]:
-        return self._materialised[0]
-
-    @property
-    def edges(self) -> dict[Configuration, tuple[Configuration, ...]]:
-        return self._materialised[1]
-
-
 def build_mig(source: CostBackend) -> MIG:
     """Construct the graph top-down from the full member set.
 
@@ -299,17 +227,11 @@ def build_mig(source: CostBackend) -> MIG:
     X minus {m} for every usable member m of X (children in model-name
     order), until no node has usable members left.  Node costs and used sets
     come from the backend, so rebuilding from identical inputs yields an
-    identical graph.  A profile source gives a :class:`LatticeMIG`, which
-    holds the same graph as a cost table and materialises nodes only on
-    demand.
+    identical graph.  Every backend, a profile set included, is held to
+    ``BUILD_SIZE_GUARD`` models: the graph can hold every subset.
     """
     members = source.members
-    if not 1 <= len(members) <= BUILD_SIZE_GUARD:
-        raise SizeLimitError(
-            f"graph construction supports 1..{BUILD_SIZE_GUARD} models, got {len(members)}"
-        )
-    if isinstance(source, ModelSet):
-        return LatticeMIG(source)
+    check_build_size(members)
     root = frozenset(members)
     nodes, edges = _top_down(root, source.used, source.cost)
     return MIG(source, nodes, edges, root)

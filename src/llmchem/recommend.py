@@ -31,10 +31,9 @@ from pathlib import Path
 from typing import Iterable
 
 from .chemistry import ChemistryTable, pair_key
-from .core import Configuration, Record, field, left_sum
+from .core import Configuration, Record, field, left_sum, subset_key
 from .errors import DomainError, InvalidConfigurationError, NoCandidatesError
 from .files import read_name_lists
-from .mig import subset_key
 
 
 class LossParams(Record):

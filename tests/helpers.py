@@ -13,10 +13,10 @@ from typing import Iterator, Sequence
 
 from llmchem import ModelProfile, ModelSet
 from llmchem.chemistry import pair_key
-from llmchem.core import left_sum
+from llmchem.core import left_sum, subset_key
 from llmchem.errors import DomainError, InvalidConfigurationError, NoCandidatesError, ParseError
 from llmchem.history import HISTORY_COLUMNS
-from llmchem.mig import MIG, MIGNode, TableBackend, subset_key
+from llmchem.mig import MIG, MIGNode, TableBackend
 from llmchem.recommend import Recommendation, chem_totals, neighbors
 
 
@@ -638,8 +638,8 @@ def reference_parse_history_csv(path: str | Path) -> list[ReferenceHistoryRecord
 
 
 def reference_audit_cost_properties(model_set, trials: int, seed: int):
-    """Verbatim copy of ``core.audit_cost_properties`` before it ran one loop over a table."""
-    from llmchem.core import (
+    """Verbatim copy of ``audit.audit_cost_properties`` before it ran one loop over a table."""
+    from llmchem.audit import (
         _ABS_TOL,
         AUDIT_SIZE_GUARD,
         AuditSection,

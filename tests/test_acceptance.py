@@ -41,6 +41,7 @@ from llmchem import (
     hypervolume2d,
     parse_history_csv,
     penalty,
+    profile_chemistry,
     rank_outputs,
     read_profiles,
     recommend,
@@ -210,13 +211,15 @@ def test_criterion_05_oracle_equivalence():
         graph = build_mig(ms)
         assert graph.node_count == 2 ** size  # full lattice
         fast = cheme(graph)
+        profile = profile_chemistry(ms)
         slow = chem_table_bruteforce(ms)
         for a, b, value in fast.pairs():
             assert value == slow.score(a, b), (a, b, value, slow.score(a, b))
+            assert profile.score(a, b) == slow.score(a, b), (a, b, profile.score(a, b))
             checked_pairs += 1
     elapsed = time.perf_counter() - started
     ok = elapsed < 60.0
-    report(5, "graph scorer equals exhaustive oracle", ok,
+    report(5, "graph and profile scorers equal exhaustive oracle", ok,
            f"{checked_pairs} pairs bit-identical, {elapsed:.1f}s")
     assert ok
 

@@ -25,9 +25,16 @@ from llmchem import (
     heterogeneity_diagnostic,
     llmcp_filter,
     penalty,
+    profile_chemistry,
     used_subset,
 )
-from llmchem.chemistry import _certified_score, _lattice_bounds, _pair_score, pair_key
+from llmchem.chemistry import (
+    _certified_score,
+    _lattice_bounds,
+    _pair_score,
+    pair_key,
+    profile_cost_table,
+)
 from llmchem.cli import main
 from llmchem.errors import (
     DomainError,
@@ -38,7 +45,7 @@ from llmchem.errors import (
     SizeLimitError,
 )
 from llmchem.history import read_profiles
-from llmchem.mig import MIG, LatticeMIG, MIGNode, TableBackend
+from llmchem.mig import MIG, MIGNode, TableBackend
 
 from helpers import (
     drawn_example_graph,
@@ -223,18 +230,17 @@ class TestCostTableKernel:
     @settings(max_examples=300, deadline=None)
     @given(ms=kernel_model_sets())
     def test_table_and_scores_equal_the_oracles_bit_for_bit(self, ms):
-        graph = build_mig(ms)
-        assert isinstance(graph, LatticeMIG)
+        ranked, costs = profile_cost_table(ms)
         unusable = ms.members - used_subset(ms, ms.members)
-        for mask, value in enumerate(graph.costs):
-            subset = {name for j, name in enumerate(graph.ranked) if mask >> j & 1}
+        for mask, value in enumerate(costs):
+            subset = {name for j, name in enumerate(ranked) if mask >> j & 1}
             assert value == cost(ms, subset)
             assert value == cost(ms, subset | unusable)
-        assert cheme(graph).scores == chem_table_bruteforce(ms).scores
+        assert profile_chemistry(ms).scores == chem_table_bruteforce(ms).scores
 
     def test_cover_path_on_recorded_tables_equals_bruteforce(self):
-        # A table of every subset's profile cost and used set takes the
-        # eager graph and the covering-node scan, not the cost table.
+        # A table of every subset's profile cost and used set is scored
+        # through its eager graph and the covering-node scan.
         rng = random.Random(89)
         with_unusable = 0
         for _ in range(40):
@@ -251,7 +257,6 @@ class TestCostTableKernel:
                 members=names,
             )
             graph = build_mig(backend)
-            assert not isinstance(graph, LatticeMIG)
             assert cheme(graph).scores == chem_table_bruteforce(ms).scores
             with_unusable += used_subset(ms, ms.members) != ms.members
         assert with_unusable > 0
@@ -338,10 +343,10 @@ def pruning_model_sets(draw) -> ModelSet:
     return ModelSet(profiles=profiles, empty_cost=empty_cost)
 
 
-def lattice_pairs(graph: LatticeMIG) -> list[tuple[str, str, int, int]]:
-    """Every pair of usable members as in ``cheme``: (a, b, bit of a, bit of b), a < b."""
-    bits = {name: 1 << j for j, name in enumerate(graph.ranked)}
-    return [(a, b, bits[a], bits[b]) for a, b in combinations(sorted(graph.ranked), 2)]
+def lattice_pairs(ranked: tuple[str, ...]) -> list[tuple[str, str, int, int]]:
+    """Every pair of usable members as scored: (a, b, bit of a, bit of b), a < b."""
+    bits = {name: 1 << j for j, name in enumerate(ranked)}
+    return [(a, b, bits[a], bits[b]) for a, b in combinations(sorted(ranked), 2)]
 
 
 def dense14_seed1_model_set(directory: Path) -> ModelSet:
@@ -358,7 +363,7 @@ def dense14_seed1_model_set(directory: Path) -> ModelSet:
 
 
 class TestCertifiedPruning:
-    """``cheme`` scores a pair at the empty context only where a float bound proves it wins."""
+    """A profile pair is scored at the empty context only where a float bound proves it wins."""
 
     def test_certified_or_fallback_scores_equal_the_full_kernel_bit_for_bit(self):
         taken = {"certified": 0, "fallback": 0}
@@ -366,13 +371,12 @@ class TestCertifiedPruning:
         @settings(max_examples=400, deadline=None)
         @given(ms=pruning_model_sets())
         def check(ms):
-            graph = build_mig(ms)
-            costs = graph.costs
+            ranked, costs = profile_cost_table(ms)
             spans, lows = _lattice_bounds(costs)
             everyone = len(costs) - 1
             # A pair with an unusable member has no bit and scores 0.
             expected = dict.fromkeys(map(frozenset, combinations(ms.members, 2)), 0.0)
-            for a, b, bit_a, bit_b in lattice_pairs(graph):
+            for a, b, bit_a, bit_b in lattice_pairs(ranked):
                 full = _pair_score(costs, bit_a, bit_b, everyone ^ bit_a ^ bit_b)
                 certified = _certified_score(costs, spans, lows, bit_a, bit_b)
                 if certified is None:
@@ -383,9 +387,9 @@ class TestCertifiedPruning:
                 expected[frozenset((a, b))] = full
             if math.inf in expected.values():
                 with pytest.raises(DomainError, match="overflowed to inf"):
-                    cheme(graph)
+                    profile_chemistry(ms)
             else:
-                assert cheme(graph).scores == expected
+                assert profile_chemistry(ms).scores == expected
 
         check()
         assert taken["certified"] > 0 and taken["fallback"] > 0, taken
@@ -393,19 +397,18 @@ class TestCertifiedPruning:
     @settings(max_examples=200, deadline=None)
     @given(ms=pruning_model_sets())
     def test_the_bound_is_never_below_any_non_empty_context(self, ms):
-        graph = build_mig(ms)
-        costs = graph.costs
+        ranked, costs = profile_cost_table(ms)
         spans, lows = _lattice_bounds(costs)
         everyone = len(costs) - 1
-        assert len(spans) == len(lows) == len(graph.ranked)
-        for j in range(len(graph.ranked)):
+        assert len(spans) == len(lows) == len(ranked)
+        for j in range(len(ranked)):
             bit = 1 << j
             gains = [costs[y] - costs[y | bit] for y in range(1, everyone + 1) if not y & bit]
             assert spans[j] == (max(gains) - min(gains) if gains else 0.0)
             # Every mask that holds bit j and at least one other bit.
             shared = [costs[mask] for mask in range(everyone + 1) if mask & bit and mask != bit]
             assert lows[j] == min(shared, default=math.inf)
-        for _, _, bit_a, bit_b in lattice_pairs(graph):
+        for _, _, bit_a, bit_b in lattice_pairs(ranked):
             both = bit_a | bit_b
             low = max(lows[bit_a.bit_length() - 1], lows[bit_b.bit_length() - 1])
             if not low > 0.0:
@@ -432,16 +435,15 @@ class TestCertifiedPruning:
             ),
             empty_cost=0.28,
         )
-        graph = build_mig(ms)
-        costs = graph.costs
+        ranked, costs = profile_cost_table(ms)
         spans, lows = _lattice_bounds(costs)
-        _, _, bit_a, bit_b = lattice_pairs(graph)[0]
+        _, _, bit_a, bit_b = lattice_pairs(ranked)[0]
         both = bit_a | bit_b
         low = max(lows[bit_a.bit_length() - 1], lows[bit_b.bit_length() - 1])
         assert low <= costs[7] < costs[both]
         assert _certified_score(costs, spans, lows, bit_a, bit_b) is None
         full = _pair_score(costs, bit_a, bit_b, (len(costs) - 1) ^ both)
-        assert cheme(graph).score("a", "b") == full == pytest.approx(0.336134453781513)
+        assert profile_chemistry(ms).score("a", "b") == full == pytest.approx(0.336134453781513)
 
     def test_a_pair_only_the_superset_minimum_certifies_is_scanned(self):
         # cost({a, c}) = 0.3447 and cost({a, b, c}) = 0.2938, so the empty
@@ -456,10 +458,9 @@ class TestCertifiedPruning:
             ),
             empty_cost=0.41,
         )
-        graph = build_mig(ms)
-        costs = graph.costs
+        ranked, costs = profile_cost_table(ms)
         spans, lows = _lattice_bounds(costs)
-        (_, _, bit_a, bit_c), = [pair for pair in lattice_pairs(graph) if pair[:2] == ("a", "c")]
+        (_, _, bit_a, bit_c), = [pair for pair in lattice_pairs(ranked) if pair[:2] == ("a", "c")]
         both = bit_a | bit_c
         at_empty = abs((costs[0] - costs[bit_a]) - (costs[bit_c] - costs[both])) / costs[both]
         span = spans[bit_a.bit_length() - 1]
@@ -467,7 +468,7 @@ class TestCertifiedPruning:
         assert span / max(lows[bit_a.bit_length() - 1], lows[bit_c.bit_length() - 1]) > at_empty
         assert _certified_score(costs, spans, lows, bit_a, bit_c) is None
         full = _pair_score(costs, bit_a, bit_c, 7 ^ both)
-        assert cheme(graph).score("a", "c") == full == at_empty
+        assert profile_chemistry(ms).score("a", "c") == full == at_empty
         assert full == pytest.approx(0.628082390484479)
 
     def test_the_bound_divides_by_the_larger_of_the_two_members_lows(self):
@@ -483,16 +484,15 @@ class TestCertifiedPruning:
             ),
             empty_cost=0.1,
         )
-        graph = build_mig(ms)
-        costs = graph.costs
+        ranked, costs = profile_cost_table(ms)
         spans, lows = _lattice_bounds(costs)
-        (_, _, bit_a, bit_b), = [pair for pair in lattice_pairs(graph) if pair[:2] == ("a", "b")]
+        (_, _, bit_a, bit_b), = [pair for pair in lattice_pairs(ranked) if pair[:2] == ("a", "b")]
         low_a, low_b = lows[bit_a.bit_length() - 1], lows[bit_b.bit_length() - 1]
         assert low_a == costs[7] and low_b == costs[7 ^ bit_a] < low_a
         at_empty = _certified_score(costs, spans, lows, bit_a, bit_b)
         assert spans[bit_a.bit_length() - 1] / low_b > at_empty
         full = _pair_score(costs, bit_a, bit_b, 7 ^ bit_a ^ bit_b)
-        assert cheme(graph).score("a", "b") == at_empty == full
+        assert profile_chemistry(ms).score("a", "b") == at_empty == full
         assert full == pytest.approx(0.4347826086956523)
 
     @pytest.mark.parametrize("quality, accuracy", [(8.0, 0.8), (0.0, 0.5), (5.0, 0.6), (9.9, 0.99)])
@@ -501,25 +501,25 @@ class TestCertifiedPruning:
         # so span < p/2 over low = 1.5p bounds every other context below 1/3,
         # while the empty context scores |E - p/2| / 1.5p >= 1/3.
         for size in range(2, 11):
-            graph = build_mig(homogeneous_model_set(size, quality, accuracy))
-            spans, lows = _lattice_bounds(graph.costs)
-            for _, _, bit_a, bit_b in lattice_pairs(graph):
+            ranked, costs = profile_cost_table(homogeneous_model_set(size, quality, accuracy))
+            spans, lows = _lattice_bounds(costs)
+            for _, _, bit_a, bit_b in lattice_pairs(ranked):
                 low = max(lows[bit_a.bit_length() - 1], lows[bit_b.bit_length() - 1])
                 assert spans[bit_a.bit_length() - 1] / low < 1.0 / 3.0
-                score = _certified_score(graph.costs, spans, lows, bit_a, bit_b)
+                score = _certified_score(costs, spans, lows, bit_a, bit_b)
                 assert score is not None and score >= 1.0 / 3.0
 
     def test_every_dense14_seed1_pair_is_certified(self, tmp_path, capsys):
         ms = dense14_seed1_model_set(tmp_path)
-        graph = build_mig(ms)
-        spans, lows = _lattice_bounds(graph.costs)
-        pairs = lattice_pairs(graph)
+        ranked, costs = profile_cost_table(ms)
+        spans, lows = _lattice_bounds(costs)
+        pairs = lattice_pairs(ranked)
         assert len(pairs) == 91
         certified = [
-            _certified_score(graph.costs, spans, lows, bit_a, bit_b) for _, _, bit_a, bit_b in pairs
+            _certified_score(costs, spans, lows, bit_a, bit_b) for _, _, bit_a, bit_b in pairs
         ]
         assert None not in certified
-        assert cheme(graph).scores == {
+        assert profile_chemistry(ms).scores == {
             frozenset((a, b)): score for (a, b, _, _), score in zip(pairs, certified)
         }
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import math
 import re
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from llmchem import __version__, cli
+from llmchem import __version__
 from llmchem.chemistry import pair_key
 from llmchem.cli import _INPUTS, build_parser, main
 from llmchem.history import HISTORY_COLUMNS, HistoryRecord, write_history_csv
@@ -425,28 +426,53 @@ class TestConfigAndErrors:
         assert "row 2, field 'chemistry'" in err
 
 
-def _run_python(*args: str, hash_seed: str | None = None) -> str:
-    """Run this interpreter on the package sources in a subprocess; return stdout."""
+def _python(*args: str, hash_seed: str | None = None) -> subprocess.CompletedProcess:
+    """Run this interpreter on the package sources in a subprocess, capturing its output."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     if hash_seed is not None:
         env["PYTHONHASHSEED"] = hash_seed
-    done = subprocess.run(
-        [sys.executable, *args], env=env, check=True, timeout=120,
-        stdout=subprocess.PIPE, text=True,
+    return subprocess.run(
+        [sys.executable, *args], env=env, timeout=120, capture_output=True, text=True,
     )
+
+
+def _run_python(*args: str, hash_seed: str | None = None) -> str:
+    """Run this interpreter on the package sources in a subprocess; return stdout."""
+    done = _python(*args, hash_seed=hash_seed)
+    assert done.returncode == 0, done.stderr
     return done.stdout
 
 
-def test_importing_the_cli_loads_no_numpy_dataclasses_inspect_or_statistics():
+def test_importing_the_cli_loads_no_module_that_no_stage_runs():
     # Only what the import adds counts, so a site hook that loads one first passes.
     added = _run_python("-c", (
         "import sys; before = set(sys.modules); import llmchem.cli; "
         "print(*sorted(set(sys.modules) - before), sep='\\n')"
     ))
     assert "llmchem.cli" in added.split()
-    assert {"numpy", "dataclasses", "inspect", "statistics"} & set(added.split()) == set()
+    unused = {"numpy", "dataclasses", "inspect", "statistics", "logging", "llmchem.mig",
+              "llmchem.audit"}
+    assert unused & set(added.split()) == set()
+
+
+def test_a_chem_run_loads_no_graph_module(store_path, tmp_path):
+    argv = ["chem", "--store", str(store_path), "--out", str(tmp_path / "chem.csv")]
+    out = _run_python("-c", (
+        "import sys; from llmchem.cli import main; "
+        f"print(main({argv!r}), 'llmchem.mig' in sys.modules)"
+    ))
+    assert out.splitlines()[-1] == "0 False"
+
+
+def test_the_package_reaches_its_submodules_and_exports_on_first_use():
+    out = _run_python("-c", (
+        "import llmchem; "
+        "print(llmchem.mig.subset_key('ba'), llmchem.audit.AUDIT_SIZE_GUARD, "
+        "llmchem.cheme.__module__, callable(llmchem.recommend), hasattr(llmchem, 'nosuch'))"
+    ))
+    assert out.split() == ["a,b", "12", "llmchem.chemistry", "True", "False"]
 
 
 def test_check_output_does_not_depend_on_the_hash_seed(store_path):
@@ -704,10 +730,10 @@ def test_bad_input_exits_1_naming_the_file(fault, store_path, history_fixture, t
 
 
 def test_an_internal_fault_exits_2_and_writes_nothing(store_path, tmp_path, capsys, monkeypatch):
-    def boom(graph):
+    def boom(model_set):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("llmchem.cli.cheme", boom)
+    monkeypatch.setattr("llmchem.cli.profile_chemistry", boom)
     out = tmp_path / "out" / "chem.csv"
     out.parent.mkdir()
     capsys.readouterr()
@@ -737,22 +763,23 @@ def _nonzero_if_homogeneous(real):
     return patched
 
 
-#: Name patched in ``llmchem.cli`` -> (wrapper of the real function, the one
-#: FAIL line that ``check`` must then print on the fixture store).
+#: Name patched -> (the module it is patched in, wrapper of the real function,
+#: the one FAIL line that ``check`` must then print on the fixture store).
 CHECK_FAULTS = {
-    "audit_cost_properties": (_one_monotonicity_violation,
+    "audit_cost_properties": ("llmchem.audit", _one_monotonicity_violation,
                               "FAIL monotonicity: 1/1000 violations"),
-    "chem_table_bruteforce": (_nonzero_if_homogeneous,
+    "chem_table_bruteforce": ("llmchem.cli", _nonzero_if_homogeneous,
                               "FAIL homogeneity probe: max chemistry 5e-324"),
-    "cheme": (lambda real: lambda graph: _one_ulp_up(real(graph)),
-              "FAIL graph-vs-exhaustive on 4 usable models: 1 mismatch(es)"),
+    "profile_chemistry": ("llmchem.cli", lambda real: lambda ms: _one_ulp_up(real(ms)),
+                          "FAIL graph-vs-exhaustive on 4 usable models: 1 mismatch(es)"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CHECK_FAULTS))
 def test_a_failed_check_section_exits_2(name, store_path, capsys, monkeypatch):
-    wrap, line = CHECK_FAULTS[name]
-    monkeypatch.setattr(f"llmchem.cli.{name}", wrap(getattr(cli, name)))
+    module, wrap, line = CHECK_FAULTS[name]
+    real = getattr(importlib.import_module(module), name)
+    monkeypatch.setattr(f"{module}.{name}", wrap(real))
     capsys.readouterr()
     assert main(["check", "--store", str(store_path)]) == 2
     lines = capsys.readouterr().out.splitlines()
@@ -1036,9 +1063,8 @@ def test_out_of_range_subcommand_flag_exits_1_naming_the_flag(flag, tmp_path, ca
     assert list(tmp_path.iterdir()) == []
 
 
-def test_eval_history_warns_per_ensemble_and_rejects_an_ensemble_with_no_full_task(
-    store_path, history_fixture, tmp_path, caplog, capsys
-):
+def _partial_history(path: Path) -> Path:
+    """A history in which gpt-4o and o3-mini share task a; each answers one task alone."""
     records = [
         HistoryRecord(
             trial="t1", model=model, task=task, latency=1.0, temperature=0.7, id=f"{task}{model}",
@@ -1047,8 +1073,14 @@ def test_eval_history_warns_per_ensemble_and_rejects_an_ensemble_with_no_full_ta
         )
         for task, model in (("a", "gpt-4o"), ("a", "o3-mini"), ("b", "gpt-4o"), ("c", "o3-mini"))
     ]
-    history = tmp_path / "partial.csv"
-    write_history_csv(records, history)
+    write_history_csv(records, path)
+    return path
+
+
+def test_eval_history_warns_per_ensemble_and_rejects_an_ensemble_with_no_full_task(
+    store_path, history_fixture, tmp_path, caplog, capsys
+):
+    history = _partial_history(tmp_path / "partial.csv")
     ensembles = tmp_path / "ensembles.json"
     ensembles.write_text(json.dumps({"ensembles": [["gpt-4o", "o3-mini"], ["gpt-4o"]]}))
     argv = ["eval", "--store", str(store_path), "--ensembles", str(ensembles),
@@ -1071,6 +1103,23 @@ def test_eval_history_warns_per_ensemble_and_rejects_an_ensemble_with_no_full_ta
         f"['gpt-4o', 'qwen2.5:32b'] (in {history})\n"
     )
     assert not (tmp_path / "none.csv").exists()
+
+
+def test_a_cli_process_prints_each_warning_as_level_and_text_on_stderr(store_path, tmp_path):
+    ensembles = tmp_path / "ensembles.json"
+    ensembles.write_text(json.dumps({"ensembles": [["gpt-4o", "o3-mini"]]}))
+    done = _python("-m", "llmchem.cli", "eval", "--store", str(store_path),
+                   "--ensembles", str(ensembles), "--metric", "effectiveness",
+                   "--history", str(_partial_history(tmp_path / "partial.csv")),
+                   "--out", str(tmp_path / "e.csv"))
+    assert (done.returncode, done.stderr) == (
+        0, "WARNING skipped 2 task(s) lacking records for some members\n"
+    )
+    store = tmp_path / "extra.json"
+    store.write_text(json.dumps({**json.loads(_store_of(2)), "x": 1}))
+    done = _python("-m", "llmchem.cli", "chem", "--store", str(store),
+                   "--out", str(tmp_path / "c.csv"))
+    assert (done.returncode, done.stderr) == (0, "WARNING ignoring unknown top-level keys: ['x']\n")
 
 
 @pytest.mark.parametrize("flag, metric", [

@@ -18,10 +18,11 @@ from llmchem import (
     rank_outputs,
     used_subset,
 )
-from llmchem.chemistry import ChemistryTable, DiversityFamily, HeterogeneityReport, pair_key
+from llmchem.audit import AuditSection, DiversityFamily, HeterogeneityReport, PropertyAuditReport
+from llmchem.chemistry import ChemistryTable, pair_key
 from llmchem.complementarity import ChemistryMap, CIParams, EnsemblePoint
 from llmchem.consensus import ConsensusResult, GradeMatrix
-from llmchem.core import AuditSection, PropertyAuditReport, Record, left_sum
+from llmchem.core import Record, left_sum
 from llmchem.errors import (
     DomainError,
     InvalidConfigurationError,

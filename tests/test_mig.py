@@ -14,10 +14,11 @@ from llmchem import (
     benefit,
     build_mig,
     cost,
+    profile_chemistry,
     subset_key,
 )
 from llmchem.errors import DomainError, InvalidConfigurationError, SizeLimitError
-from llmchem.mig import MIG, LatticeMIG, MIGNode, TableBackend
+from llmchem.mig import MIG, MIGNode, TableBackend
 
 from helpers import drawn_example_graph, example_backend, random_model_set
 
@@ -58,9 +59,7 @@ class TestBuild:
         (drawn_example_graph, 6, 7),
     ], ids=["built", "drawn"])
     def test_materialised_graph_counts(self, make, nodes, edges):
-        # LatticeMIG overrides both counts; these read the materialised graph's.
         graph = make()
-        assert not isinstance(graph, LatticeMIG)
         assert (graph.node_count, graph.edge_count) == (nodes, edges)
         assert graph.node_count == len(graph.nodes)
         assert graph.edge_count == sum(len(children) for children in graph.edges.values())
@@ -72,10 +71,14 @@ class TestBuild:
         assert graph.edge_count == 1
 
     def test_size_guard(self):
+        # One guard, for a profile set as for a recorded table, and for the
+        # profile scorer's cost table: each can hold every subset.
         rng = random.Random(1)
         ms = random_model_set(rng, 21)
-        with pytest.raises(SizeLimitError):
-            build_mig(ms)
+        table = TableBackend(costs={(): 1.0}, members=sorted(ms.members))
+        for call, source in ((build_mig, ms), (build_mig, table), (profile_chemistry, ms)):
+            with pytest.raises(SizeLimitError, match=r"supports 1\.\.20 models, got 21$"):
+                call(source)
 
     def test_node_count_bound_and_edge_bound(self):
         rng = random.Random(3)

@@ -489,6 +489,8 @@ CONSUMERS = [
 @example(earlier=[], last=HEADER_LINE + b"t,m,,1,0,o,r,5,1,0,1,1,e,c\n")
 @example(earlier=[], last=HEADER_LINE + b",m,q,1,0,o,r,5,1,0,1,1,e,c\n")
 @example(earlier=[HEADER_LINE + ROW_LINE], last=HEADER_LINE + ROW_LINE)  # "first read from"
+# Two models sharing a (trial, id) in one file.
+@example(earlier=[], last=HEADER_LINE + ROW_LINE + ROW_LINE.replace(b"t,m,", b"t,n,"))
 def test_the_row_stream_equals_the_reference_and_feeds_the_same_results(workdir, earlier, last):
     # The earlier files are valid, so that the last one's rows are read and
     # may repeat their keys; its ids count from o0 as theirs do.
