@@ -14,7 +14,7 @@ each in a run directory of its own:
 * ``sample``: inputs derived from ``tests/data/history_sample.csv`` (grades,
   references and results for ``score``, a candidate pool and ensembles), then
   ingest, score, chem (graph and exhaustive), recommend, map, eval (ci,
-  correlation, effectiveness with ``--history``) and check;
+  correlation, effectiveness with and without ``--history``) and check;
 * ``dense14``, ``sparse15`` and ``bulk40k``: the benchmark workloads' inputs
   at seed 1 (``perfbench/gen.py``), then the stages ``perfbench/run.py``'s
   ``stage_plan`` runs, and check.
@@ -70,6 +70,8 @@ STAGES = {
                  "--metric correlation --chem out/chem.csv --out out/eval_corr.csv",
     "eval_hist": "eval --store out/store.json --ensembles in/ensembles.json "
                  "--metric effectiveness --history in/history.csv --out out/eval_hist.csv",
+    "eval_eff": "eval --store out/store.json --ensembles in/ensembles.json --metric effectiveness "
+                "--out out/eval_eff.csv",
     "check": "check --store out/store.json",
 }
 

@@ -15,7 +15,7 @@ configuration of its usable members (:func:`profile_cost_table`), the closed
 form of its full interaction graph; for a graph it holds each subset's
 covering-node cost, with NaN marking every context the covers cannot answer.
 On a fully materialised graph either way agrees with the exact enumerator,
-term for term.
+term for term.  All three build their table in :func:`_pair_table`.
 
 On the cost table a float bound first tries to certify each pair's empty
 context, by branch and bound: every other context's ratio is at most
@@ -31,7 +31,7 @@ import math
 from itertools import combinations, islice, repeat
 from operator import add, mul, sub
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .core import (
     Configuration,
@@ -152,6 +152,17 @@ def _finite_score(a: str, b: str, score: float) -> float:
     return score
 
 
+def _pair_table(
+    members: Configuration, method: str, score: Callable[[str, str], float]
+) -> ChemistryTable:
+    """The table of ``score(a, b)`` for each pair a < b of ``members`` in order, checked finite."""
+    pairs = list(combinations(sorted(members), 2))
+    if not pairs:
+        raise InvalidConfigurationError("chemistry needs at least two models")
+    scores = {pair_key(a, b): _finite_score(a, b, score(a, b)) for a, b in pairs}
+    return ChemistryTable(scores=scores, members=members, method=method)
+
+
 def _pair_score_bruteforce(
     backend: CostBackend,
     focus: str,
@@ -181,7 +192,7 @@ def _pair_score_bruteforce(
             d = abs(gain_alone - gain_with_partner) / denom
             if d > best:
                 best = d
-    return _finite_score(focus, partner, best)
+    return best
 
 
 def _check_brute_force_size(members: Configuration) -> None:
@@ -206,7 +217,7 @@ def chem_pair_bruteforce(backend: CostBackend, a: str, b: str) -> float:
         if name not in members:
             raise InvalidConfigurationError(f"unknown model {name!r}")
     _check_brute_force_size(members)
-    return _pair_score_bruteforce(backend, a, b, cache={})
+    return _finite_score(a, b, _pair_score_bruteforce(backend, a, b, cache={}))
 
 
 def chem_table_bruteforce(backend: CostBackend) -> ChemistryTable:
@@ -216,15 +227,11 @@ def chem_table_bruteforce(backend: CostBackend) -> ChemistryTable:
     member; the two perspectives agree (the benefit difference is symmetric
     in a and b), so this is purely a determinism convention.
     """
-    members = backend.members
-    _check_brute_force_size(members)
-    if len(members) < 2:
-        raise InvalidConfigurationError("chemistry needs at least two models")
+    _check_brute_force_size(backend.members)
     cache: dict[Configuration, float] = {}
-    scores: dict[PairKey, float] = {}
-    for a, b in combinations(sorted(members), 2):
-        scores[pair_key(a, b)] = _pair_score_bruteforce(backend, a, b, cache)
-    return ChemistryTable(scores=scores, members=members, method="brute-force")
+    return _pair_table(
+        backend.members, "brute-force", lambda a, b: _pair_score_bruteforce(backend, a, b, cache)
+    )
 
 
 def _pair_score(costs: list[float], bit_a: int, bit_b: int, rest: int) -> float:
@@ -333,24 +340,22 @@ def profile_chemistry(model_set: ModelSet) -> ChemistryTable:
     every context.  On a tie with the bound the loop's first maximiser can
     be another context, with the same value.
     """
-    members = model_set.members
-    check_build_size(members)
-    scores: dict[PairKey, float] = {
-        pair_key(a, b): 0.0 for a, b in combinations(sorted(members), 2)
-    }
-    if not scores:
-        raise InvalidConfigurationError("chemistry needs at least two models")
+    check_build_size(model_set.members, "a chemistry cost table")
     names, costs = profile_cost_table(model_set)
     spans, lows = _lattice_bounds(costs)
     bits = {name: 1 << j for j, name in enumerate(names)}
     everyone = len(costs) - 1
-    for a, b in combinations(sorted(names), 2):
-        bit_a, bit_b = bits[a], bits[b]
-        score = _certified_score(costs, spans, lows, bit_a, bit_b)
-        if score is None:
-            score = _pair_score(costs, bit_a, bit_b, everyone ^ (bit_a | bit_b))
-        scores[pair_key(a, b)] = _finite_score(a, b, score)
-    return ChemistryTable(scores=scores, members=members, method="mig-cheme")
+
+    def score(a: str, b: str) -> float:
+        bit_a, bit_b = bits.get(a), bits.get(b)
+        if bit_a is None or bit_b is None:
+            return 0.0
+        certified = _certified_score(costs, spans, lows, bit_a, bit_b)
+        if certified is None:
+            return _pair_score(costs, bit_a, bit_b, everyone ^ (bit_a | bit_b))
+        return certified
+
+    return _pair_table(model_set.members, "mig-cheme", score)
 
 
 def cheme(graph: MIG) -> ChemistryTable:
@@ -371,11 +376,6 @@ def cheme(graph: MIG) -> ChemistryTable:
     """
     from .mig import CoverLookup
 
-    scores: dict[PairKey, float] = {
-        pair_key(a, b): 0.0 for a, b in combinations(sorted(graph.members), 2)
-    }
-    if not scores:
-        raise InvalidConfigurationError("chemistry needs at least two models")
     names = sorted(graph.members)
     lookup = CoverLookup(graph)
     covers = [
@@ -385,17 +385,17 @@ def cheme(graph: MIG) -> ChemistryTable:
     costs = [math.nan if node is None else node.cost for node in covers]
     bits = {name: 1 << j for j, name in enumerate(names)}
     everyone = len(costs) - 1
-    for a, b in combinations(names, 2):
-        bit_a, bit_b = bits[a], bits[b]
-        both = bit_a | bit_b
+
+    def score(a: str, b: str) -> float:
+        both = bits[a] | bits[b]
         # A context whose cover holds a or b is inadmissible: mark it NaN.
         table = costs.copy()
         for mask, node in enumerate(covers):
             if not mask & both and node is not None and (a in node.subset or b in node.subset):
                 table[mask] = math.nan
-        score = _pair_score(table, bit_a, bit_b, everyone ^ both)
-        scores[pair_key(a, b)] = _finite_score(a, b, score)
-    return ChemistryTable(scores=scores, members=graph.members, method="mig-cheme")
+        return _pair_score(table, bits[a], bits[b], everyone ^ both)
+
+    return _pair_table(graph.members, "mig-cheme", score)
 
 
 def check_tau(tau: float) -> None:

@@ -28,7 +28,6 @@ from .complementarity import (
     complementarity_index,
     delta_ci_map,
     effectiveness_by_task,
-    effectiveness_soft_vote,
     pearson_r,
     task_accuracies,
 )
@@ -210,6 +209,9 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         if not number or not -math.inf < value < math.inf:
             kind = "an integer" if whole else "a finite number"
             raise _UsageError(f"config key {key!r} {where} must be {kind}, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # an int beyond every float; compared exactly
+            raise _UsageError(f"config key {key!r} {where} is out of range: its magnitude "
+                              f"exceeds the largest float, {sys.float_info.max!r}")
         try:
             check(value)
         except DomainError as exc:
@@ -427,54 +429,46 @@ def cmd_eval(args: argparse.Namespace, config: dict) -> int:
     rows: list[list] = []
 
     if args.metric == "effectiveness":
-        accuracies = task_accuracies(iter_history_rows(args.history)) if args.history else None
-        if accuracies == {}:
-            raise ParseError("a history CSV needs at least one record", path=args.history)
+        if args.history:
+            accuracies = task_accuracies(iter_history_rows(args.history))
+            if not accuracies:
+                raise ParseError("a history CSV needs at least one record", path=args.history)
+        else:  # one pseudo-task over the stored profile accuracies
+            accuracies = {"": {name: profile.accuracy for name, profile in store.profiles.items()}}
         header = ["ensemble", "effectiveness"]
-        if accuracies is not None:
-            votes = effectiveness_by_task(accuracies, ensembles)
-            for number, (group, (value, skipped)) in enumerate(zip(ensembles, votes), start=1):
-                if skipped:
-                    warn(__name__, f"skipped {skipped} task(s) lacking records for some members")
-                if value is None:
-                    raise ParseError(
-                        f"no task has records for every member of ensemble {number}: {group}",
-                        path=args.history,
-                    )
-                rows.append(["|".join(group), value])
-        else:
-            for group in ensembles:
-                # Single pseudo-task over the stored profile accuracies.
-                matrix = [[store.profiles[m].accuracy for m in group]]
-                rows.append(["|".join(group), effectiveness_soft_vote(matrix)])
-    elif args.metric == "ci":
-        header = ["ensemble", "ci"]
+        votes = effectiveness_by_task(accuracies, ensembles)
+        for number, (group, (value, skipped)) in enumerate(zip(ensembles, votes), start=1):
+            if skipped:
+                warn(__name__, f"skipped {skipped} task(s) lacking records for some members")
+            if value is None:
+                raise ParseError(
+                    f"no task has records for every member of ensemble {number}: {group}",
+                    path=args.history,
+                )
+            rows.append(["|".join(group), value])
+    else:
         params = CIParams(lam=config["lambda"])
+        cis = []
         for group in ensembles:
             points = [EnsemblePoint.from_profile(store.profiles[m]) for m in group]
-            rows.append(["|".join(group), complementarity_index(points, params)])
-    else:  # correlation
-        table = ChemistryTable.from_csv(args.chem, members=frozenset(store.profiles))
-        params = CIParams(lam=config["lambda"])
-        header = ["ensemble", "chemistry", "ci"]
-        chems, cis = [], []
-        for group in ensembles:
-            points = [EnsemblePoint.from_profile(store.profiles[m]) for m in group]
-            pair_scores = [
-                table.score(a, b)
-                for i, a in enumerate(group)
-                for b in group[i + 1 :]
-            ]
-            chem = left_sum(pair_scores) / len(pair_scores) if pair_scores else 0.0
-            ci = complementarity_index(points, params)
-            chems.append(chem)
-            cis.append(ci)
-            rows.append(["|".join(group), chem, ci])
-        try:
-            extra["pearson_r"] = pearson_r(chems, cis)
-        except UndefinedCorrelationError as exc:
-            extra["pearson_r"] = None
-            extra["pearson_note"] = str(exc)
+            cis.append(complementarity_index(points, params))
+        if args.metric == "ci":
+            header = ["ensemble", "ci"]
+            rows = [["|".join(group), ci] for group, ci in zip(ensembles, cis)]
+        else:  # correlation
+            table = ChemistryTable.from_csv(args.chem, members=frozenset(store.profiles))
+            header = ["ensemble", "chemistry", "ci"]
+            chems = []
+            for group, ci in zip(ensembles, cis):
+                pair_scores = [table.score(a, b) for i, a in enumerate(group)
+                               for b in group[i + 1:]]
+                chems.append(left_sum(pair_scores) / len(pair_scores) if pair_scores else 0.0)
+                rows.append(["|".join(group), chems[-1], ci])
+            try:
+                extra["pearson_r"] = pearson_r(chems, cis)
+            except UndefinedCorrelationError as exc:
+                extra["pearson_r"] = None
+                extra["pearson_note"] = str(exc)
 
     write_csv(args.out, header, rows)
     _write_meta(args, config, extra)

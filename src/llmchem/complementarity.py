@@ -264,9 +264,8 @@ def effectiveness_soft_vote(member_accuracies_per_task: Sequence[Sequence[float]
     """Fraction of tasks the ensemble gets right under soft voting.
 
     A task counts as correct when the mean member accuracy on it is strictly
-    above 0.5.  Every value is checked.  It serves the library and the CLI's
-    vote on stored accuracies without a history; :func:`effectiveness_by_task`
-    casts the same votes over a history's tasks.
+    above 0.5.  Every value is checked.  :func:`effectiveness_by_task` casts
+    the same votes over a table of tasks, which is how the CLI votes.
     """
     tasks = [list(row) for row in member_accuracies_per_task]
     if not tasks or any(not row for row in tasks):
@@ -305,7 +304,10 @@ def task_accuracies(records: Iterable[tuple]) -> dict[str, dict[str, float]]:
 def effectiveness_by_task(
     accuracies: dict[str, dict[str, float]], ensembles: Sequence[Sequence[str]]
 ) -> list[tuple[float | None, int]]:
-    """``(value, skipped)`` per ensemble over the tasks of :func:`task_accuracies`.
+    """``(value, skipped)`` per ensemble over a table such as :func:`task_accuracies`'.
+
+    Without a history the CLI passes one pseudo-task of the stored profile
+    accuracies, on which every vote is 1.0 or 0.0 and nothing is skipped.
 
     A task is kept when every member has a record on it; ``value`` is the
     :func:`effectiveness_soft_vote` of the kept rows (None if none is kept)

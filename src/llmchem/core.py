@@ -33,12 +33,10 @@ def subset_key(subset: Iterable[str]) -> str:
     return ",".join(sorted(subset))
 
 
-def check_build_size(members: Configuration) -> None:
-    """Reject a member set too large for a graph or a cost table over its subsets."""
+def check_build_size(members: Configuration, what: str) -> None:
+    """Reject a member set too large for ``what``, a graph or a cost table over its subsets."""
     if not 1 <= len(members) <= BUILD_SIZE_GUARD:
-        raise SizeLimitError(
-            f"graph construction supports 1..{BUILD_SIZE_GUARD} models, got {len(members)}"
-        )
+        raise SizeLimitError(f"{what} supports 1..{BUILD_SIZE_GUARD} models, got {len(members)}")
 
 
 def left_sum(values: Iterable[float]) -> float:

@@ -231,7 +231,7 @@ def build_mig(source: CostBackend) -> MIG:
     ``BUILD_SIZE_GUARD`` models: the graph can hold every subset.
     """
     members = source.members
-    check_build_size(members)
+    check_build_size(members, "graph construction")
     root = frozenset(members)
     nodes, edges = _top_down(root, source.used, source.cost)
     return MIG(source, nodes, edges, root)

@@ -177,6 +177,18 @@ class TestCheme:
         assert cheme(graph).scores == cheme(graph).scores
 
 
+@pytest.mark.parametrize(
+    "scorer",
+    [chem_table_bruteforce, profile_chemistry, lambda ms: cheme(build_mig(ms))],
+    ids=["chem_table_bruteforce", "profile_chemistry", "cheme"],
+)
+@pytest.mark.parametrize("accuracy", [0.25, 0.75], ids=["unusable", "usable"])
+def test_every_scorer_rejects_a_one_model_set(scorer, accuracy):
+    ms = ModelSet(profiles=(ModelProfile("m00", quality=5.0, accuracy=accuracy),))
+    with pytest.raises(InvalidConfigurationError, match=r"^chemistry needs at least two models$"):
+        scorer(ms)
+
+
 class TestChemePartialGraph:
     def test_drawn_example_graph_scores_and_skip_rule(self):
         # On the drawn 6-node graph the empty context's cover is the node

@@ -292,6 +292,25 @@ class TestEval:
         assert values["o3-mini|gemini-2.0-flash"] == 1.0
         assert values["gpt-4o|llama3.1:70b"] == 0.0
 
+    def test_effectiveness_from_profiles_needs_a_mean_above_one_half(self, tmp_path, capsys):
+        # Stored accuracies 0.25 and 0.75 average to exactly 0.5: not a correct vote.
+        records = [
+            HistoryRecord(
+                trial="t", model=model, task="q", latency=1.0, temperature=0.0, id="o1",
+                result="r", quality=5.0, gen_accuracy=accuracy, variance=0.0,
+                review_accuracy=accuracy, accuracy=accuracy, elapsed="0:00:01", created="now",
+            )
+            for model, accuracy in (("low", 0.25), ("high", 0.75), ("top", 0.7500000000000002))
+        ]
+        write_history_csv(records, tmp_path / "h.csv")
+        store, ensembles, out = tmp_path / "s.json", tmp_path / "e.json", tmp_path / "eval.csv"
+        assert main(["ingest", str(tmp_path / "h.csv"), "--out", str(store)]) == 0
+        ensembles.write_text('{"ensembles": [["low", "high"], ["low", "top"]]}')
+        assert main(["eval", "--store", str(store), "--ensembles", str(ensembles),
+                     "--metric", "effectiveness", "--out", str(out)]) == 0
+        assert out.read_text() == "ensemble,effectiveness\nlow|high,0.0\nlow|top,1.0\n"
+        assert "WARNING" not in capsys.readouterr().err
+
     def test_effectiveness_from_history(self, store_path, ensembles_path,
                                         history_fixture, tmp_path):
         out = tmp_path / "eval_hist.csv"
@@ -682,7 +701,7 @@ BAD_INPUTS = {
         "chem --store {bad} --brute-force --out {tmp}/c.csv", "s.json", _store_of(17),
         ["error: exhaustive scoring supports at most 16 models, got 17 (in "]),
     "store-21-models": ("chem --store {bad} --out {tmp}/c.csv", "s.json", _store_of(21),
-                        ["error: graph construction supports 1..20 models, got 21 (in "]),
+                        ["error: a chemistry cost table supports 1..20 models, got 21 (in "]),
     "store-not-object": ("chem --store {bad} --out {tmp}/c.csv", "s.json", b"[]",
                          ["not a profile-store file"]),
     "store-no-version": ("chem --store {bad} --out {tmp}/c.csv", "s.json", b'{"stores": []}',
@@ -843,6 +862,14 @@ OUT_OF_RANGE = {
     "beta": ("recommend", ["--beta", "0"], None, "beta", "on the command line"),
     "alpha": ("recommend", ["--alpha", "1.5"], None, "alpha", "on the command line"),
     "max-iters": ("recommend", ["--max-iters", "0"], None, "max_iters", "on the command line"),
+    # Integers beyond the float range: each compares below math.inf, but
+    # float() of it raises OverflowError.
+    "alpha-beyond-floats": ("recommend", [], {"alpha": 10**400}, "alpha", "in {config}"),
+    "tau-beyond-floats": ("chem", [], {"tau": 10**400}, "tau", "in {config}"),
+    "empty-cost-beyond-floats": ("chem", [], {"empty_cost": -10**400}, "empty_cost",
+                                 "in {config}"),
+    "grid-size-beyond-floats": ("map", ["--grid-size", str(10**400)], None, "grid_size",
+                                "on the command line"),
 }
 
 

@@ -3,7 +3,9 @@
 ``scripts/cross_interpreter.py --expect tests/data/golden.json`` runs the
 sample pipeline and the dense14, sparse15 and bulk40k benchmark workloads at
 seed 1 under this interpreter, and names each file whose digest differs from
-the manifest's.  A change meant to alter bytes regenerates the manifest with
+the manifest's: 32 digests for the sample pipeline (its ``eval`` runs ci,
+correlation, and effectiveness with and without ``--history``) and 23 for each
+workload.  A change meant to alter bytes regenerates the manifest with
 ``--write tests/data/golden.json`` and names the files whose digests moved.
 """
 
@@ -24,4 +26,4 @@ def test_every_output_sidecar_and_log_matches_its_golden_digest():
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
     assert done.returncode == 0, done.stdout
-    assert done.stdout.endswith("1 interpreter(s), 98 digests each: all identical\n")
+    assert done.stdout.endswith("1 interpreter(s), 101 digests each: all identical\n")

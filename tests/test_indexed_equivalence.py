@@ -26,6 +26,7 @@ from helpers import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from llmchem import complementarity
 from llmchem.complementarity import (
     CIParams,
     EnsemblePoint,
@@ -153,6 +154,30 @@ def test_effectiveness_by_task_equals_the_task_rows_and_the_checked_vote(records
         matrix, skipped = task_matrix(accuracies, group)
         assert (matrix, skipped) == reference_task_matrix(records, group)
         assert vote == (effectiveness_soft_vote(matrix) if matrix else None, skipped)
+
+
+@st.composite
+def one_task_tables(draw) -> tuple[dict[str, float], list[list[str]]]:
+    """One task's accuracy per model, and ensembles of the models it holds."""
+    models = draw(st.lists(st.sampled_from(MODELS), min_size=1, unique=True))
+    row = {model: draw(st.floats(0.0, 1.0, allow_nan=False)) for model in models}
+    groups = st.lists(st.sampled_from(models), min_size=1, max_size=4)
+    return row, draw(st.lists(groups, min_size=1, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=one_task_tables())
+# Means at 0.5 and one ulp either side, alone and in pairs.
+@example(case=({"m0": 0.5, "m1": HALF_UP, "m2": HALF_DOWN, "m3": 0.25, "m4": 0.75},
+               [["m0"], ["m1"], ["m2"], ["m3", "m4"], ["m1", "m2"], ["m0", "m1"], ["m2", "m0"]]))
+def test_a_one_task_table_votes_as_the_checked_vote_on_its_row(case):
+    # eval without --history votes this way over the stored profile accuracies.
+    row, ensembles = case
+    votes = effectiveness_by_task({"": row}, ensembles)
+    assert votes == [
+        (complementarity.effectiveness_soft_vote([[row[m] for m in group]]), 0)
+        for group in ensembles
+    ]
 
 
 COORDINATES = st.one_of(
