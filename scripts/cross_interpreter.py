@@ -13,8 +13,9 @@ each in a run directory of its own:
 
 * ``sample``: inputs derived from ``tests/data/history_sample.csv`` (grades,
   references and results for ``score``, a candidate pool and ensembles), then
-  ingest, score, chem (graph and exhaustive), recommend, map, eval (ci,
-  correlation, effectiveness with and without ``--history``) and check;
+  ingest, score (with and without ``--ground-truth``), chem (graph and
+  exhaustive), recommend, map, eval (ci, correlation, effectiveness with and
+  without ``--history``) and check;
 * ``dense14``, ``sparse15`` and ``bulk40k``: the benchmark workloads' inputs
   at seed 1 (``perfbench/gen.py``), then the stages ``perfbench/run.py``'s
   ``stage_plan`` runs, and check.
@@ -59,6 +60,8 @@ STAGES = {
     "ingest": "ingest in/history.csv --out out/store.json",
     "score": "score --grades in/grades.csv --ground-truth in/ground_truth.csv "
              "--results in/results.csv --out out/consensus.json",
+    "score_nogt": "score --grades in/grades.csv --results in/results.csv "
+                  "--out out/consensus_nogt.json",
     "chem": "chem --store out/store.json --out out/chem.csv",
     "chem_exact": "chem --brute-force --store out/store.json --out out/chem_exact.csv",
     "recommend": "recommend --store out/store.json --chem out/chem.csv --pool in/pool.json "

@@ -1,6 +1,7 @@
 """The property audits of the cost function and the diversity diagnostic.
 
-``llmchem check`` runs the audits; the diagnostic is library surface that no
+``llmchem check`` prints the lines of :func:`check_sections`: the audits and
+two chemistry cross-checks.  The diagnostic is library surface that no
 subcommand calls.  Both draw from a seeded ``random.Random``, and neither
 runs in a pipeline stage, so they live apart from the modules every stage
 imports.
@@ -10,8 +11,9 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Iterator
 
-from .chemistry import chem_table_bruteforce
+from .chemistry import chem_table_bruteforce, profile_chemistry
 from .complementarity import pearson_r
 from .core import Configuration, ModelProfile, ModelSet, Record, cost, left_sum, used_subset
 from .errors import DomainError, SizeLimitError, UndefinedCorrelationError
@@ -215,6 +217,55 @@ class DiversityFamily(Record):
 
     def model_set(self) -> ModelSet:
         return ModelSet(profiles=self.profiles())
+
+
+def check_sections(model_set: ModelSet, seed: int) -> Iterator[tuple[str, str]]:
+    """The lines of ``llmchem check``, each as (status, text), in print order.
+
+    The status is ``PASS`` or ``FAIL`` for an asserted section, ``INFO`` for
+    the submodularity diagnostic, ``SKIP`` for a pair section without two
+    models, and empty for the line that names the restriction of the cost
+    audits (1,000 trials each, ``seed``) to the first ``AUDIT_SIZE_GUARD``
+    models by name.  The homogeneity probe asserts that clones of ``_ANCHOR``
+    on up to six of the names carry no chemistry; the cross-check asserts
+    that the profile scorer equals the enumerator on up to six usable models.
+    """
+    names = sorted(model_set.members)
+
+    def restricted(profiles) -> ModelSet:
+        return model_set.replace(profiles=tuple(profiles))
+
+    audited = model_set
+    if len(names) > AUDIT_SIZE_GUARD:
+        audited = restricted(model_set.profile(n) for n in names[:AUDIT_SIZE_GUARD])
+        yield "", f"check: auditing the first {AUDIT_SIZE_GUARD} of {len(names)} models"
+    report = audit_cost_properties(audited, trials=1000, seed=seed)
+    for section in (report.monotonicity, report.linearity):
+        yield ("PASS" if section.clean else "FAIL",
+               f"{section.name}: {section.violations}/{section.trials} violations")
+    gaps = report.submodularity
+    yield ("INFO", f"submodularity (diagnostic): {gaps.violations}/{gaps.trials} violations, "
+                   f"worst gap {gaps.worst!r}")
+
+    probe = names[:6]
+    if len(probe) >= 2:
+        table = chem_table_bruteforce(restricted(_ANCHOR.replace(model=n) for n in probe))
+        yield ("PASS" if table.max_score() == 0.0 else "FAIL",
+               f"homogeneity probe: max chemistry {table.max_score()!r}")
+    else:
+        yield "SKIP", "homogeneity probe: needs at least 2 models"
+
+    sample = sorted(used_subset(model_set, names))[:6]
+    if len(sample) >= 2:
+        subset = restricted(model_set.profile(n) for n in sample)
+        fast = profile_chemistry(subset)
+        exact = chem_table_bruteforce(subset)
+        mismatches = [(a, b) for a, b, value in fast.pairs() if value != exact.score(a, b)]
+        yield ("FAIL" if mismatches else "PASS",
+               f"graph-vs-exhaustive on {len(sample)} usable models: "
+               f"{len(mismatches)} mismatch(es)")
+    else:
+        yield "SKIP", "graph-vs-exhaustive: needs at least 2 usable models"
 
 
 class HeterogeneityReport(Record):

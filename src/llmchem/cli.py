@@ -34,24 +34,14 @@ from .complementarity import (
 from .consensus import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
-    PRIOR_VARIANCE,
     check_consensus_knobs,
-    combined_accuracy,
-    generation_accuracy,
     load_grades_csv,
     load_ground_truth_csv,
     load_results_csv,
-    review_accuracy_from_variance,
+    model_accuracies,
     vancouver_consensus,
 )
-from .core import (
-    ModelProfile,
-    ModelSet,
-    check_cost_knobs,
-    left_sum,
-    model_set_fingerprint,
-    used_subset,
-)
+from .core import ModelSet, check_cost_knobs, left_sum, model_set_fingerprint
 from .errors import (
     DomainError,
     InvalidConfigurationError,
@@ -302,26 +292,7 @@ def cmd_score(args: argparse.Namespace, config: dict) -> int:
     }
     if args.results is not None:
         references = load_ground_truth_csv(args.ground_truth) if args.ground_truth else None
-        outputs_by_model = load_results_csv(args.results)
-        models: dict[str, dict] = {}
-        for model, outputs in outputs_by_model.items():
-            scores = []
-            for output_id, text in outputs:
-                reference = references.get(output_id) if references else None
-                scores.append(generation_accuracy(text, reference))
-            gen = left_sum(scores) / len(scores)
-            # Generators that never graded keep the review accuracy of the prior variance.
-            review = result.review_accuracy.get(
-                model, review_accuracy_from_variance(PRIOR_VARIANCE)
-            )
-            has_gt = references is not None
-            models[model] = {
-                "generation_accuracy": gen,
-                "review_accuracy": review,
-                "has_ground_truth": has_gt,
-                "accuracy": combined_accuracy(gen, review, has_gt),
-            }
-        payload["models"] = models
+        payload["models"] = model_accuracies(load_results_csv(args.results), references, result)
     write_json(args.out, payload)
     _write_meta(args, config)
     print(
@@ -483,64 +454,10 @@ def cmd_check(args: argparse.Namespace, config: dict) -> int:
     from . import audit  # only check audits; its names are looked up per call
 
     store = _select_store(args.store, args.context)
-    model_set = _model_set(store, config)
     failures = 0
-
-    def restricted(profiles) -> ModelSet:
-        return model_set.replace(profiles=tuple(profiles))
-
-    audited = model_set
-    names = sorted(model_set.members)
-    if len(names) > audit.AUDIT_SIZE_GUARD:
-        audited = restricted(model_set.profile(n) for n in names[:audit.AUDIT_SIZE_GUARD])
-        print(f"check: auditing the first {audit.AUDIT_SIZE_GUARD} of {len(names)} models")
-    report = audit.audit_cost_properties(audited, trials=1000, seed=config["seed"])
-    for section in (report.monotonicity, report.linearity):
-        status = "PASS" if section.clean else "FAIL"
-        print(f"{status} {section.name}: {section.violations}/{section.trials} violations")
-        if not section.clean:
-            failures += 1
-    print(
-        f"INFO submodularity (diagnostic): {report.submodularity.violations}/"
-        f"{report.submodularity.trials} violations, worst gap {report.submodularity.worst!r}"
-    )
-
-    # Zero-penalty homogeneous probe: identical perfect-quality profiles carry
-    # no chemistry (every context cost vanishes, so no ratio is defined).
-    probe_names = names[: min(len(names), 6)]
-    if len(probe_names) >= 2:
-        homogeneous = restricted(
-            ModelProfile(n, quality=10.0, accuracy=0.9) for n in probe_names
-        )
-        table = chem_table_bruteforce(homogeneous)
-        ok = table.max_score() == 0.0
-        print(f"{'PASS' if ok else 'FAIL'} homogeneity probe: max chemistry {table.max_score()!r}")
-        if not ok:
-            failures += 1
-    else:
-        print("SKIP homogeneity probe: needs at least 2 models")
-
-    usable = sorted(used_subset(model_set, names))
-    sample = usable[: min(len(usable), 6)]
-    if len(sample) >= 2:
-        subset = restricted(model_set.profile(n) for n in sample)
-        fast = profile_chemistry(subset)
-        exact = chem_table_bruteforce(subset)
-        mismatches = [
-            (a, b)
-            for a, b, value in fast.pairs()
-            if value != exact.score(a, b)
-        ]
-        ok = not mismatches
-        print(
-            f"{'PASS' if ok else 'FAIL'} graph-vs-exhaustive on {len(sample)} usable models: "
-            f"{len(mismatches)} mismatch(es)"
-        )
-        if not ok:
-            failures += 1
-    else:
-        print("SKIP graph-vs-exhaustive: needs at least 2 usable models")
-
+    for status, text in audit.check_sections(_model_set(store, config), config["seed"]):
+        print(f"{status} {text}" if status else text)
+        failures += status == "FAIL"
     print(f"check: {'all asserted sections passed' if failures == 0 else f'{failures} failure(s)'}")
     return 0 if failures == 0 else 2
 
@@ -606,18 +523,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help / --version
-        return int(exc.code or 0)
-    try:
         config = _resolve_config(args)
         _echo_config(config)
         return args.func(args, config)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except SystemExit as exc:  # --help / --version
+        return int(exc.code or 0)
     except (LLMChemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

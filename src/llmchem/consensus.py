@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
 
 from .core import Record, left_sum
 from .errors import DomainError, MalformedMatrixError, ParseError
@@ -54,17 +53,6 @@ class GradeMatrix(Record):
     @cached_property
     def outputs(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(output for _, output in self.grades))
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple[str, str, float]]) -> "GradeMatrix":
-        """Build from (grader, output, grade) rows, preserving first-seen order."""
-        grades: dict[tuple[str, str], float] = {}
-        for grader, output, grade in rows:
-            key = (grader, output)
-            if key in grades:
-                raise MalformedMatrixError(f"duplicate grade for {key!r}")
-            grades[key] = float(grade)
-        return cls(grades=grades)
 
 
 class ConsensusResult(Record):
@@ -208,6 +196,35 @@ def combined_accuracy(gen: float, review: float, has_ground_truth: bool) -> floa
         raise DomainError(f"review accuracy must be in [0, 1], got {review!r}")
     weight = GEN_WEIGHT_WITH_GT if has_ground_truth else GEN_WEIGHT_WITHOUT_GT
     return weight * gen + (1.0 - weight) * review
+
+
+def model_accuracies(
+    outputs_by_model: dict[str, list[tuple[str, str]]],
+    references: dict[str, str] | None,
+    result: ConsensusResult,
+) -> dict[str, dict]:
+    """Each model's generation, review and final accuracy, in ``outputs_by_model`` order.
+
+    Generation accuracy is the left-to-right mean of the model's matches
+    against ``references`` (every match 0.0 without them); review accuracy is
+    the model's from ``result``, or that of the prior variance for a model
+    that never graded; the two blend by :func:`combined_accuracy`.
+    """
+    has_ground_truth = references is not None
+    prior_review = review_accuracy_from_variance(PRIOR_VARIANCE)
+    models = {}
+    for model, outputs in outputs_by_model.items():
+        scores = [generation_accuracy(text, references.get(output_id) if references else None)
+                  for output_id, text in outputs]
+        gen = left_sum(scores) / len(scores)
+        review = result.review_accuracy.get(model, prior_review)
+        models[model] = {
+            "generation_accuracy": gen,
+            "review_accuracy": review,
+            "has_ground_truth": has_ground_truth,
+            "accuracy": combined_accuracy(gen, review, has_ground_truth),
+        }
+    return models
 
 
 def load_grades_csv(path: str | Path) -> GradeMatrix:

@@ -318,7 +318,7 @@ def test_criterion_09_consensus_fixed_point_and_reference():
         rows = [
             (f"g{i}", f"o{j}", 6.25) for i in range(graders) for j in range(outputs)
         ]
-        result = vancouver_consensus(GradeMatrix.from_rows(rows))
+        result = vancouver_consensus(GradeMatrix(grades={(g, o): grade for g, o, grade in rows}))
         assert result.converged and result.iterations <= 2
         assert all(value == 6.25 for value in result.consensus.values())
         assert all(v == VARIANCE_FLOOR for v in result.variance.values())
@@ -331,7 +331,8 @@ def test_criterion_09_consensus_fixed_point_and_reference():
             for i in range(3)
             for j in range(4)
         ]
-        mine = vancouver_consensus(GradeMatrix.from_rows(rows), max_iters=3, tol=1e-300)
+        matrix = GradeMatrix(grades={(g, o): grade for g, o, grade in rows})
+        mine = vancouver_consensus(matrix, max_iters=3, tol=1e-300)
         assert mine.iterations == 3
         ref_cons, ref_var = reference_consensus_iteration(rows, 3)
         for output, value in ref_cons.items():

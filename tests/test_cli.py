@@ -7,16 +7,19 @@ import json
 import math
 import re
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from helpers import random_model_set
 
-from llmchem import __version__
+from llmchem import __version__, audit
 from llmchem.chemistry import pair_key
 from llmchem.cli import _INPUTS, build_parser, main
+from llmchem.core import ModelProfile, ModelSet
 from llmchem.history import HISTORY_COLUMNS, HistoryRecord, write_history_csv
 
 
@@ -787,9 +790,9 @@ def _nonzero_if_homogeneous(real):
 CHECK_FAULTS = {
     "audit_cost_properties": ("llmchem.audit", _one_monotonicity_violation,
                               "FAIL monotonicity: 1/1000 violations"),
-    "chem_table_bruteforce": ("llmchem.cli", _nonzero_if_homogeneous,
+    "chem_table_bruteforce": ("llmchem.audit", _nonzero_if_homogeneous,
                               "FAIL homogeneity probe: max chemistry 5e-324"),
-    "profile_chemistry": ("llmchem.cli", lambda real: lambda ms: _one_ulp_up(real(ms)),
+    "profile_chemistry": ("llmchem.audit", lambda real: lambda ms: _one_ulp_up(real(ms)),
                           "FAIL graph-vs-exhaustive on 4 usable models: 1 mismatch(es)"),
 }
 
@@ -814,6 +817,30 @@ def test_check_on_one_model_skips_both_pair_sections(tmp_path, capsys):
     assert "SKIP homogeneity probe: needs at least 2 models" in lines
     assert "SKIP graph-vs-exhaustive: needs at least 2 usable models" in lines
     assert lines[-1] == "check: all asserted sections passed"
+
+
+def test_check_sections_audit_the_first_twelve_names_and_skip_pair_sections_below_two():
+    generated = random_model_set(random.Random(7), 13)
+    model_set = generated.replace(profiles=generated.profiles[::-1])  # not in name order
+    lines = list(audit.check_sections(model_set, seed=3))
+    assert lines[0] == ("", "check: auditing the first 12 of 13 models")
+    first = model_set.replace(profiles=tuple(model_set.profile(f"m{i:02d}") for i in range(12)))
+    report = audit.audit_cost_properties(first, trials=1000, seed=3)
+    gaps = report.submodularity
+    assert lines[1:4] == [
+        *(("PASS" if section.clean else "FAIL",
+           f"{section.name}: {section.violations}/{section.trials} violations")
+          for section in (report.monotonicity, report.linearity)),
+        ("INFO", f"submodularity (diagnostic): {gaps.violations}/{gaps.trials} violations, "
+                 f"worst gap {gaps.worst!r}"),
+    ]
+    assert [status for status, _ in lines[4:]] == ["PASS", "PASS"]
+
+    solo = ModelSet(profiles=(ModelProfile("solo", quality=5.0, accuracy=0.9),))
+    lines = list(audit.check_sections(solo, seed=3))
+    assert [status for status, _ in lines] == ["PASS", "PASS", "INFO", "SKIP", "SKIP"]
+    assert lines[3:] == [("SKIP", "homogeneity probe: needs at least 2 models"),
+                         ("SKIP", "graph-vs-exhaustive: needs at least 2 usable models")]
 
 
 #: Subcommand -> arguments whose input files do not exist in ``{tmp}``.
@@ -994,6 +1021,24 @@ def test_score_rejects_the_hill_climb_budget(tmp_path, capsys):
     assert captured.err == "usage error: unrecognized arguments: --max-iters 1\n"
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == [grades]
+
+
+def test_score_without_ground_truth_blends_review_accuracy_at_three_quarters(tmp_path, capsys):
+    grades, results, out = tmp_path / "g.csv", tmp_path / "r.csv", tmp_path / "c.json"
+    grades.write_text(GRADES)
+    results.write_text("model,output_id,result\nm,o1,yes\ng1,o1,yes\n")
+    assert main(["score", "--grades", str(grades), "--results", str(results),
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    review = payload["review_accuracy"]["g1"]
+    assert payload["models"] == {
+        "m": {"generation_accuracy": 0.0, "review_accuracy": 0.5,
+              "has_ground_truth": False, "accuracy": 0.75 * 0.5},
+        "g1": {"generation_accuracy": 0.0, "review_accuracy": review,
+               "has_ground_truth": False, "accuracy": 0.75 * review},
+    }
+    meta = json.loads((tmp_path / "c.json.meta.json").read_text())
+    assert set(meta["inputs"]) == {"grades", "results"}
 
 
 ALL_COMMANDS = ["ingest", "score", "chem", "recommend", "map", "eval", "check"]

@@ -13,7 +13,14 @@ from llmchem import (
     review_accuracy_from_variance,
     vancouver_consensus,
 )
-from llmchem.consensus import VARIANCE_FLOOR, load_grades_csv, load_ground_truth_csv
+from llmchem.consensus import (
+    PRIOR_VARIANCE,
+    VARIANCE_FLOOR,
+    ConsensusResult,
+    load_grades_csv,
+    load_ground_truth_csv,
+    model_accuracies,
+)
 from llmchem.errors import DomainError, MalformedMatrixError, ParseError
 
 from helpers import reference_consensus_iteration as reference_iteration
@@ -24,24 +31,20 @@ ABS = 1e-12
 class TestGradeMatrix:
     def test_rejects_out_of_range_grade(self):
         with pytest.raises(MalformedMatrixError):
-            GradeMatrix.from_rows([("g", "o", 10.5)])
-
-    def test_rejects_duplicate_grade(self):
-        with pytest.raises(MalformedMatrixError):
-            GradeMatrix.from_rows([("g", "o", 5.0), ("g", "o", 6.0)])
+            GradeMatrix(grades={("g", "o"): 10.5})
 
 
 class TestVancouver:
     def test_identical_grades_fixed_point(self):
         rows = [(g, o, 7.5) for g in ("g1", "g2", "g3") for o in ("o1", "o2")]
-        result = vancouver_consensus(GradeMatrix.from_rows(rows))
+        result = vancouver_consensus(GradeMatrix(grades={(g, o): grade for g, o, grade in rows}))
         assert result.converged
         assert result.iterations <= 2
         assert all(value == 7.5 for value in result.consensus.values())
         assert all(v == VARIANCE_FLOOR for v in result.variance.values())
 
     def test_single_grader_keeps_prior(self):
-        matrix = GradeMatrix.from_rows([("solo", "o1", 3.0), ("solo", "o2", 7.0)])
+        matrix = GradeMatrix(grades={("solo", "o1"): 3.0, ("solo", "o2"): 7.0})
         result = vancouver_consensus(matrix)
         assert result.consensus == {"o1": 3.0, "o2": 7.0}
         assert result.variance == {"solo": 1.0}
@@ -55,7 +58,7 @@ class TestVancouver:
                 for i in range(3)
                 for j in range(4)
             ]
-            matrix = GradeMatrix.from_rows(rows)
+            matrix = GradeMatrix(grades={(g, o): grade for g, o, grade in rows})
             mine = vancouver_consensus(matrix, max_iters=3, tol=1e-300)
             assert mine.iterations == 3 and not mine.converged
             ref_cons, ref_var = reference_iteration(rows, 3)
@@ -76,7 +79,7 @@ class TestVancouver:
             outputs = {o for _, o, _ in rows}
             if len(outputs) < 3:
                 continue
-            matrix = GradeMatrix.from_rows(rows)
+            matrix = GradeMatrix(grades={(g, o): grade for g, o, grade in rows})
             result = vancouver_consensus(matrix)
             for output in matrix.outputs:
                 grades = [g for gr, o, g in rows if o == output]
@@ -89,8 +92,10 @@ class TestVancouver:
         ]
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        first = vancouver_consensus(GradeMatrix.from_rows(rows))
-        second = vancouver_consensus(GradeMatrix.from_rows(shuffled))
+        first, second = (
+            vancouver_consensus(GradeMatrix(grades={(g, o): grade for g, o, grade in order}))
+            for order in (rows, shuffled)
+        )
         assert first.consensus == second.consensus
         assert first.variance == second.variance
         assert first.iterations == second.iterations
@@ -98,11 +103,12 @@ class TestVancouver:
     def test_terminates_within_budget(self):
         rng = random.Random(53)
         rows = [(f"g{i}", f"o{j}", rng.uniform(0, 10)) for i in range(5) for j in range(5)]
-        result = vancouver_consensus(GradeMatrix.from_rows(rows), max_iters=7, tol=1e-300)
+        matrix = GradeMatrix(grades={(g, o): grade for g, o, grade in rows})
+        result = vancouver_consensus(matrix, max_iters=7, tol=1e-300)
         assert result.iterations <= 7
 
     def test_parameter_validation(self):
-        matrix = GradeMatrix.from_rows([("g", "o", 5.0)])
+        matrix = GradeMatrix(grades={("g", "o"): 5.0})
         with pytest.raises(DomainError):
             vancouver_consensus(matrix, max_iters=0)
         with pytest.raises(DomainError):
@@ -164,6 +170,41 @@ class TestCombinedAccuracy:
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.booleans())
     def test_result_in_unit_interval(self, gen, review, has_gt):
         assert 0.0 <= combined_accuracy(gen, review, has_gt) <= 1.0
+
+
+class TestModelAccuracies:
+    #: Grader "g" has its own review accuracy; model "m" never graded.
+    RESULT = ConsensusResult(consensus={"o1": 5.0}, variance={"g": 0.25},
+                             review_accuracy={"g": 0.8}, iterations=1, converged=True)
+
+    def test_a_model_that_never_graded_keeps_the_prior_review_accuracy(self):
+        models = model_accuracies({"g": [("o1", "a")], "m": [("o1", "a")]}, None, self.RESULT)
+        assert models["g"]["review_accuracy"] == 0.8
+        assert models["m"]["review_accuracy"] == review_accuracy_from_variance(PRIOR_VARIANCE)
+        assert models["m"]["review_accuracy"] == 0.5
+
+    def test_without_references_generation_scores_zero_and_review_weighs_three_quarters(self):
+        models = model_accuracies({"m": [("o1", "a"), ("o2", "b")], "g": [("o1", "a")]},
+                                  None, self.RESULT)
+        assert models == {
+            "m": {"generation_accuracy": 0.0, "review_accuracy": 0.5,
+                  "has_ground_truth": False, "accuracy": 0.75 * 0.5},
+            "g": {"generation_accuracy": 0.0, "review_accuracy": 0.8,
+                  "has_ground_truth": False, "accuracy": 0.75 * 0.8},
+        }
+
+    def test_with_references_generation_is_the_mean_of_normalised_matches(self):
+        references = {"o1": "yes", "o2": "no", "o3": "Maybe so"}
+        outputs = {
+            "m": [("o1", "  YES "), ("o2", "nope"), ("o3", "maybe\tSO"), ("o4", "yes")],
+            "g": [("o2", "No")],
+        }
+        models = model_accuracies(outputs, references, self.RESULT)
+        assert list(models) == ["m", "g"]  # the results' order, not sorted
+        assert models["m"] == {"generation_accuracy": 0.5, "review_accuracy": 0.5,
+                               "has_ground_truth": True, "accuracy": 0.75 * 0.5 + 0.25 * 0.5}
+        assert models["g"]["generation_accuracy"] == 1.0
+        assert models["g"]["accuracy"] == 0.75 * 1.0 + 0.25 * 0.8
 
 
 class TestCsvLoaders:
