@@ -28,7 +28,7 @@ every other pair walks every context in :func:`_pair_score`.
 from __future__ import annotations
 
 import math
-from itertools import combinations, islice, repeat
+from itertools import combinations, repeat
 from operator import add, mul, sub
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
@@ -57,6 +57,10 @@ if TYPE_CHECKING:  # annotations only: no CLI stage loads mig
 
 #: Ceiling on |S| for exhaustive enumeration (2^(|S|-2) contexts per pair).
 BRUTE_FORCE_GUARD = 16
+
+#: Entries per slice of :func:`_lattice_bounds`' walk: the gains of one slice
+#: are held at a time, however large the table.
+_BOUND_CHUNK = 1024
 
 PairKey = frozenset[str]
 
@@ -268,16 +272,28 @@ def _lattice_bounds(costs: list[float]) -> tuple[list[float], list[float]]:
     ``lows[j]`` the least cost of such a ``Y | 1 << j`` (inf when there is
     none).  Step j rotates bit j to the top of the index with a perfect
     unshuffle, so the two halves of the list pair every Y with Y plus bit j.
-    The gains are consumed as they are made, never held in a list.
+    The halves are then walked in slices of :data:`_BOUND_CHUNK` entries:
+    each slice's gains are subtracted once, into a list that only that
+    slice holds, and the member keeps the slices' largest and least gain and
+    the least cost of each upper slice.  Float ``max`` and ``min`` are exact,
+    so the slicing changes no result.
     """
     half = len(costs) >> 1
     table, spans, lows = costs, [], []
     for _ in range(half.bit_length()):
-        table = table[0::2] + table[1::2]
-        highest = max(map(sub, islice(table, 1, half), islice(table, half + 1, None)), default=0.0)
-        lowest = min(map(sub, islice(table, 1, half), islice(table, half + 1, None)), default=0.0)
-        spans.append(highest - lowest)
-        lows.append(min(islice(table, half + 1, None), default=math.inf))
+        rotated = table[0::2]
+        rotated += table[1::2]
+        table = rotated
+        highs, least_gains, least_costs = [], [], []
+        for start in range(1, half, _BOUND_CHUNK):
+            stop = min(start + _BOUND_CHUNK, half)
+            upper = table[half + start:half + stop]
+            gains = list(map(sub, table[start:stop], upper))
+            highs.append(max(gains))
+            least_gains.append(min(gains))
+            least_costs.append(min(upper))
+        spans.append(max(highs) - min(least_gains) if highs else 0.0)
+        lows.append(min(least_costs, default=math.inf))
     return spans, lows
 
 
@@ -317,13 +333,13 @@ def profile_cost_table(model_set: ModelSet) -> tuple[tuple[str, ...], list[float
     """
     ranked = rank_outputs(model_set, model_set.members)
     weights = [1.0 / rank for rank in range(1, len(ranked) + 1)]
+    # Entry top + rest ranks the new member at popcount(rest) + 1.
+    rank_weights = [weights[rest.bit_count()] for rest in range((1 << len(ranked)) >> 1)]
     costs = [model_set.empty_cost]
     for r in ranked:
         top, term = len(costs), penalty(r.quality_norm, r.accuracy)
-        # Entry top + rest ranks this member at popcount(rest) + 1.
-        terms = map(mul, map(weights.__getitem__, map(int.bit_count, range(1, top))), repeat(term))
         costs.append(term)
-        costs.extend(map(add, islice(costs, 1, top), terms))
+        costs.extend(map(add, costs[1:top], map(mul, rank_weights[1:top], repeat(term))))
     return tuple(r.model for r in ranked), costs
 
 

@@ -209,6 +209,9 @@ def model_accuracies(
     against ``references`` (every match 0.0 without them); review accuracy is
     the model's from ``result``, or that of the prior variance for a model
     that never graded; the two blend by :func:`combined_accuracy`.
+    ``has_ground_truth`` is one flag for the whole file, set for every model
+    whenever ``references`` is given, so a model none of whose outputs has
+    a reference blends its generation accuracy of 0.0 at weight 0.75.
     """
     has_ground_truth = references is not None
     prior_review = review_accuracy_from_variance(PRIOR_VARIANCE)

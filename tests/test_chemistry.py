@@ -4,6 +4,7 @@ import importlib.util
 import math
 import random
 import sys
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -250,6 +251,21 @@ class TestCostTableKernel:
             assert value == cost(ms, subset | unusable)
         assert profile_chemistry(ms).scores == chem_table_bruteforce(ms).scores
 
+    @pytest.mark.parametrize("usable", [(), ("b",)])
+    def test_a_set_of_no_or_one_usable_member_gives_the_tables_of_its_costs(self, usable):
+        ms = ModelSet(
+            profiles=tuple(
+                ModelProfile(name, quality=4.0, accuracy=0.8 if name in usable else 0.2)
+                for name in ("a", "b", "c")
+            ),
+            empty_cost=0.75,
+        )
+        ranked, costs = profile_cost_table(ms)
+        assert ranked == usable
+        assert costs == [cost(ms, ())] + [cost(ms, {name}) for name in usable]
+        assert costs == [0.75] + [penalty(0.4, 0.8)] * len(usable)
+        assert set(profile_chemistry(ms).scores.values()) == {0.0}
+
     def test_cover_path_on_recorded_tables_equals_bruteforce(self):
         # A table of every subset's profile cost and used set is scored
         # through its eager graph and the covering-node scan.
@@ -361,6 +377,20 @@ def lattice_pairs(ranked: tuple[str, ...]) -> list[tuple[str, str, int, int]]:
     return [(a, b, bits[a], bits[b]) for a, b in combinations(sorted(ranked), 2)]
 
 
+def reference_lattice_bounds(costs: list[float]) -> tuple[list[float], list[float]]:
+    """``_lattice_bounds`` by its definition: one loop over the masks per bit."""
+    everyone = len(costs) - 1
+    spans, lows = [], []
+    for j in range(everyone.bit_length()):
+        bit = 1 << j
+        gains = [costs[y] - costs[y | bit] for y in range(1, everyone + 1) if not y & bit]
+        spans.append(max(gains) - min(gains) if gains else 0.0)
+        # Every mask that holds bit j and at least one other bit.
+        shared = [costs[mask] for mask in range(everyone + 1) if mask & bit and mask != bit]
+        lows.append(min(shared, default=math.inf))
+    return spans, lows
+
+
 def dense14_seed1_model_set(directory: Path) -> ModelSet:
     """The benchmark's dense14 store at seed 1: ``perfbench/gen.py`` inputs, then ``ingest``."""
     spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
@@ -412,14 +442,8 @@ class TestCertifiedPruning:
         ranked, costs = profile_cost_table(ms)
         spans, lows = _lattice_bounds(costs)
         everyone = len(costs) - 1
-        assert len(spans) == len(lows) == len(ranked)
-        for j in range(len(ranked)):
-            bit = 1 << j
-            gains = [costs[y] - costs[y | bit] for y in range(1, everyone + 1) if not y & bit]
-            assert spans[j] == (max(gains) - min(gains) if gains else 0.0)
-            # Every mask that holds bit j and at least one other bit.
-            shared = [costs[mask] for mask in range(everyone + 1) if mask & bit and mask != bit]
-            assert lows[j] == min(shared, default=math.inf)
+        assert (spans, lows) == reference_lattice_bounds(costs)
+        assert len(spans) == len(ranked)
         for _, _, bit_a, bit_b in lattice_pairs(ranked):
             both = bit_a | bit_b
             low = max(lows[bit_a.bit_length() - 1], lows[bit_b.bit_length() - 1])
@@ -534,6 +558,36 @@ class TestCertifiedPruning:
         assert profile_chemistry(ms).scores == {
             frozenset((a, b)): score for (a, b, _, _), score in zip(pairs, certified)
         }
+
+    @pytest.mark.parametrize("size", [11, 12])
+    def test_the_bounds_equal_the_per_mask_loop_where_the_slices_split(self, size):
+        # Half tables of 1,024 and 2,048 entries: at 11 members each half is
+        # one slice of 1,023 gains; at 12 the second slice is partial, and a
+        # member's largest or least gain can lie in either slice.
+        rng = random.Random(size)
+        for empty_cost in (1.0, 0.0, 3.5):
+            ms = random_model_set(rng, size, min_accuracy=0.5, empty_cost=empty_cost)
+            ranked, costs = profile_cost_table(ms)
+            assert len(ranked) == size
+            assert _lattice_bounds(costs) == reference_lattice_bounds(costs)
+
+    @pytest.mark.parametrize(
+        "costs, expected", [([0.5], ([], [])), ([1.0, 0.25], ([0.0], [math.inf]))]
+    )
+    def test_tables_of_no_and_one_member_have_no_gain_and_no_shared_mask(self, costs, expected):
+        assert _lattice_bounds(costs) == expected == reference_lattice_bounds(costs)
+
+    def test_the_bounds_pass_holds_one_slice_of_gains_at_a_time(self, tmp_path):
+        # One list of the 8,191 gains per member peaks near 772 KB here.
+        _, costs = profile_cost_table(dense14_seed1_model_set(tmp_path))
+        assert len(costs) == 1 << 14
+        tracemalloc.start()
+        try:
+            _lattice_bounds(costs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024, peak
 
 
 class TestLlmcpFilter:
